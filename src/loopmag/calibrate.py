@@ -15,6 +15,7 @@ objective well defined when a dataset misses dark or weakly visible peaks.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -61,6 +62,13 @@ class PeakDataset:
                 raise ValueError("record %d: omega_m must be > 0 GHz" % k)
             if not r.sigma > 0:
                 raise ValueError("record %d: sigma must be > 0 GHz" % k)
+
+    @cached_property
+    def _columns(self):
+        """Sorted unique omega_m, each record's row among them, peaks (n, 1), sigmas."""
+        array = np.array(self.records)
+        omegas, rows = np.unique(array[:, 0], return_inverse=True)
+        return omegas, rows, array[:, 1:2], array[:, 2]
 
 
 def dataset_from_csv(text: str) -> PeakDataset:
@@ -267,14 +275,12 @@ def _checked_thetas(spec: FitSpec, theta_assignment) -> tuple:
 
 
 def _residual_of_system(system: SystemModel, data: PeakDataset) -> float:
-    omegas = np.unique([r.omega_m for r in data.records])
+    omegas, rows, peaks, sigmas = data._columns
     table = branch_frequencies(system, omegas)
-    row_of = {value: k for k, value in enumerate(omegas.tolist())}
-    total = 0.0
-    for r in data.records:
-        nearest = np.min(np.abs(table[row_of[r.omega_m]] - r.omega_peak))
-        total += (nearest / r.sigma) ** 2
-    return float(total)
+    nearest = np.abs(table[rows] - peaks).min(axis=1)
+    # cumsum adds in record order like a running total; np.sum's pairwise
+    # summation would differ in the last bits and steer the simplex elsewhere
+    return float(np.cumsum((nearest / sigmas) ** 2)[-1])
 
 
 def residual(spec: FitSpec, params, theta_assignment, data: PeakDataset) -> float:

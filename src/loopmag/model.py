@@ -7,6 +7,7 @@ is H / hbar expressed in GHz linear frequency.  The matrix entry
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -42,7 +43,7 @@ def parse_phase(value) -> float:
                 % (value, ", ".join(sorted(PHASE_STRINGS)))
             ) from None
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _number(value, "phase_rad")
     raise SchemaError("phase_rad: expected number or phase string, got %r" % (value,))
 
 
@@ -67,12 +68,14 @@ class ModeSpec:
     def __post_init__(self):
         if self.kind not in ("photon", "magnon"):
             raise ValueError("mode %r: kind must be 'photon' or 'magnon'" % self.label)
-        if not self.frequency > 0:
-            raise ValueError("mode %r: frequency must be > 0 GHz" % self.label)
+        if not (math.isfinite(self.frequency) and self.frequency > 0):
+            raise ValueError("mode %r: frequency must be finite and > 0 GHz" % self.label)
         for name in ("intrinsic_loss", "external_loss"):
             rate = getattr(self, name)
-            if rate is not None and rate < 0:
-                raise ValueError("mode %r: %s must be >= 0 MHz" % (self.label, name))
+            if rate is not None and not (math.isfinite(rate) and rate >= 0):
+                raise ValueError(
+                    "mode %r: %s must be finite and >= 0 MHz" % (self.label, name)
+                )
         if self.kind == "magnon" and self.external_loss is not None:
             raise ValueError(
                 "mode %r: magnons do not couple to ports, external_loss must be unset"
@@ -96,6 +99,10 @@ class CouplingEdge:
     def __post_init__(self):
         strength = float(self.strength)
         phase = float(self.phase)
+        if not (math.isfinite(strength) and math.isfinite(phase)):
+            raise ValueError(
+                "edge (%s, %s): strength and phase must be finite" % (self.photon, self.magnon)
+            )
         if strength < 0:
             strength = -strength
             phase += math.pi
@@ -139,12 +146,6 @@ class SystemModel:
         for m in self.modes:
             if m.label == label:
                 return m
-        raise ValueError("unknown mode label %r" % label)
-
-    def mode_index(self, label: str) -> int:
-        for i, m in enumerate(self.modes):
-            if m.label == label:
-                return i
         raise ValueError("unknown mode label %r" % label)
 
     def photon_labels(self) -> tuple:
@@ -286,7 +287,11 @@ def _number(value, where: str, allow_none=False):
     if value is None and allow_none:
         return None
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        # JSON admits NaN, Infinity, and integers too large for a float
+        number = float(value) if abs(value) <= sys.float_info.max else math.inf
+        if not math.isfinite(number):
+            raise SchemaError("%s: expected a finite number" % where)
+        return number
     raise SchemaError("%s: expected a number" % where)
 
 
@@ -332,6 +337,9 @@ def system_from_document(doc: dict) -> SystemModel:
         except SchemaError as err:
             raise SchemaError("%s.%s" % (where, err)) from None
         edges.append(CouplingEdge(photon, magnon, g, phase))
+    for i, label in enumerate(sweep_doc):
+        if not isinstance(label, str):
+            raise SchemaError("sweep[%d]: expected a mode label" % i)
     try:
         return SystemModel(tuple(modes), tuple(edges), frozenset(sweep_doc))
     except ValueError as err:

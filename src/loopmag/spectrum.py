@@ -1,9 +1,7 @@
 """Eigensolves, magnon-frequency sweeps, gap extraction, and dark-mode metrics.
 
-The eigensolver is a cyclic Jacobi iteration for complex Hermitian matrices,
-batched over sweep points.  At the dimensions used here (a handful of modes)
-it is exact to machine precision within a few sweeps and keeps the package
-free of opaque LAPACK behaviour differences across platforms.
+Every eigensolve goes through LAPACK's Hermitian solver (numpy.linalg.eigh),
+batched over sweep points.
 
 Units follow the model module: all frequencies in GHz, gaps reported in MHz.
 """
@@ -33,9 +31,6 @@ __all__ = [
 # photon weight is averaged, since the eigenbasis within it is arbitrary
 DEGENERACY_CLUSTER_GHZ = 1e-9
 
-_OFF_NORM_FACTOR = 1e-13
-_PIVOT_SKIP_FACTOR = 1e-18
-_MAX_SWEEPS = 60
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -66,74 +61,6 @@ class GapReport:
     is_crossing: bool
 
 
-def _off_diag_sq(mats: np.ndarray) -> np.ndarray:
-    # summed directly over off-diagonal entries: subtracting the diagonal
-    # from the total norm would cancel away everything below sqrt(eps)*norm
-    sq = np.abs(mats) ** 2
-    idx = np.arange(mats.shape[1])
-    sq[:, idx, idx] = 0.0
-    return sq.sum(axis=(1, 2))
-
-
-def _jacobi_eigh(mats: np.ndarray, want_vectors: bool):
-    """Batched cyclic Jacobi diagonalization of Hermitian matrices."""
-    a = np.array(mats, dtype=np.complex128, copy=True)
-    batch, n = a.shape[0], a.shape[1]
-    vecs = None
-    if want_vectors:
-        vecs = np.broadcast_to(np.eye(n, dtype=np.complex128), a.shape).copy()
-    norm0 = np.maximum(np.linalg.norm(a, axis=(1, 2)), 1e-300)
-    off_tol_sq = (_OFF_NORM_FACTOR * norm0) ** 2
-    skip_tol = _PIVOT_SKIP_FACTOR * norm0
-    for _ in range(_MAX_SWEEPS):
-        active = _off_diag_sq(a) > off_tol_sq
-        if not active.any():
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                z = a[:, p, q]
-                az = np.abs(z)
-                rotate = active & (az > skip_tol)
-                if not rotate.any():
-                    continue
-                az_safe = np.where(az > 0.0, az, 1.0)
-                phase = z / az_safe
-                tau = (a[:, q, q].real - a[:, p, p].real) / (2.0 * az_safe)
-                t = np.where(tau >= 0.0, 1.0, -1.0) / (
-                    np.abs(tau) + np.sqrt(1.0 + tau * tau)
-                )
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                sigma = (t * c) * phase
-                c = np.where(rotate, c, 1.0)
-                sigma = np.where(rotate, sigma, 0.0 + 0.0j)
-                col_p = a[:, :, p].copy()
-                col_q = a[:, :, q].copy()
-                a[:, :, p] = c[:, None] * col_p - np.conj(sigma)[:, None] * col_q
-                a[:, :, q] = sigma[:, None] * col_p + c[:, None] * col_q
-                row_p = a[:, p, :].copy()
-                row_q = a[:, q, :].copy()
-                a[:, p, :] = c[:, None] * row_p - sigma[:, None] * row_q
-                a[:, q, :] = np.conj(sigma)[:, None] * row_p + c[:, None] * row_q
-                a[:, p, q] = np.where(rotate, 0.0 + 0.0j, a[:, p, q])
-                a[:, q, p] = np.where(rotate, 0.0 + 0.0j, a[:, q, p])
-                a[:, p, p] = a[:, p, p].real
-                a[:, q, q] = a[:, q, q].real
-                if want_vectors:
-                    vcol_p = vecs[:, :, p].copy()
-                    vcol_q = vecs[:, :, q].copy()
-                    vecs[:, :, p] = c[:, None] * vcol_p - np.conj(sigma)[:, None] * vcol_q
-                    vecs[:, :, q] = sigma[:, None] * vcol_p + c[:, None] * vcol_q
-    else:
-        if (_off_diag_sq(a) > off_tol_sq).any():
-            raise RuntimeError("Jacobi eigensolver did not converge")
-    vals = np.diagonal(a, axis1=1, axis2=2).real.copy()
-    order = np.argsort(vals, axis=1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=1)
-    if want_vectors:
-        vecs = np.take_along_axis(vecs, order[:, None, :], axis=2)
-    return vals, vecs
-
-
 def _as_matrix(matrix) -> np.ndarray:
     if isinstance(matrix, HermitianMatrixGHz):
         return matrix.entries
@@ -149,8 +76,8 @@ def _as_matrix(matrix) -> np.ndarray:
 def eig_hermitian(matrix):
     """Ascending eigenvalues and orthonormal eigenvector columns."""
     mat = _as_matrix(matrix)
-    vals, vecs = _jacobi_eigh(mat[None, :, :], want_vectors=True)
-    return vals[0], vecs[0]
+    vals, vecs = np.linalg.eigh(mat)
+    return vals, vecs
 
 
 def _validated_grid(omega_m_values) -> np.ndarray:
@@ -179,7 +106,7 @@ def sweep(system: SystemModel, omega_m_values) -> SweepResult:
     """Eigendecompose the system at every grid point of a magnon sweep."""
     grid = _validated_grid(omega_m_values)
     labels, mats = _hamiltonian_batch(system, grid)
-    vals, vecs = _jacobi_eigh(mats, want_vectors=True)
+    vals, vecs = np.linalg.eigh(mats)
     photon_set = set(system.photon_labels())
     photon_rows = tuple(k for k, lab in enumerate(labels) if lab in photon_set)
     weights = (np.abs(vecs[:, photon_rows, :]) ** 2).sum(axis=1)
@@ -199,10 +126,12 @@ def sweep(system: SystemModel, omega_m_values) -> SweepResult:
 
 
 def branch_frequencies(system: SystemModel, omega_m_values) -> np.ndarray:
-    """Sorted eigenvalues per grid point, skipping eigenvector work."""
+    """Sorted eigenvalues per grid point: the branches of sweep, bit for bit."""
     grid = _validated_grid(omega_m_values)
     _, mats = _hamiltonian_batch(system, grid)
-    vals, _ = _jacobi_eigh(mats, want_vectors=False)
+    # eigenvalues of the same eigh call as sweep: eigvalsh differs from it in
+    # the last bits, and the two must agree bitwise
+    vals, _ = np.linalg.eigh(mats)
     return vals
 
 
@@ -316,8 +245,7 @@ def resonant_gap(system: SystemModel, photon_label: str) -> float:
         raise ValueError(f"mode {photon_label!r} is not a photon")
     omega_c = mode.frequency
     built = build_hamiltonian(system, omega_c)
-    vals, vecs = _jacobi_eigh(built.entries[None, :, :], want_vectors=True)
-    vals, vecs = vals[0], vecs[0]
+    vals, vecs = np.linalg.eigh(built.entries)
     row = built.labels.index(photon_label)
     weight = np.abs(vecs[row, :]) ** 2
     below = np.nonzero(vals <= omega_c)[0]

@@ -4,7 +4,7 @@ Finds the eigenvalues of a complex Hermitian matrix by sign-change bisection on
 the characteristic polynomial p(lambda) = det(H - lambda*I).  The determinant is
 evaluated directly with a hand-rolled batched LU elimination (partial pivoting),
 so no eigensolver routine is involved anywhere on this code path.  This keeps
-the oracle fully independent from the package's Jacobi implementation.
+the oracle fully independent from the package's LAPACK eigensolver.
 
 Limitations: only simple (non-degenerate) spectra are supported.  A repeated
 root gives no sign change, and the oracle raises OracleError instead of

@@ -12,6 +12,7 @@ from loopmag.calibrate import (
     PeakRecord,
     dataset_from_csv,
     fit,
+    _residual_of_system,
     residual,
 )
 from loopmag.model import CouplingEdge, ModeSpec, SchemaError, SystemModel, fold_phase
@@ -105,6 +106,29 @@ def test_residual_matches_hand_computed_value():
     expected = 20.0**2 + 4.0**2
     value = residual(spec, (5.0, 0.1), (), data)
     assert math.isclose(value, expected, rel_tol=1e-12)
+
+
+def test_vectorized_residual_equals_record_order_loop():
+    # the objective must match a running total over records bit for bit, or
+    # the simplex path (and its evaluation count) would change
+    system = two_tone_template()
+    rng = np.random.default_rng(11)
+    omega_ms = rng.choice(np.linspace(4.3, 6.4, 6), size=40)
+    records = tuple(
+        PeakRecord(float(om), float(rng.uniform(4.0, 6.8)), float(sigma))
+        for om, sigma in zip(omega_ms, rng.choice([0.001, 0.0025, 0.013], size=40))
+    )
+    data = PeakDataset(records=records)
+    assert len(set(omega_ms)) < len(records) and list(omega_ms) != sorted(omega_ms)
+
+    omegas = np.unique([r.omega_m for r in records])
+    table = branch_frequencies(system, omegas)
+    row_of = {value: k for k, value in enumerate(omegas.tolist())}
+    total = 0.0
+    for r in records:
+        nearest = np.min(np.abs(table[row_of[r.omega_m]] - r.omega_peak))
+        total += (nearest / r.sigma) ** 2
+    assert _residual_of_system(system, data) == float(total)
 
 
 def test_residual_is_zero_on_exact_branch_data():

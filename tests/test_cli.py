@@ -197,6 +197,45 @@ def test_spectrum_empty_grid_exits_2():
     assert result.exit_code == 2
 
 
+def write_preset_config(tmp_path, edit):
+    config = json.loads(json.dumps(PRESETS["cavity-pi-table1"]))
+    edit(config["system"])
+    path = tmp_path / "device.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spectrum_non_finite_coupling_exits_2(tmp_path, bad):
+    def edit(system):
+        system["edges"][0]["g_mhz"] = bad
+
+    path = write_preset_config(tmp_path, edit)
+    assert ("NaN" if math.isnan(bad) else "Infinity") in path.read_text()
+    result = run("spectrum", "--config", str(path))
+    assert result.exit_code == 2
+    assert result.output == "error: edges[0].g_mhz: expected a finite number\n"
+
+
+def test_spectrum_non_label_sweep_entry_exits_2(tmp_path):
+    def edit(system):
+        system["sweep"] = [["m1"]]
+
+    result = run("spectrum", "--config", str(write_preset_config(tmp_path, edit)))
+    assert result.exit_code == 2
+    assert result.output == "error: sweep[0]: expected a mode label\n"
+
+
+def test_spectrum_eigensolver_failure_exits_1(monkeypatch):
+    def failing_eigh(mats):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    result = run("spectrum", "--preset", "cavity-pi-table1")
+    assert result.exit_code == 1
+    assert result.output == "error: Eigenvalues did not converge\n"
+
+
 # ====== s21 command ======
 
 

@@ -1,6 +1,7 @@
 """Tests for the device description and Hamiltonian assembly."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -104,6 +105,20 @@ def test_mode_spec_validation():
         ModeSpec("m1", "magnon", 4.0, external_loss=3.0)
     spec = ModeSpec("c1", "photon", 4.0, intrinsic_loss=5.0, external_loss=5.0)
     assert spec.external_loss == 5.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mode_spec_and_edge_reject_non_finite_values(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ModeSpec("c1", "photon", bad)
+    with pytest.raises(ValueError, match="finite"):
+        ModeSpec("c1", "photon", 4.0, intrinsic_loss=bad)
+    with pytest.raises(ValueError, match="finite"):
+        ModeSpec("c1", "photon", 4.0, external_loss=bad)
+    with pytest.raises(ValueError, match="finite"):
+        CouplingEdge("c1", "m1", bad, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        CouplingEdge("c1", "m1", 10.0, bad)
 
 
 def test_coupling_edge_normalizes_negative_strength():
@@ -353,3 +368,44 @@ def test_document_errors_are_path_anchored():
     with pytest.raises(SchemaError) as err2:
         system_from_document({"modes": [], "sweep": []})
     assert "edges" in str(err2.value)
+
+
+def pair_document():
+    return {
+        "modes": [
+            {"label": "c1", "kind": "photon", "frequency_ghz": 4.5,
+             "intrinsic_loss_mhz": 1.0, "external_loss_mhz": 1.0},
+            {"label": "m1", "kind": "magnon", "frequency_ghz": 5.0},
+        ],
+        "edges": [{"photon": "c1", "magnon": "m1", "g_mhz": 50.0, "phase_rad": 0.5}],
+        "sweep": ["m1"],
+    }
+
+
+@pytest.mark.parametrize(
+    "section, index, key, where",
+    [
+        ("modes", 0, "frequency_ghz", "modes[0].frequency_ghz"),
+        ("modes", 0, "intrinsic_loss_mhz", "modes[0].intrinsic_loss_mhz"),
+        ("modes", 0, "external_loss_mhz", "modes[0].external_loss_mhz"),
+        ("edges", 0, "g_mhz", "edges[0].g_mhz"),
+        ("edges", 0, "phase_rad", "edges[0].phase_rad"),
+    ],
+)
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "10**400"]
+)
+def test_document_rejects_non_finite_numbers(section, index, key, where, bad):
+    doc = pair_document()
+    system_from_document(doc)
+    doc[section][index][key] = bad
+    with pytest.raises(SchemaError, match=r"^%s: expected a finite number$" % re.escape(where)):
+        system_from_document(doc)
+
+
+def test_document_rejects_non_label_sweep_entries():
+    for bad in (["m1"], 3, None, {"m1": 1}):
+        doc = pair_document()
+        doc["sweep"] = ["m1", bad]
+        with pytest.raises(SchemaError, match=r"^sweep\[1\]: expected a mode label$"):
+            system_from_document(doc)
