@@ -14,7 +14,7 @@ objective well defined when a dataset misses dark or weakly visible peaks.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -22,8 +22,9 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .gauge import reduce_system
-from .model import CouplingEdge, SchemaError, SystemModel, apply_vertex_phases
-from .spectrum import branch_frequencies
+from .model import CouplingEdge, SchemaError, SystemModel, hamiltonians, write_coupling
+# unused here; kept because perfbench's tracer test patches and calls this binding
+from .spectrum import branch_frequencies  # noqa: F401
 
 DEFAULT_SIGMA_GHZ = 0.0025
 DEFAULT_FREQUENCY_BOUNDS_GHZ = (0.1, 50.0)
@@ -215,41 +216,7 @@ class FitResult:
     per_hypothesis: tuple
 
 
-# ====== trial-system construction and residual ======
-
-
-def _reduced_template(spec: FitSpec):
-    """Gauge-reduce the base system: tree edges at zero, chords to be assigned."""
-    reduction = reduce_system(spec.base_system)
-    applied = apply_vertex_phases(spec.base_system, reduction.vertex_phases)
-    chord_loop = {p.cycle.chord: k for k, p in enumerate(reduction.physical_phases)}
-    return applied, chord_loop
-
-
-def _instantiate(spec, template, chord_loop, params, thetas) -> SystemModel:
-    n_free = len(spec.free_photon_frequencies)
-    frequency = dict(zip(spec.free_photon_frequencies, params[:n_free]))
-    strength_ghz = dict(zip(spec.free_couplings, params[n_free:]))
-    modes = tuple(
-        replace(m, frequency=float(frequency[m.label]))
-        if m.label in frequency
-        else m
-        for m in template.modes
-    )
-    edges = []
-    for idx, edge in enumerate(template.edges):
-        loop = chord_loop.get(idx)
-        phase = float(thetas[loop]) if loop is not None else 0.0
-        if edge.photon in strength_ghz:
-            strength = float(strength_ghz[edge.photon]) * 1e3
-        else:
-            strength = edge.strength
-        edges.append(CouplingEdge(edge.photon, edge.magnon, strength, phase))
-    return SystemModel(
-        modes=modes,
-        edges=tuple(edges),
-        magnon_sweep_target=template.magnon_sweep_target,
-    )
+# ====== the fit objective ======
 
 
 def _checked_params(spec: FitSpec, params) -> tuple:
@@ -274,22 +241,55 @@ def _checked_thetas(spec: FitSpec, theta_assignment) -> tuple:
     return thetas
 
 
-def _residual_of_system(system: SystemModel, data: PeakDataset) -> float:
-    omegas, rows, peaks, sigmas = data._columns
-    table = branch_frequencies(system, omegas)
+def _residual_of_table(table: np.ndarray, data: PeakDataset) -> float:
+    """Residual of branch tables given at the dataset's sorted unique omega_m."""
+    _, rows, peaks, sigmas = data._columns
     nearest = np.abs(table[rows] - peaks).min(axis=1)
     # cumsum adds in record order like a running total; np.sum's pairwise
     # summation would differ in the last bits and steer the simplex elsewhere
     return float(np.cumsum((nearest / sigmas) ** 2)[-1])
 
 
+def _objective(spec: FitSpec, data: PeakDataset):
+    """The residual as a function of (params, thetas), on Hamiltonians built once.
+
+    Each evaluation copies the stack, writes in the free photon frequencies and
+    every edge in gauge-reduced form (tree edges at zero phase, chords at their
+    loop phases) through CouplingEdge, so a negative strength is a pi shift.
+    """
+    base = spec.base_system
+    reduction = reduce_system(base)
+    chord_loop = {p.cycle.chord: k for k, p in enumerate(reduction.physical_phases)}
+    stack = hamiltonians(base, data._columns[0])
+    row = {m.label: i for i, m in enumerate(base.modes)}
+    free_rows = tuple(row[label] for label in spec.free_photon_frequencies)
+    slot = {label: len(free_rows) + k for k, label in enumerate(spec.free_couplings)}
+    edges = tuple(
+        (row[e.photon], row[e.magnon], e, slot.get(e.photon), chord_loop.get(idx))
+        for idx, e in enumerate(base.edges)
+    )
+
+    def objective(params, thetas) -> float:
+        mats = stack.copy()
+        for label, i, value in zip(spec.free_photon_frequencies, free_rows, params):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError("mode %r: frequency must be finite and > 0 GHz" % label)
+            mats[:, i, i] = float(value)
+        for p, m, edge, k, loop in edges:
+            strength = float(params[k]) * 1e3 if k is not None else edge.strength
+            phase = float(thetas[loop]) if loop is not None else 0.0
+            write_coupling(mats, p, m, CouplingEdge(edge.photon, edge.magnon, strength, phase))
+        vals, _ = np.linalg.eigh(mats)
+        return _residual_of_table(vals, data)
+
+    return objective
+
+
 def residual(spec: FitSpec, params, theta_assignment, data: PeakDataset) -> float:
     """Sum of squared sigma-scaled distances to the nearest model branch."""
     values = _checked_params(spec, params)
     thetas = _checked_thetas(spec, theta_assignment)
-    template, chord_loop = _reduced_template(spec)
-    system = _instantiate(spec, template, chord_loop, values, thetas)
-    return _residual_of_system(system, data)
+    return _objective(spec, data)(values, thetas)
 
 
 # ====== simplex descent ======
@@ -341,51 +341,37 @@ def fit(
     """
     names = spec.parameter_names()
     values = _checked_params(spec, initial)
-    template, chord_loop = _reduced_template(spec)
-    base_bounds = _bounds_for(spec, names)
-    for name, value, (lo, hi) in zip(names, values, base_bounds):
+    bounds = _bounds_for(spec, names)
+    for name, value, (lo, hi) in zip(names, values, bounds):
         if not lo <= value <= hi:
             raise ValueError(
                 "initial value %g for %r is outside its bounds [%g, %g]"
                 % (value, name, lo, hi)
             )
+    if spec.continuous_theta:
+        bounds += _bounds_for(spec, ["theta:%d" % k for k in range(len(spec.theta_hypotheses[0]))])
 
+    objective = _objective(spec, data)
     n_params = len(names)
     outcomes = []
-    if spec.continuous_theta:
-        seed = spec.theta_hypotheses[0]
-        theta_names = tuple("theta:%d" % k for k in range(len(seed)))
-        bounds = base_bounds + _bounds_for(spec, theta_names)
+    for hypothesis in spec.theta_hypotheses:
+        # continuous mode: the loop phases join the parameter vector
+        x0 = values + hypothesis if spec.continuous_theta else values
 
-        def objective(x):
-            system = _instantiate(spec, template, chord_loop, x[:n_params], x[n_params:])
-            return _residual_of_system(system, data)
+        def trial(x, hypothesis=hypothesis):
+            thetas = x[n_params:] if spec.continuous_theta else hypothesis
+            return objective(x[:n_params], thetas)
 
-        best = _simplex(objective, np.array(values + seed), bounds, max_iterations)
+        best = _simplex(trial, np.array(x0), bounds, max_iterations)
+        thetas = best.x[n_params:] if spec.continuous_theta else hypothesis
         outcomes.append(
             HypothesisFit(
-                theta_assignment=tuple(float(v) for v in best.x[n_params:]),
+                theta_assignment=tuple(float(v) for v in thetas),
                 params=dict(zip(names, (float(v) for v in best.x[:n_params]))),
                 residual=float(best.fun),
                 converged=bool(best.success),
             )
         )
-    else:
-        for hypothesis in spec.theta_hypotheses:
-
-            def objective(x, thetas=hypothesis):
-                system = _instantiate(spec, template, chord_loop, x, thetas)
-                return _residual_of_system(system, data)
-
-            best = _simplex(objective, np.array(values), base_bounds, max_iterations)
-            outcomes.append(
-                HypothesisFit(
-                    theta_assignment=hypothesis,
-                    params=dict(zip(names, (float(v) for v in best.x))),
-                    residual=float(best.fun),
-                    converged=bool(best.success),
-                )
-            )
 
     winner = min(outcomes, key=lambda h: h.residual)
     ambiguous = False

@@ -30,7 +30,7 @@ from .calibrate import (
 )
 from .fieldmap import SphereRegion, coupling_table, field_table_from_csv
 from .gauge import reduce_system, reduction_to_document
-from .model import SchemaError, SystemModel, parse_phase, system_from_document
+from .model import SchemaError, SystemModel, _number, parse_phase, system_from_document
 from .spectrum import sweep, sweep_to_csv
 from .transmission import PortSpec, map_to_csv, s21_map
 
@@ -136,7 +136,10 @@ def _device_config(preset_name, config_path) -> dict:
 
 
 def _grid(config: dict, key: str, start, stop, points) -> np.ndarray:
-    settings = dict(config.get(key) or {})
+    settings = config.get(key) or {}
+    if not isinstance(settings, dict):
+        raise SchemaError("%s: expected an object" % key)
+    settings = dict(settings)
     if start is not None:
         settings["start_ghz"] = start
     if stop is not None:
@@ -146,7 +149,11 @@ def _grid(config: dict, key: str, start, stop, points) -> np.ndarray:
     for field in ("start_ghz", "stop_ghz", "points"):
         if field not in settings:
             raise SchemaError("%s.%s: missing (set it in the config or by flag)" % (key, field))
-    lo, hi, n = settings["start_ghz"], settings["stop_ghz"], int(settings["points"])
+    lo, hi, n = settings["start_ghz"], settings["stop_ghz"], settings["points"]
+    _number(lo, key + ".start_ghz")
+    _number(hi, key + ".stop_ghz")
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise SchemaError("%s.points: expected an integer" % key)
     if n < 1:
         raise SchemaError("%s.points must be >= 1" % key)
     if not lo > 0:

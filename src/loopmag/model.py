@@ -178,12 +178,21 @@ class HermitianMatrixGHz:
         return len(self.labels)
 
 
+def write_coupling(matrices: np.ndarray, p: int, m: int, edge: CouplingEdge) -> None:
+    """Write strength * 1e-3 * exp(-i * phase) at (p, m) of a matrix or a stack
+    of matrices, and its conjugate at (m, p).
+    """
+    value = (edge.strength * 1e-3) * np.exp(-1j * edge.phase)
+    matrices[..., p, m] = value
+    matrices[..., m, p] = np.conj(value)
+
+
 def build_hamiltonian(system: SystemModel, omega_m: float) -> HermitianMatrixGHz:
     """Assemble the Hamiltonian matrix at a given swept magnon frequency.
 
     The diagonal holds mode frequencies in GHz, with every magnon in
-    magnon_sweep_target replaced by omega_m.  The (photon, magnon) entry holds
-    strength * 1e-3 * exp(-i * phase).
+    magnon_sweep_target replaced by omega_m.  The off-diagonal entries come
+    from write_coupling.
 
     Args:
         system: validated device description.
@@ -200,12 +209,22 @@ def build_hamiltonian(system: SystemModel, omega_m: float) -> HermitianMatrixGHz
         else:
             h[i, i] = mode.frequency
     for e in system.edges:
-        p = index[e.photon]
-        m = index[e.magnon]
-        value = (e.strength * 1e-3) * np.exp(-1j * e.phase)
-        h[p, m] = value
-        h[m, p] = np.conj(value)
+        write_coupling(h, index[e.photon], index[e.magnon], e)
     return HermitianMatrixGHz(tuple(index), h)
+
+
+def hamiltonians(system: SystemModel, omega_m_grid: np.ndarray) -> np.ndarray:
+    """Hamiltonians over a magnon grid, shape (N, n, n), rows in system.modes order.
+
+    Built once at the first grid point, then the swept diagonal is overwritten,
+    so each slice equals build_hamiltonian at its grid point bit for bit.
+    """
+    base = build_hamiltonian(system, float(omega_m_grid[0])).entries
+    mats = np.broadcast_to(base, (len(omega_m_grid), *base.shape)).copy()
+    for k, mode in enumerate(system.modes):
+        if mode.label in system.magnon_sweep_target:
+            mats[:, k, k] = omega_m_grid
+    return mats
 
 
 class RwaCheck(NamedTuple):
@@ -295,6 +314,12 @@ def _number(value, where: str, allow_none=False):
     raise SchemaError("%s: expected a number" % where)
 
 
+def _string(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError("%s: expected a string" % where)
+    return value
+
+
 def system_from_document(doc: dict) -> SystemModel:
     """Parse and validate a SystemModel JSON document.
 
@@ -313,8 +338,8 @@ def system_from_document(doc: dict) -> SystemModel:
     modes = []
     for i, m in enumerate(modes_doc):
         where = "modes[%d]" % i
-        label = _require(m, "label", where)
-        kind = _require(m, "kind", where)
+        label = _string(_require(m, "label", where), where + ".label")
+        kind = _string(_require(m, "kind", where), where + ".kind")
         freq = _number(_require(m, "frequency_ghz", where), where + ".frequency_ghz")
         intrinsic = _number(
             m.get("intrinsic_loss_mhz"), where + ".intrinsic_loss_mhz", allow_none=True
@@ -329,8 +354,8 @@ def system_from_document(doc: dict) -> SystemModel:
     edges = []
     for i, e in enumerate(edges_doc):
         where = "edges[%d]" % i
-        photon = _require(e, "photon", where)
-        magnon = _require(e, "magnon", where)
+        photon = _string(_require(e, "photon", where), where + ".photon")
+        magnon = _string(_require(e, "magnon", where), where + ".magnon")
         g = _number(_require(e, "g_mhz", where), where + ".g_mhz")
         try:
             phase = parse_phase(_require(e, "phase_rad", where))

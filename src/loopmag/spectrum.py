@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HermitianMatrixGHz, SystemModel, build_hamiltonian
+from .model import HermitianMatrixGHz, SystemModel, build_hamiltonian, hamiltonians
 
 __all__ = [
     "SweepResult",
@@ -91,24 +91,12 @@ def _validated_grid(omega_m_values) -> np.ndarray:
     return grid
 
 
-def _hamiltonian_batch(system: SystemModel, grid: np.ndarray):
-    base = build_hamiltonian(system, float(grid[0]))
-    mats = np.broadcast_to(base.entries, (grid.size, *base.entries.shape)).copy()
-    targets = [
-        k for k, lab in enumerate(base.labels) if lab in system.magnon_sweep_target
-    ]
-    for k in targets:
-        mats[:, k, k] = grid
-    return base.labels, mats
-
-
 def sweep(system: SystemModel, omega_m_values) -> SweepResult:
     """Eigendecompose the system at every grid point of a magnon sweep."""
     grid = _validated_grid(omega_m_values)
-    labels, mats = _hamiltonian_batch(system, grid)
-    vals, vecs = np.linalg.eigh(mats)
-    photon_set = set(system.photon_labels())
-    photon_rows = tuple(k for k, lab in enumerate(labels) if lab in photon_set)
+    vals, vecs = np.linalg.eigh(hamiltonians(system, grid))
+    labels = tuple(m.label for m in system.modes)
+    photon_rows = tuple(k for k, m in enumerate(system.modes) if m.kind == "photon")
     weights = (np.abs(vecs[:, photon_rows, :]) ** 2).sum(axis=1)
     for row in range(grid.size):
         cuts = np.nonzero(np.diff(vals[row]) >= DEGENERACY_CLUSTER_GHZ)[0] + 1
@@ -128,19 +116,27 @@ def sweep(system: SystemModel, omega_m_values) -> SweepResult:
 def branch_frequencies(system: SystemModel, omega_m_values) -> np.ndarray:
     """Sorted eigenvalues per grid point: the branches of sweep, bit for bit."""
     grid = _validated_grid(omega_m_values)
-    _, mats = _hamiltonian_batch(system, grid)
     # eigenvalues of the same eigh call as sweep: eigvalsh differs from it in
     # the last bits, and the two must agree bitwise
-    vals, _ = np.linalg.eigh(mats)
+    vals, _ = np.linalg.eigh(hamiltonians(system, grid))
     return vals
 
 
-def _parabola_vertex(xl, gl, x0, g0, xr, gr):
-    num = (x0 - xl) ** 2 * (g0 - gr) - (x0 - xr) ** 2 * (g0 - gl)
-    den = (x0 - xl) * (g0 - gr) - (x0 - xr) * (g0 - gl)
-    if abs(den) < 1e-300:
-        return None
-    return x0 - 0.5 * num / den
+def parabola_vertex(xl, yl, x0, y0, xr, yr):
+    """Curvature, vertex and vertex value of the parabola through three samples.
+
+    The parabola is taken in Newton form, y0 + d1 (x - x0) + c (x - x0)(x - xl)
+    with d1 the left slope and c the curvature.  Three collinear samples
+    have no vertex and return (0.0, x0, y0).
+    """
+    d1 = (y0 - yl) / (x0 - xl)
+    d2 = (yr - y0) / (xr - x0)
+    curvature = (d2 - d1) / (xr - xl)
+    if curvature == 0:
+        return 0.0, x0, y0
+    vertex = 0.5 * (x0 + xl - d1 / curvature)
+    value = y0 + curvature * (vertex - x0) * (vertex - xl) + d1 * (vertex - x0)
+    return curvature, vertex, value
 
 
 def min_gap(
@@ -207,12 +203,12 @@ def min_gap(
                 if fd < best_g:
                     best_x, best_g = d_pt, fd
     elif have_triple:
-        gl, gr = float(gaps[k - 1]), float(gaps[k + 1])
-        vertex = _parabola_vertex(xl, gl, best_x, best_g, xr, gr)
-        if vertex is not None and xl < vertex < xr:
+        curvature, vertex, fitted = parabola_vertex(
+            xl, float(gaps[k - 1]), best_x, best_g, xr, float(gaps[k + 1])
+        )
+        if curvature != 0 and xl < vertex < xr:
             # interpolated estimate; a V-shaped crossing extrapolates below
             # zero, which correctly clamps to a zero-gap report
-            fitted = _parabola_value(xl, gl, best_x, best_g, xr, gr, vertex)
             best_x = float(np.clip(vertex, lo, hi))
             best_g = max(0.0, min(fitted, best_g))
 
@@ -223,14 +219,6 @@ def min_gap(
         min_gap_mhz=best_g * 1e3,
         is_crossing=best_g < crossing_threshold_ghz,
     )
-
-
-def _parabola_value(xl, gl, x0, g0, xr, gr, x):
-    # Lagrange form through the three samples
-    term_l = gl * (x - x0) * (x - xr) / ((xl - x0) * (xl - xr))
-    term_0 = g0 * (x - xl) * (x - xr) / ((x0 - xl) * (x0 - xr))
-    term_r = gr * (x - xl) * (x - x0) / ((xr - xl) * (xr - x0))
-    return term_l + term_0 + term_r
 
 
 def resonant_gap(system: SystemModel, photon_label: str) -> float:

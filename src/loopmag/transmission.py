@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import find_peaks
 
-from .model import SystemModel, build_hamiltonian
+from .model import SystemModel, build_hamiltonian, hamiltonians
+from .spectrum import parabola_vertex
 
 DEFAULT_PHOTON_LOSS_MHZ = 5.0
 DEFAULT_MAGNON_LOSS_MHZ = 2.0
@@ -41,9 +42,9 @@ class PortSpec:
         if self.couplings is not None:
             couplings = dict(self.couplings)
             for label, rate in couplings.items():
-                if not rate >= 0:
+                if not (math.isfinite(rate) and rate >= 0):
                     raise ValueError(
-                        "port %d: external rate for %r must be >= 0 MHz"
+                        "port %d: external rate for %r must be finite and >= 0 MHz"
                         % (self.port, label)
                     )
             object.__setattr__(self, "couplings", couplings)
@@ -159,11 +160,11 @@ def s21_map(system: SystemModel, ports, omega_grid, omega_m_grid) -> Transmissio
     omega_m = _validated_axis(omega_m_grid, "omega_m_grid")
     port1, port2 = _ordered_ports(ports)
     gamma, d1, d2, defaults = _loss_model(system, port1, port2)
-    n = len(system.modes)
-    eye = np.eye(n)
+    mats = hamiltonians(system, omega_m)
+    eye = np.eye(len(system.modes))
     mags = np.empty((omega.size, omega_m.size))
-    for j, om_m in enumerate(omega_m):
-        a = 1j * build_hamiltonian(system, float(om_m)).entries + np.diag(gamma) / 2.0
+    for j, h in enumerate(mats):
+        a = 1j * h + np.diag(gamma) / 2.0
         m = a[None, :, :] - 1j * omega[:, None, None] * eye
         x = np.linalg.solve(m, d1[:, None])[..., 0]
         mags[:, j] = 20.0 * np.log10(np.abs(x @ d2))
@@ -171,19 +172,6 @@ def s21_map(system: SystemModel, ports, omega_grid, omega_m_grid) -> Transmissio
 
 
 # ====== peak extraction ======
-
-
-def _parabola_vertex(xl, yl, x0, y0, xr, yr):
-    # Lagrange form; caller guarantees y0 is a strict local maximum
-    d1 = (y0 - yl) / (x0 - xl)
-    d2 = (yr - y0) / (xr - x0)
-    curvature = (d2 - d1) / (xr - xl)
-    if curvature >= 0:
-        return x0, y0
-    vertex = 0.5 * (x0 + xl - d1 / curvature)
-    vertex = min(max(vertex, xl), xr)
-    value = y0 + curvature * (vertex - x0) * (vertex - xl) + d1 * (vertex - x0)
-    return vertex, value
 
 
 def extract_peaks(tmap: TransmissionMap, omega_m_index: int, prominence_floor_db: float = 3.0):
@@ -202,10 +190,14 @@ def extract_peaks(tmap: TransmissionMap, omega_m_index: int, prominence_floor_db
     omega = tmap.omega_grid
     peaks = []
     for i in indices:
-        vertex, value = _parabola_vertex(
-            omega[i - 1], column[i - 1], omega[i], column[i], omega[i + 1], column[i + 1]
+        xl, xr = omega[i - 1], omega[i + 1]
+        curvature, vertex, value = parabola_vertex(
+            xl, column[i - 1], omega[i], column[i], xr, column[i + 1]
         )
-        peaks.append((float(vertex), float(value - mean)))
+        if curvature >= 0:
+            # no maximum between the neighbours: keep the sample itself
+            vertex, value = omega[i], column[i]
+        peaks.append((float(min(max(vertex, xl), xr)), float(value - mean)))
     return peaks
 
 

@@ -1,5 +1,6 @@
 """Tests for peak-data calibration: residuals, hypothesis fits, CSV input."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,10 +13,18 @@ from loopmag.calibrate import (
     PeakRecord,
     dataset_from_csv,
     fit,
-    _residual_of_system,
+    _residual_of_table,
     residual,
 )
-from loopmag.model import CouplingEdge, ModeSpec, SchemaError, SystemModel, fold_phase
+from loopmag.gauge import reduce_system
+from loopmag.model import (
+    CouplingEdge,
+    ModeSpec,
+    SchemaError,
+    SystemModel,
+    apply_vertex_phases,
+    fold_phase,
+)
 from loopmag.spectrum import branch_frequencies
 
 
@@ -80,6 +89,78 @@ ANTICROSSING_GRID = tuple(np.linspace(4.3, 6.4, 16))
 DISPERSIVE_GRID = tuple(np.linspace(3.4, 4.0, 16))
 
 
+def record_order_residual(system, data):
+    """Residual as a running total over records, nearest branch per record."""
+    omegas = np.unique([r.omega_m for r in data.records])
+    table = branch_frequencies(system, omegas)
+    row_of = {value: k for k, value in enumerate(omegas.tolist())}
+    total = 0.0
+    for r in data.records:
+        nearest = np.min(np.abs(table[row_of[r.omega_m]] - r.omega_peak))
+        total += (nearest / r.sigma) ** 2
+    return float(total)
+
+
+def dataclass_residual(spec, params, thetas, data):
+    """Reference objective: the trial point as a validated SystemModel.
+
+    The base system is gauge-reduced, every tree edge is held at zero phase,
+    each chord takes its loop's phase, and free parameters are written in
+    through ModeSpec and CouplingEdge before the branches are solved.
+    """
+    reduction = reduce_system(spec.base_system)
+    template = apply_vertex_phases(spec.base_system, reduction.vertex_phases)
+    chord_loop = {p.cycle.chord: k for k, p in enumerate(reduction.physical_phases)}
+    n_free = len(spec.free_photon_frequencies)
+    frequency = dict(zip(spec.free_photon_frequencies, params[:n_free]))
+    strength_ghz = dict(zip(spec.free_couplings, params[n_free:]))
+    modes = tuple(
+        dataclasses.replace(m, frequency=float(frequency[m.label]))
+        if m.label in frequency
+        else m
+        for m in template.modes
+    )
+    edges = tuple(
+        CouplingEdge(
+            e.photon,
+            e.magnon,
+            float(strength_ghz[e.photon]) * 1e3 if e.photon in strength_ghz else e.strength,
+            float(thetas[chord_loop[k]]) if k in chord_loop else 0.0,
+        )
+        for k, e in enumerate(template.edges)
+    )
+    system = SystemModel(modes, edges, template.magnon_sweep_target)
+    return record_order_residual(system, data)
+
+
+def three_tone_spec():
+    """Three photons on two swept magnons: two loops, one photon held fixed."""
+    system = SystemModel(
+        modes=(
+            ModeSpec("c1", "photon", 6.594),
+            ModeSpec("c2", "photon", 7.562),
+            ModeSpec("c3", "photon", 8.619),
+            ModeSpec("m1", "magnon", 7.5),
+            ModeSpec("m2", "magnon", 7.5),
+        ),
+        edges=(
+            CouplingEdge("c1", "m1", 130.0, -math.pi / 2),
+            CouplingEdge("c1", "m2", 130.0, -math.pi / 2),
+            CouplingEdge("c2", "m1", 150.0, math.pi / 2),
+            CouplingEdge("c2", "m2", 150.0, -math.pi / 2),
+            CouplingEdge("c3", "m1", 104.0, math.pi / 2),
+            CouplingEdge("c3", "m2", 104.0, -math.pi / 2),
+        ),
+        magnon_sweep_target=frozenset({"m1", "m2"}),
+    )
+    return FitSpec(
+        base_system=system,
+        free_photon_frequencies=("c1", "c3"),
+        free_couplings=("c2", "c3"),
+        theta_hypotheses=((1.0, 2.0),),
+    )
+
+
 # ====== residual oracle ======
 
 
@@ -121,14 +202,50 @@ def test_vectorized_residual_equals_record_order_loop():
     data = PeakDataset(records=records)
     assert len(set(omega_ms)) < len(records) and list(omega_ms) != sorted(omega_ms)
 
-    omegas = np.unique([r.omega_m for r in records])
-    table = branch_frequencies(system, omegas)
-    row_of = {value: k for k, value in enumerate(omegas.tolist())}
-    total = 0.0
-    for r in records:
-        nearest = np.min(np.abs(table[row_of[r.omega_m]] - r.omega_peak))
-        total += (nearest / r.sigma) ** 2
-    assert _residual_of_system(system, data) == float(total)
+    table = branch_frequencies(system, np.unique(omega_ms))
+    assert _residual_of_table(table, data) == record_order_residual(system, data)
+
+
+@pytest.mark.parametrize("make_spec", [two_tone_spec, three_tone_spec])
+def test_residual_equals_the_validated_dataclass_path(make_spec):
+    # the objective writes trial points into matrices built once per call;
+    # it must equal rebuilding the whole device as dataclasses bit for bit,
+    # negative couplings (a pi phase shift) and unfolded loop phases included
+    spec = make_spec()
+    n_loops = len(spec.theta_hypotheses[0])
+    rng = np.random.default_rng(5)
+    system = spec.base_system
+    omega_m = system.mode("m1").frequency
+    omega_ms = rng.uniform(omega_m - 1.0, omega_m + 1.0, size=12)
+    data = PeakDataset(
+        records=tuple(
+            PeakRecord(float(om), float(om + rng.uniform(-1.5, 1.5)), 0.0025)
+            for om in np.repeat(omega_ms, 3)
+        )
+    )
+    for _ in range(25):
+        frequencies = [
+            system.mode(label).frequency + rng.uniform(-0.2, 0.2)
+            for label in spec.free_photon_frequencies
+        ]
+        couplings = rng.uniform(-0.2, 0.2, size=len(spec.free_couplings))
+        params = tuple(frequencies) + tuple(couplings)
+        thetas = tuple(rng.uniform(-3.0 * math.pi, 3.0 * math.pi, size=n_loops))
+        assert residual(spec, params, thetas, data) == dataclass_residual(
+            spec, params, thetas, data
+        )
+    negative = tuple(frequencies) + tuple(-abs(c) for c in couplings)
+    assert residual(spec, negative, thetas, data) == dataclass_residual(
+        spec, negative, thetas, data
+    )
+
+
+def test_residual_rejects_a_non_positive_free_frequency():
+    spec = two_tone_spec()
+    data = branch_records(two_tone_template(), (5.0,))
+    for bad in (0.0, -4.5):
+        with pytest.raises(ValueError, match="'c1': frequency must be finite and > 0"):
+            residual(spec, (bad, 6.19, 0.081, 0.120), (math.pi,), data)
 
 
 def test_residual_is_zero_on_exact_branch_data():

@@ -197,12 +197,16 @@ def test_spectrum_empty_grid_exits_2():
     assert result.exit_code == 2
 
 
-def write_preset_config(tmp_path, edit):
+def write_config(tmp_path, edit):
     config = json.loads(json.dumps(PRESETS["cavity-pi-table1"]))
-    edit(config["system"])
+    edit(config)
     path = tmp_path / "device.json"
     path.write_text(json.dumps(config))
     return path
+
+
+def write_preset_config(tmp_path, edit):
+    return write_config(tmp_path, lambda config: edit(config["system"]))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -224,6 +228,62 @@ def test_spectrum_non_label_sweep_entry_exits_2(tmp_path):
     result = run("spectrum", "--config", str(write_preset_config(tmp_path, edit)))
     assert result.exit_code == 2
     assert result.output == "error: sweep[0]: expected a mode label\n"
+
+
+@pytest.mark.parametrize(
+    "section, key, bad, message",
+    [
+        ("modes", "label", ["x"], "modes[0].label: expected a string"),
+        ("edges", "photon", {"label": "c1"}, "edges[0].photon: expected a string"),
+    ],
+)
+def test_spectrum_non_string_label_exits_2(tmp_path, section, key, bad, message):
+    def edit(system):
+        system[section][0][key] = bad
+
+    result = run("spectrum", "--config", str(write_preset_config(tmp_path, edit)))
+    assert result.exit_code == 2
+    assert result.output == "error: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "key, bad, message",
+    [
+        ("start_ghz", "4", "magnon_grid.start_ghz: expected a number"),
+        ("stop_ghz", math.inf, "magnon_grid.stop_ghz: expected a finite number"),
+        ("points", 121.0, "magnon_grid.points: expected an integer"),
+        ("points", "121", "magnon_grid.points: expected an integer"),
+    ],
+)
+def test_spectrum_malformed_grid_setting_exits_2(tmp_path, key, bad, message):
+    def edit(config):
+        config["magnon_grid"][key] = bad
+
+    result = run("spectrum", "--config", str(write_config(tmp_path, edit)))
+    assert result.exit_code == 2
+    assert result.output == "error: %s\n" % message
+
+
+def test_spectrum_grid_that_is_not_an_object_exits_2(tmp_path):
+    def edit(config):
+        config["magnon_grid"] = [4.0, 7.0, 121]
+
+    result = run("spectrum", "--config", str(write_config(tmp_path, edit)))
+    assert result.exit_code == 2
+    assert result.output == "error: magnon_grid: expected an object\n"
+
+
+def test_s21_infinite_port_rate_exits_2(tmp_path):
+    def edit(config):
+        config["ports"] = {"1": {"c1": math.inf}, "2": None}
+
+    path = write_config(tmp_path, edit)
+    assert "Infinity" in path.read_text()
+    result = run("s21", "--config", str(path))
+    assert result.exit_code == 2
+    assert result.output == (
+        "error: ports.1: port 1: external rate for 'c1' must be finite and >= 0 MHz\n"
+    )
 
 
 def test_spectrum_eigensolver_failure_exits_1(monkeypatch):

@@ -409,3 +409,20 @@ def test_document_rejects_non_label_sweep_entries():
         doc["sweep"] = ["m1", bad]
         with pytest.raises(SchemaError, match=r"^sweep\[1\]: expected a mode label$"):
             system_from_document(doc)
+
+
+@pytest.mark.parametrize(
+    "section, key, where",
+    [
+        ("modes", "label", "modes[0].label"),
+        ("modes", "kind", "modes[0].kind"),
+        ("edges", "photon", "edges[0].photon"),
+        ("edges", "magnon", "edges[0].magnon"),
+    ],
+)
+@pytest.mark.parametrize("bad", [["c1"], {"c1": 1}, 3, None], ids=["list", "object", "number", "null"])
+def test_document_rejects_non_string_labels_and_endpoints(section, key, where, bad):
+    doc = pair_document()
+    doc[section][0][key] = bad
+    with pytest.raises(SchemaError, match=r"^%s: expected a string$" % re.escape(where)):
+        system_from_document(doc)

@@ -200,6 +200,9 @@ def test_port_spec_validation():
         PortSpec(0)
     with pytest.raises(ValueError):
         PortSpec(1, {"c": -1.0})
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="'c' must be finite"):
+            PortSpec(2, {"c": bad})
 
 
 def test_ports_must_carry_distinct_ids_one_and_two():
