@@ -19,7 +19,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .gauge import reduce_system
 from .model import CouplingEdge, SchemaError, SystemModel, hamiltonians, write_coupling
@@ -312,6 +311,9 @@ def _bounds_for(spec: FitSpec, names) -> list:
 def _simplex(objective, x0, bounds, max_iterations):
     # Convergence is judged on simplex diameter alone (fatol is inert), with
     # one restart from the best point when the iteration cap is hit first.
+    # Imported here so that only fitting pays for loading scipy.
+    from scipy.optimize import minimize
+
     scale = max(1.0, float(np.max(np.abs(x0))))
     options = {
         "maxiter": max_iterations,

@@ -30,7 +30,7 @@ from .calibrate import (
 )
 from .fieldmap import SphereRegion, coupling_table, field_table_from_csv
 from .gauge import reduce_system, reduction_to_document
-from .model import SchemaError, SystemModel, _number, parse_phase, system_from_document
+from .model import SchemaError, SystemModel, _number, _string, parse_phase, system_from_document
 from .spectrum import sweep, sweep_to_csv
 from .transmission import PortSpec, map_to_csv, s21_map
 
@@ -195,6 +195,65 @@ def _single_sphere(system: SystemModel) -> SystemModel:
         edges=tuple(e for e in system.edges if e.magnon == keep),
         magnon_sweep_target=system.magnon_sweep_target & {keep},
     )
+
+
+def _spec_list(document: dict, key: str, what: str, default=None) -> list:
+    value = document.get(key, default)
+    if not isinstance(value, list):
+        raise SchemaError("fit spec.%s: expected a list of %s" % (key, what))
+    return value
+
+
+def _spec_labels(document: dict, key: str) -> tuple:
+    labels = _spec_list(document, key, "labels", [])
+    return tuple(_string(label, "fit spec.%s[%d]" % (key, k)) for k, label in enumerate(labels))
+
+
+def _fit_spec(document: dict, system: SystemModel):
+    """The FitSpec, initial values and iteration cap of a fit spec document."""
+    if "theta_hypotheses" not in document or "initial" not in document:
+        raise SchemaError("fit spec: 'theta_hypotheses' and 'initial' are required")
+    hypotheses = []
+    for k, hypothesis in enumerate(_spec_list(document, "theta_hypotheses", "loop-phase lists")):
+        if not isinstance(hypothesis, list):
+            raise SchemaError("fit spec.theta_hypotheses[%d]: expected a list of loop phases" % k)
+        try:
+            hypotheses.append(tuple(parse_phase(value) for value in hypothesis))
+        except SchemaError as error:
+            raise SchemaError("fit spec.theta_hypotheses[%d]: %s" % (k, error)) from None
+    bounds_doc = document.get("bounds", {})
+    if not isinstance(bounds_doc, dict):
+        raise SchemaError("fit spec.bounds: expected an object of [lower, upper] pairs")
+    bounds = {}
+    for name, pair in bounds_doc.items():
+        where = "fit spec.bounds.%s" % name
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise SchemaError("%s: expected a [lower, upper] pair" % where)
+        bounds[name] = tuple(_number(v, "%s[%d]" % (where, k)) for k, v in enumerate(pair))
+    continuous = document.get("continuous_theta", False)
+    if not isinstance(continuous, bool):
+        raise SchemaError("fit spec.continuous_theta: expected true or false")
+    spec = FitSpec(
+        base_system=system,
+        free_photon_frequencies=_spec_labels(document, "free_photon_frequencies"),
+        free_couplings=_spec_labels(document, "free_couplings"),
+        theta_hypotheses=tuple(hypotheses),
+        bounds=bounds,
+        continuous_theta=continuous,
+    )
+    initial = tuple(
+        _number(v, "fit spec.initial[%d]" % k)
+        for k, v in enumerate(_spec_list(document, "initial", "numbers"))
+    )
+    if len(initial) != len(spec.parameter_names()):
+        raise SchemaError(
+            "fit spec: 'initial' must hold %d value(s), got %d"
+            % (len(spec.parameter_names()), len(initial))
+        )
+    max_iterations = document.get("max_iterations", MAX_SIMPLEX_ITERATIONS)
+    if type(max_iterations) is not int or max_iterations < 1:  # not isinstance: bool is an int
+        raise SchemaError("fit spec.max_iterations: expected a positive integer")
+    return spec, initial, max_iterations
 
 
 _LOAD_ERRORS = (SchemaError, ValueError, OSError, json.JSONDecodeError)
@@ -391,37 +450,13 @@ def cmd_fit(data_path, spec_path, out):
         if ("preset" in document) == ("system" in document):
             raise SchemaError("fit spec: give exactly one of 'preset' or 'system'")
         if "preset" in document:
-            name = document["preset"]
+            name = _string(document["preset"], "fit spec.preset")
             if name not in PRESETS:
                 raise SchemaError("fit spec: unknown preset %r" % name)
             system = system_from_document(PRESETS[name]["system"])
         else:
             system = system_from_document(document["system"])
-        if "theta_hypotheses" not in document or "initial" not in document:
-            raise SchemaError("fit spec: 'theta_hypotheses' and 'initial' are required")
-        hypotheses = tuple(
-            tuple(parse_phase(value) for value in hypothesis)
-            for hypothesis in document["theta_hypotheses"]
-        )
-        bounds = {
-            str(name): (float(pair[0]), float(pair[1]))
-            for name, pair in dict(document.get("bounds", {})).items()
-        }
-        spec = FitSpec(
-            base_system=system,
-            free_photon_frequencies=tuple(document.get("free_photon_frequencies", ())),
-            free_couplings=tuple(document.get("free_couplings", ())),
-            theta_hypotheses=hypotheses,
-            bounds=bounds,
-            continuous_theta=bool(document.get("continuous_theta", False)),
-        )
-        initial = tuple(float(v) for v in document["initial"])
-        if len(initial) != len(spec.parameter_names()):
-            raise SchemaError(
-                "fit spec: 'initial' must hold %d value(s), got %d"
-                % (len(spec.parameter_names()), len(initial))
-            )
-        max_iterations = int(document.get("max_iterations", MAX_SIMPLEX_ITERATIONS))
+        spec, initial, max_iterations = _fit_spec(document, system)
     except _LOAD_ERRORS as error:
         _fail(2, error)
     try:

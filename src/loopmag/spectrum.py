@@ -259,9 +259,9 @@ def sweep_to_csv(result: SweepResult) -> str:
     header += [f"branch_{k}_ghz" for k in range(n)]
     header += [f"pweight_{k}" for k in range(n)]
     lines = [",".join(header)]
-    for k in range(result.omega_m_grid.size):
-        cells = [f"{result.omega_m_grid[k]:.9g}"]
-        cells += [f"{v:.9g}" for v in result.branches[k]]
-        cells += [f"{w:.9g}" for w in result.photon_weights[k]]
-        lines.append(",".join(cells))
+    rows = zip(
+        result.omega_m_grid.tolist(), result.branches.tolist(), result.photon_weights.tolist()
+    )
+    for omega_m, branches, weights in rows:
+        lines.append(",".join(f"{v:.9g}" for v in [omega_m, *branches, *weights]))
     return "\n".join(lines) + "\n"

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .model import SystemModel, build_hamiltonian, hamiltonians
 from .spectrum import parabola_vertex
@@ -174,19 +173,36 @@ def s21_map(system: SystemModel, ports, omega_grid, omega_m_grid) -> Transmissio
 # ====== peak extraction ======
 
 
+def _local_maxima(values: np.ndarray, height: float) -> np.ndarray:
+    """Indices of the local maxima of values that are >= height.
+
+    A run of equal values counts as one sample: it is a maximum when both
+    neighbouring runs are lower, reported at its midpoint (start + end) // 2.
+    The first and last runs never are.  These are scipy.signal.find_peaks'
+    rules, so the indices match it.
+    """
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(values)) + 1))
+    ends = np.append(starts[1:], values.size) - 1
+    rising = np.diff(values[starts]) > 0
+    runs = np.flatnonzero(rising[:-1] & ~rising[1:]) + 1
+    peaks = (starts[runs] + ends[runs]) // 2
+    return peaks[values[peaks] >= height]
+
+
 def extract_peaks(tmap: TransmissionMap, omega_m_index: int, prominence_floor_db: float = 3.0):
     """Refined local maxima of one map column, as (omega GHz, prominence dB).
 
     A sample counts as a peak when it exceeds the column mean by the
     prominence floor; its position and height are refined by a three point
     parabola and the prominence is quoted relative to the column mean.
-    Boundary samples are never reported.
+    A run of equal samples counts once, at its midpoint.  Boundary samples
+    are never reported.
     """
     if not 0 <= omega_m_index < tmap.omega_m_grid.size:
         raise ValueError("omega_m_index %d out of range" % omega_m_index)
     column = tmap.magnitude_db[:, omega_m_index]
     mean = float(column.mean())
-    indices, _ = find_peaks(column, height=mean + prominence_floor_db)
+    indices = _local_maxima(column, mean + prominence_floor_db)
     omega = tmap.omega_grid
     peaks = []
     for i in indices:
@@ -206,10 +222,12 @@ def extract_peaks(tmap: TransmissionMap, omega_m_index: int, prominence_floor_db
 
 def map_to_csv(tmap: TransmissionMap) -> str:
     """Long-form CSV (omega_ghz, omega_m_ghz, s21_db), grouped by omega_m."""
+    omegas = [f"{om:.9g}" for om in tmap.omega_grid.tolist()]
     lines = ["omega_ghz,omega_m_ghz,s21_db"]
-    for j, om_m in enumerate(tmap.omega_m_grid):
-        for i, om in enumerate(tmap.omega_grid):
-            lines.append(f"{om:.9g},{om_m:.9g},{tmap.magnitude_db[i, j]:.9g}")
+    for j, om_m in enumerate(tmap.omega_m_grid.tolist()):
+        om_m_text = f"{om_m:.9g}"
+        column = tmap.magnitude_db[:, j].tolist()
+        lines += [f"{om},{om_m_text},{db:.9g}" for om, db in zip(omegas, column)]
     return "\n".join(lines) + "\n"
 
 

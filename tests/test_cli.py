@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from loopmag.spectrum import branch_frequencies, sweep, sweep_to_csv
 from loopmag.transmission import PortSpec, map_to_csv, s21_map
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run(*args, **kwargs):
@@ -540,3 +544,59 @@ def test_fit_command_rejects_bad_spec(tmp_path):
     spec.write_text(json.dumps({"preset": "cavity-pi-fit", "initial": []}))
     result = run("fit", "--data", str(data), "--spec", str(spec))
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "key, bad, message",
+    [
+        ("theta_hypotheses", 5, "fit spec.theta_hypotheses: expected a list"),
+        ("theta_hypotheses", ["pi", "0"], "fit spec.theta_hypotheses[0]: expected a list"),
+        ("theta_hypotheses", [["x"], [0]], "fit spec.theta_hypotheses[0]: phase_rad: unknown"),
+        ("free_couplings", 5, "fit spec.free_couplings: expected a list of labels"),
+        ("free_couplings", [["c1"]], "fit spec.free_couplings[0]: expected a string"),
+        ("initial", 5, "fit spec.initial: expected a list of numbers"),
+        ("initial", [4.52, "6.195", 0.078, 0.118], "fit spec.initial[1]: expected a number"),
+        ("bounds", [1, 2], "fit spec.bounds: expected an object"),
+        ("bounds", {"g:c1": 0.1}, "fit spec.bounds.g:c1: expected a [lower, upper] pair"),
+        ("bounds", {"g:c1": [0.0, None]}, "fit spec.bounds.g:c1[1]: expected a number"),
+        ("preset", ["x"], "fit spec.preset: expected a string"),
+        ("max_iterations", [1], "fit spec.max_iterations: expected a positive integer"),
+        ("continuous_theta", "false", "fit spec.continuous_theta: expected true or false"),
+    ],
+)
+def test_fit_command_rejects_mistyped_spec_fields(tmp_path, key, bad, message):
+    data, spec = write_fit_inputs(tmp_path)
+    document = json.loads(spec.read_text())
+    document[key] = bad
+    spec.write_text(json.dumps(document))
+    result = run("fit", "--data", str(data), "--spec", str(spec))
+    assert result.exit_code == 2
+    assert message in result.output
+
+
+# ====== start-up imports ======
+
+
+def fresh_python(*args):
+    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    proc = fresh_python(
+        "-c",
+        "import sys, loopmag, loopmag.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_fit_command_runs_in_a_fresh_process(tmp_path):
+    data, spec = write_fit_inputs(tmp_path)
+    proc = fresh_python("-m", "loopmag.cli", "fit", "--data", str(data), "--spec", str(spec))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == run("fit", "--data", str(data), "--spec", str(spec)).output
+    assert abs(json.loads(proc.stdout)["theta_assignment_rad"][0] - math.pi) < 1e-12

@@ -1,9 +1,11 @@
 """Tests for the input-output transmission model: S21 maps, line cuts, peaks."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy.signal import find_peaks
 
 from loopmag.model import (
     CouplingEdge,
@@ -18,6 +20,7 @@ from loopmag.transmission import (
     DEFAULT_PHOTON_LOSS_MHZ,
     PortSpec,
     TransmissionMap,
+    _local_maxima,
     extract_peaks,
     line_cut_csv,
     map_to_csv,
@@ -391,6 +394,30 @@ def test_prominence_floor_filters_peaks():
     tmap = s21_map(system, (PortSpec(1), PortSpec(2)), np.arange(4.7, 5.3001, 0.001), [5.0])
     assert len(extract_peaks(tmap, 0, prominence_floor_db=3.0)) == 2
     assert extract_peaks(tmap, 0, prominence_floor_db=100.0) == []
+
+
+def test_local_maxima_match_scipy_find_peaks_on_plateau_rich_arrays():
+    # every 0/1/2-valued array up to length 7 (plateaus at either end, lengths
+    # 1-3 included), then longer random ones with few distinct levels
+    arrays = [
+        np.array(values, dtype=float)
+        for n in range(1, 8)
+        for values in itertools.product(range(3), repeat=n)
+    ]
+    rng = np.random.default_rng(5)
+    arrays += [rng.integers(0, 4, rng.integers(8, 40)).astype(float) for _ in range(2000)]
+    for values in arrays:
+        for height in (-math.inf, 1.0, 2.0):
+            expected, _ = find_peaks(values, height=height)
+            assert np.array_equal(_local_maxima(values, height), expected), (values, height)
+
+
+def test_plateau_peak_is_reported_at_its_midpoint():
+    column = np.array([-40.0, -10.0, -10.0, -10.0, -10.0, -40.0, -20.0, -20.0])
+    tmap = TransmissionMap(4.0 + 0.1 * np.arange(column.size), np.array([1.0]), column[:, None])
+    # the run at 1..4 peaks at (1 + 4) // 2; the run touching the end never does
+    expected = [(tmap.omega_grid[2], -10.0 - column.mean())]
+    assert extract_peaks(tmap, 0, prominence_floor_db=0.0) == expected
 
 
 def test_extract_peaks_index_validation():
