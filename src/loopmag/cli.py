@@ -6,16 +6,19 @@ come either from a JSON config file or from one of the built-in presets; any
 grid settings in the file are overridden by the long-form flags.
 
 Exit codes: 0 on success, 2 when inputs fail to load or validate, 1 when the
-computation itself fails on otherwise well-formed inputs.  Input validation
-is everything that happens before numerical work starts; for example a field
-export whose transverse moments vanish parses fine but has no defined
-coupling phase, which is reported as a computation failure.
+computation fails on well-formed inputs or the payload cannot be written to
+--out (or its sidecar); each failure prints one error: line.  Input
+validation is everything that happens before numerical work starts, in each
+command's load step; for example a field export whose transverse moments
+vanish parses fine but has no defined coupling phase, which is reported as
+a computation failure.
 
 All outputs are deterministic byte-for-byte.  The transmission sidecar can
 carry a wall-clock timestamp, but only behind --timestamp.
 """
 
 import datetime
+import functools
 import json
 import pathlib
 
@@ -30,9 +33,10 @@ from .calibrate import (
 )
 from .fieldmap import SphereRegion, coupling_table, field_table_from_csv
 from .gauge import reduce_system, reduction_to_document
-from .model import SchemaError, SystemModel, _number, _string, parse_phase, system_from_document
+from .model import (SchemaError, SystemModel, _number, _require, _string, edges_to_document,
+                    parse_phase, system_from_document)
 from .spectrum import sweep, sweep_to_csv
-from .transmission import PortSpec, map_to_csv, s21_map
+from .transmission import PortSpec, _loss_model, map_to_csv, s21_map
 
 PRESETS = {
     "cavity-pi-table1": {
@@ -101,20 +105,8 @@ PRESETS = {
 # ====== plumbing ======
 
 
-def _fail(code: int, error) -> None:
-    click.echo("error: %s" % error, err=True)
-    raise SystemExit(code)
-
-
 def _json_text(document: dict) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
-def _emit(text: str, out) -> None:
-    if out is None:
-        click.echo(text, nl=False)
-    else:
-        pathlib.Path(out).write_text(text)
 
 
 def _load_json(path) -> dict:
@@ -124,15 +116,17 @@ def _load_json(path) -> dict:
     return document
 
 
-def _device_config(preset_name, config_path) -> dict:
+def _device(preset_name, config_path):
+    """The config document of --preset or --config, and its validated system."""
     if (preset_name is None) == (config_path is None):
         raise SchemaError("give exactly one of --preset or --config")
     if preset_name is not None:
-        return json.loads(json.dumps(PRESETS[preset_name]))
-    config = _load_json(config_path)
-    if "system" not in config:
-        raise SchemaError("config: missing required key 'system'")
-    return config
+        config = json.loads(json.dumps(PRESETS[preset_name]))
+    else:
+        config = _load_json(config_path)
+        if "system" not in config:
+            raise SchemaError("config: missing required key 'system'")
+    return config, system_from_document(config["system"])
 
 
 def _grid(config: dict, key: str, start, stop, points) -> np.ndarray:
@@ -164,25 +158,25 @@ def _grid(config: dict, key: str, start, stop, points) -> np.ndarray:
     return np.linspace(lo, hi, n)
 
 
-def _ports(config: dict):
+def _ports(config: dict, system: SystemModel) -> tuple:
+    """The two PortSpecs of a config, checked against the system as s21_map checks them."""
     ports_doc = config.get("ports")
     if ports_doc is None:
-        return (PortSpec(1), PortSpec(2))
-    if not isinstance(ports_doc, dict) or set(ports_doc) != {"1", "2"}:
+        ports = (PortSpec(1), PortSpec(2))
+    elif not isinstance(ports_doc, dict) or set(ports_doc) != {"1", "2"}:
         raise SchemaError("ports: expected an object with exactly the keys '1' and '2'")
-    specs = []
-    for key in ("1", "2"):
-        value = ports_doc[key]
-        if value is None:
-            specs.append(PortSpec(int(key)))
-            continue
-        if not isinstance(value, dict):
-            raise SchemaError("ports.%s: expected null or a label->rate object" % key)
-        try:
-            specs.append(PortSpec(int(key), {l: float(r) for l, r in value.items()}))
-        except (TypeError, ValueError) as error:
-            raise SchemaError("ports.%s: %s" % (key, error)) from None
-    return tuple(specs)
+    else:
+        ports = tuple(_port(key, ports_doc[key]) for key in ("1", "2"))
+    _loss_model(system, *ports)
+    return ports
+
+
+def _port(key: str, rates) -> PortSpec:
+    if rates is None:
+        return PortSpec(int(key))
+    if not isinstance(rates, dict):
+        raise SchemaError("ports.%s: expected null or a label->rate object" % key)
+    return PortSpec(int(key), {l: _number(r, "ports.%s.%s" % (key, l)) for l, r in rates.items()})
 
 
 def _single_sphere(system: SystemModel) -> SystemModel:
@@ -197,6 +191,52 @@ def _single_sphere(system: SystemModel) -> SystemModel:
     )
 
 
+def _fieldmap_inputs(config_path, mode_files):
+    """The mode_fields, regions and frequencies arguments of coupling_table."""
+    config = _load_json(config_path)
+    if "regions" not in config or "mode_frequencies_ghz" not in config:
+        raise SchemaError("config: 'regions' and 'mode_frequencies_ghz' are both required")
+    if not isinstance(config["regions"], list):
+        raise SchemaError("regions: expected a list")
+    regions = []
+    for k, region in enumerate(config["regions"]):
+        where = "regions[%d]" % k
+        center = _require(region, "center_m", where)
+        if not (isinstance(center, list) and len(center) == 3):
+            raise SchemaError("%s.center_m: expected a list of three numbers" % where)
+        center = tuple(_number(v, "%s.center_m[%d]" % (where, i)) for i, v in enumerate(center))
+        radius = _number(_require(region, "radius_m", where), where + ".radius_m")
+        label = _string(_require(region, "label", where), where + ".label")
+        if label in (r.label for r in regions):
+            raise SchemaError("%s.label: duplicate region label %r" % (where, label))
+        try:
+            regions.append(SphereRegion(center, radius, label))
+        except ValueError as error:
+            raise SchemaError("%s: %s" % (where, error)) from None
+    if not isinstance(config["mode_frequencies_ghz"], dict):
+        raise SchemaError("mode_frequencies_ghz: expected a label->GHz object")
+    frequencies = {}
+    for label, value in config["mode_frequencies_ghz"].items():
+        frequencies[label] = _number(value, "mode_frequencies_ghz." + label)
+        if not frequencies[label] > 0:
+            raise SchemaError("mode_frequencies_ghz.%s must be > 0" % label)
+    mode_fields = {}
+    for item in mode_files:
+        label, sep, path = item.partition("=")
+        if not sep or not label or not path:
+            raise SchemaError("--mode-file %r: expected label=path.csv" % item)
+        if label in mode_fields:
+            raise SchemaError("--mode-file: duplicate label %r" % label)
+        if label not in frequencies:
+            raise SchemaError("no frequency given for mode %r" % label)
+        text = pathlib.Path(path).read_text()
+        try:
+            mode_fields[label] = field_table_from_csv(text)
+        except ValueError as error:
+            raise SchemaError("--mode-file %s: %s" % (label, error)) from None
+    return mode_fields, regions, frequencies
+
+
 def _spec_list(document: dict, key: str, what: str, default=None) -> list:
     value = document.get(key, default)
     if not isinstance(value, list):
@@ -209,8 +249,17 @@ def _spec_labels(document: dict, key: str) -> tuple:
     return tuple(_string(label, "fit spec.%s[%d]" % (key, k)) for k, label in enumerate(labels))
 
 
-def _fit_spec(document: dict, system: SystemModel):
+def _fit_spec(document: dict):
     """The FitSpec, initial values and iteration cap of a fit spec document."""
+    if ("preset" in document) == ("system" in document):
+        raise SchemaError("fit spec: give exactly one of 'preset' or 'system'")
+    if "preset" in document:
+        name = _string(document["preset"], "fit spec.preset")
+        if name not in PRESETS:
+            raise SchemaError("fit spec: unknown preset %r" % name)
+        system = system_from_document(PRESETS[name]["system"])
+    else:
+        system = system_from_document(document["system"])
     if "theta_hypotheses" not in document or "initial" not in document:
         raise SchemaError("fit spec: 'theta_hypotheses' and 'initial' are required")
     hypotheses = []
@@ -256,7 +305,43 @@ def _fit_spec(document: dict, system: SystemModel):
     return spec, initial, max_iterations
 
 
+# ====== command runner ======
+
 _LOAD_ERRORS = (SchemaError, ValueError, OSError, json.JSONDecodeError)
+
+
+def _fail(code: int, error) -> None:
+    click.echo("error: %s" % error, err=True)
+    raise SystemExit(code)
+
+
+def _runs(load):
+    """Run a command body as its load step and the thunk it returns as its compute step.
+
+    The thunk returns the payload text, or (text, sidecar text) when --out
+    gets a <out>.json sidecar, written after the payload.  Load errors exit
+    2; errors while computing or writing exit 1.
+    """
+
+    @functools.wraps(load)
+    def run(out, **options):
+        try:
+            compute = load(**options)
+        except _LOAD_ERRORS as error:
+            _fail(2, error)
+        try:
+            payload = compute()
+            text, sidecar = payload if isinstance(payload, tuple) else (payload, None)
+            if out is None:
+                click.echo(text, nl=False)
+            else:
+                pathlib.Path(out).write_text(text)
+                if sidecar is not None:
+                    pathlib.Path(str(out) + ".json").write_text(sidecar)
+        except Exception as error:
+            _fail(1, error)
+
+    return run
 
 
 def _source_options(fn):
@@ -286,18 +371,11 @@ def main():
 @main.command("gauge")
 @_source_options
 @click.option("--out", type=click.Path(), help="Write the JSON report here instead of stdout.")
-def cmd_gauge(preset_name, config_path, out):
+@_runs
+def cmd_gauge(preset_name, config_path):
     """Reduce a device to its gauge-invariant loop phases."""
-    try:
-        config = _device_config(preset_name, config_path)
-        system = system_from_document(config["system"])
-    except _LOAD_ERRORS as error:
-        _fail(2, error)
-    try:
-        text = _json_text(reduction_to_document(reduce_system(system)))
-    except Exception as error:
-        _fail(1, error)
-    _emit(text, out)
+    _, system = _device(preset_name, config_path)
+    return lambda: _json_text(reduction_to_document(reduce_system(system)))
 
 
 @main.command("spectrum")
@@ -311,21 +389,14 @@ def cmd_gauge(preset_name, config_path, out):
     help="Keep only the first magnon mode (single-sphere device variant).",
 )
 @click.option("--out", type=click.Path(), help="Write the CSV here instead of stdout.")
-def cmd_spectrum(preset_name, config_path, grid_start_ghz, grid_stop_ghz, grid_points, single_sphere, out):
+@_runs
+def cmd_spectrum(preset_name, config_path, grid_start_ghz, grid_stop_ghz, grid_points, single_sphere):
     """Sweep the magnon frequency and emit branch frequencies as CSV."""
-    try:
-        config = _device_config(preset_name, config_path)
-        system = system_from_document(config["system"])
-        if single_sphere:
-            system = _single_sphere(system)
-        grid = _grid(config, "magnon_grid", grid_start_ghz, grid_stop_ghz, grid_points)
-    except _LOAD_ERRORS as error:
-        _fail(2, error)
-    try:
-        text = sweep_to_csv(sweep(system, grid))
-    except Exception as error:
-        _fail(1, error)
-    _emit(text, out)
+    config, system = _device(preset_name, config_path)
+    if single_sphere:
+        system = _single_sphere(system)
+    grid = _grid(config, "magnon_grid", grid_start_ghz, grid_stop_ghz, grid_points)
+    return lambda: sweep_to_csv(sweep(system, grid))
 
 
 @main.command("s21")
@@ -338,24 +409,17 @@ def cmd_spectrum(preset_name, config_path, grid_start_ghz, grid_stop_ghz, grid_p
 @click.option("--magnon-points", type=int, help="Magnon sweep point count.")
 @click.option("--timestamp", is_flag=True, help="Record the wall-clock time in the sidecar.")
 @click.option("--out", type=click.Path(), help="Write CSV here (sidecar lands at <out>.json).")
+@_runs
 def cmd_s21(preset_name, config_path, probe_start_ghz, probe_stop_ghz, probe_points,
-            magnon_start_ghz, magnon_stop_ghz, magnon_points, timestamp, out):
+            magnon_start_ghz, magnon_stop_ghz, magnon_points, timestamp):
     """Compute a two-port transmission map over probe and magnon frequency."""
-    try:
-        config = _device_config(preset_name, config_path)
-        system = system_from_document(config["system"])
-        ports = _ports(config)
-        probe = _grid(config, "probe_grid", probe_start_ghz, probe_stop_ghz, probe_points)
-        magnon = _grid(config, "magnon_grid", magnon_start_ghz, magnon_stop_ghz, magnon_points)
-    except _LOAD_ERRORS as error:
-        _fail(2, error)
-    try:
+    config, system = _device(preset_name, config_path)
+    ports = _ports(config, system)
+    probe = _grid(config, "probe_grid", probe_start_ghz, probe_stop_ghz, probe_points)
+    magnon = _grid(config, "magnon_grid", magnon_start_ghz, magnon_stop_ghz, magnon_points)
+
+    def compute():
         tmap = s21_map(system, ports, probe, magnon)
-        text = map_to_csv(tmap)
-    except Exception as error:
-        _fail(1, error)
-    _emit(text, out)
-    if out is not None:
         sidecar = {
             "preset": preset_name,
             "ports": config.get("ports"),
@@ -365,7 +429,9 @@ def cmd_s21(preset_name, config_path, probe_start_ghz, probe_stop_ghz, probe_poi
         }
         if timestamp:
             sidecar["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        pathlib.Path(str(out) + ".json").write_text(_json_text(sidecar))
+        return map_to_csv(tmap), _json_text(sidecar)
+
+    return compute
 
 
 @main.command("fieldmap")
@@ -379,61 +445,11 @@ def cmd_s21(preset_name, config_path, probe_start_ghz, probe_stop_ghz, probe_poi
 @click.option("--config", "config_path", required=True, type=click.Path(),
               help="JSON with sphere regions and mode frequencies.")
 @click.option("--out", type=click.Path(), help="Write the edge document here instead of stdout.")
-def cmd_fieldmap(mode_files, config_path, out):
+@_runs
+def cmd_fieldmap(mode_files, config_path):
     """Turn field exports into coupling edges (strength and phase per sphere)."""
-    try:
-        config = _load_json(config_path)
-        if "regions" not in config or "mode_frequencies_ghz" not in config:
-            raise SchemaError(
-                "config: 'regions' and 'mode_frequencies_ghz' are both required"
-            )
-        regions = []
-        for k, region in enumerate(config["regions"]):
-            where = "regions[%d]" % k
-            try:
-                regions.append(
-                    SphereRegion(
-                        center=tuple(float(v) for v in region["center_m"]),
-                        radius=float(region["radius_m"]),
-                        label=str(region["label"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as error:
-                raise SchemaError("%s: %s" % (where, error)) from None
-        frequencies = {
-            str(label): float(value)
-            for label, value in config["mode_frequencies_ghz"].items()
-        }
-        mode_fields = {}
-        for item in mode_files:
-            label, sep, path = item.partition("=")
-            if not sep or not label or not path:
-                raise SchemaError("--mode-file %r: expected label=path.csv" % item)
-            if label in mode_fields:
-                raise SchemaError("--mode-file: duplicate label %r" % label)
-            if label not in frequencies:
-                raise SchemaError("no frequency given for mode %r" % label)
-            mode_fields[label] = field_table_from_csv(pathlib.Path(path).read_text())
-    except _LOAD_ERRORS as error:
-        _fail(2, error)
-    try:
-        edges = coupling_table(mode_fields, regions, frequencies)
-        text = _json_text(
-            {
-                "edges": [
-                    {
-                        "photon": e.photon,
-                        "magnon": e.magnon,
-                        "g_mhz": e.strength,
-                        "phase_rad": e.phase,
-                    }
-                    for e in edges
-                ]
-            }
-        )
-    except Exception as error:
-        _fail(1, error)
-    _emit(text, out)
+    inputs = _fieldmap_inputs(config_path, mode_files)
+    return lambda: _json_text({"edges": edges_to_document(coupling_table(*inputs))})
 
 
 @main.command("fit")
@@ -442,26 +458,15 @@ def cmd_fieldmap(mode_files, config_path, out):
 @click.option("--spec", "spec_path", required=True, type=click.Path(),
               help="Fit spec JSON (template, free parameters, hypotheses, initial).")
 @click.option("--out", type=click.Path(), help="Write the fit report here instead of stdout.")
-def cmd_fit(data_path, spec_path, out):
+@_runs
+def cmd_fit(data_path, spec_path):
     """Fit free device parameters to measured peaks under loop-phase hypotheses."""
-    try:
-        dataset = dataset_from_csv(pathlib.Path(data_path).read_text())
-        document = _load_json(spec_path)
-        if ("preset" in document) == ("system" in document):
-            raise SchemaError("fit spec: give exactly one of 'preset' or 'system'")
-        if "preset" in document:
-            name = _string(document["preset"], "fit spec.preset")
-            if name not in PRESETS:
-                raise SchemaError("fit spec: unknown preset %r" % name)
-            system = system_from_document(PRESETS[name]["system"])
-        else:
-            system = system_from_document(document["system"])
-        spec, initial, max_iterations = _fit_spec(document, system)
-    except _LOAD_ERRORS as error:
-        _fail(2, error)
-    try:
+    dataset = dataset_from_csv(pathlib.Path(data_path).read_text())
+    spec, initial, max_iterations = _fit_spec(_load_json(spec_path))
+
+    def compute():
         result = fit(spec, dataset, initial, max_iterations)
-        text = _json_text(
+        return _json_text(
             {
                 "params": result.params,
                 "theta_assignment_rad": list(result.theta_assignment),
@@ -479,9 +484,8 @@ def cmd_fit(data_path, spec_path, out):
                 ],
             }
         )
-    except Exception as error:
-        _fail(1, error)
-    _emit(text, out)
+
+    return compute
 
 
 if __name__ == "__main__":

@@ -62,6 +62,9 @@ class FieldTable:
             raise ValueError("h must match positions in shape")
         if weights.shape != (positions.shape[0],):
             raise ValueError("weights must be a length-N vector")
+        for name, values in (("positions", positions), ("h", h), ("weights", weights)):
+            if not np.all(np.isfinite(values)):
+                raise ValueError("%s must be finite" % name)
         if not np.all(weights > 0):
             raise ValueError("weights must be > 0 m^3")
         object.__setattr__(self, "positions", positions)
@@ -78,10 +81,10 @@ class SphereRegion:
     label: str
 
     def __post_init__(self):
-        if len(self.center) != 3:
-            raise ValueError("center must have three components")
-        if not self.radius > 0:
-            raise ValueError("radius must be > 0 m")
+        if len(self.center) != 3 or not all(map(math.isfinite, self.center)):
+            raise ValueError("center must have three finite components")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError("radius must be finite and > 0 m")
 
 
 @dataclass(frozen=True)
@@ -110,8 +113,9 @@ class PhysicalConstants:
             "reduced_planck",
             "bohr_magneton",
         ):
-            if not getattr(self, name) > 0:
-                raise ValueError("%s must be > 0" % name)
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError("%s must be finite and > 0" % name)
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()
@@ -295,6 +299,10 @@ def field_table_from_csv(text: str) -> FieldTable:
     if not rows:
         raise SchemaError("field CSV contains no data rows")
     data = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        # float() takes nan and inf; report the first such line
+        raise SchemaError("line %d: expected finite numbers" % (np.argmin(finite) + 2))
     positions = data[:, 0:3]
     h = data[:, 3:9:2] + 1j * data[:, 4:9:2]
     if has_weights:

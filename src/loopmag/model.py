@@ -281,17 +281,17 @@ def system_to_document(system: SystemModel) -> dict:
             }
             for m in system.modes
         ],
-        "edges": [
-            {
-                "photon": e.photon,
-                "magnon": e.magnon,
-                "g_mhz": e.strength,
-                "phase_rad": e.phase,
-            }
-            for e in system.edges
-        ],
+        "edges": edges_to_document(system.edges),
         "sweep": sorted(system.magnon_sweep_target),
     }
+
+
+def edges_to_document(edges) -> list:
+    """Serialize CouplingEdges to their plain-JSON document form."""
+    return [
+        {"photon": e.photon, "magnon": e.magnon, "g_mhz": e.strength, "phase_rad": e.phase}
+        for e in edges
+    ]
 
 
 def _require(doc: dict, key: str, where: str):

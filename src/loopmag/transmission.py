@@ -18,6 +18,7 @@ from .spectrum import parabola_vertex
 
 DEFAULT_PHOTON_LOSS_MHZ = 5.0
 DEFAULT_MAGNON_LOSS_MHZ = 2.0
+S21_FLOOR = np.finfo(np.float64).tiny  # about -6153 dB
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,11 @@ def s21_at(system: SystemModel, ports, omega: float, omega_m: float) -> complex:
 
 
 def s21_map(system: SystemModel, ports, omega_grid, omega_m_grid) -> TransmissionMap:
-    """Transmission magnitude map over probe and magnon frequency grids."""
+    """Transmission magnitude map over probe and magnon frequency grids.
+
+    Ports whose photons the device decouples give |S21| at rounding level;
+    a value that rounds to exactly zero is reported at S21_FLOOR, not -inf.
+    """
     omega = _validated_axis(omega_grid, "omega_grid")
     omega_m = _validated_axis(omega_m_grid, "omega_m_grid")
     port1, port2 = _ordered_ports(ports)
@@ -166,7 +171,7 @@ def s21_map(system: SystemModel, ports, omega_grid, omega_m_grid) -> Transmissio
         a = 1j * h + np.diag(gamma) / 2.0
         m = a[None, :, :] - 1j * omega[:, None, None] * eye
         x = np.linalg.solve(m, d1[:, None])[..., 0]
-        mags[:, j] = 20.0 * np.log10(np.abs(x @ d2))
+        mags[:, j] = 20.0 * np.log10(np.maximum(np.abs(x @ d2), S21_FLOOR))
     return TransmissionMap(omega, omega_m, mags, defaults)
 
 

@@ -1,16 +1,19 @@
 """End-to-end tests for the command-line interface."""
 
+import ast
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import loopmag.cli
 from loopmag.cli import PRESETS, main
 from loopmag.model import (
     CouplingEdge,
@@ -285,9 +288,26 @@ def test_s21_infinite_port_rate_exits_2(tmp_path):
     assert "Infinity" in path.read_text()
     result = run("s21", "--config", str(path))
     assert result.exit_code == 2
-    assert result.output == (
-        "error: ports.1: port 1: external rate for 'c1' must be finite and >= 0 MHz\n"
-    )
+    assert result.output == "error: ports.1.c1: expected a finite number\n"
+
+
+@pytest.mark.parametrize(
+    "ports, message",
+    [
+        ({"1": {"zz": 1.0}, "2": None}, "port 1: 'zz' is not a photon mode of the system"),
+        ({"1": {}, "2": None}, "port 1 couples to no photon mode"),
+        ({"1": {"c1": None}, "2": None}, "ports.1.c1: expected a number"),
+        ({"1": None, "2": {"c2": "5"}}, "ports.2.c2: expected a number"),
+        ({"1": {"c1": True}, "2": None}, "ports.1.c1: expected a number"),
+    ],
+)
+def test_s21_malformed_ports_exit_2(tmp_path, ports, message):
+    def edit(config):
+        config["ports"] = ports
+
+    result = run("s21", "--config", str(write_config(tmp_path, edit)))
+    assert result.exit_code == 2
+    assert result.output == "error: %s\n" % message
 
 
 def test_spectrum_eigensolver_failure_exits_1(monkeypatch):
@@ -461,6 +481,55 @@ def test_fieldmap_degenerate_phase_is_computation_failure(tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda c: c.update(regions=5), "regions: expected a list"),
+        (lambda c: c.update(mode_frequencies_ghz=[1]),
+         "mode_frequencies_ghz: expected a label->GHz object"),
+        (lambda c: c["mode_frequencies_ghz"].update(c1=math.nan),
+         "mode_frequencies_ghz.c1: expected a finite number"),
+        (lambda c: c["mode_frequencies_ghz"].update(c1=-4.524),
+         "mode_frequencies_ghz.c1 must be > 0"),
+        (lambda c: c["regions"][0]["center_m"].__setitem__(1, math.nan),
+         "regions[0].center_m[1]: expected a finite number"),
+        (lambda c: c["regions"].append(c["regions"][0]),
+         "regions[1].label: duplicate region label 'm1'"),
+        (lambda c: c["regions"][0].update(label=[1]), "regions[0].label: expected a string"),
+        (lambda c: c["regions"][0].update(radius_m="1"), "regions[0].radius_m: expected a number"),
+        (lambda c: c["regions"][0].update(radius_m=-1.0),
+         "regions[0]: radius must be finite and > 0 m"),
+        (lambda c: c["regions"][0].pop("center_m"), "regions[0].center_m: missing required key"),
+    ],
+)
+def test_fieldmap_malformed_config_exits_2(tmp_path, edit, message):
+    config = json.loads(json.dumps(FIELDMAP_CONFIG))
+    edit(config)
+    (tmp_path / "regions.json").write_text(json.dumps(config))
+    (tmp_path / "c1.csv").write_text(UNIFORM_FIELD_CSV)
+    result = run(
+        "fieldmap", "--mode-file", "c1=%s" % (tmp_path / "c1.csv"),
+        "--config", str(tmp_path / "regions.json"),
+    )
+    assert result.exit_code == 2
+    assert result.output == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_fieldmap_non_finite_sample_exits_2_without_a_warning(tmp_path, bad):
+    (tmp_path / "c1.csv").write_text(UNIFORM_FIELD_CSV.replace("-0.1,0,0,1", "-0.1,0,0," + bad))
+    (tmp_path / "regions.json").write_text(json.dumps(FIELDMAP_CONFIG))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(
+            "fieldmap", "--mode-file", "c1=%s" % (tmp_path / "c1.csv"),
+            "--config", str(tmp_path / "regions.json"),
+        )
+    assert result.exit_code == 2
+    assert result.output == "error: --mode-file c1: line 3: expected finite numbers\n"
+    assert [str(w.message) for w in caught] == []
+
+
 # ====== fit command ======
 
 
@@ -572,6 +641,49 @@ def test_fit_command_rejects_mistyped_spec_fields(tmp_path, key, bad, message):
     result = run("fit", "--data", str(data), "--spec", str(spec))
     assert result.exit_code == 2
     assert message in result.output
+
+
+# ====== command runner ======
+
+
+def command_args(command, tmp_path):
+    if command == "fieldmap":
+        (tmp_path / "c1.csv").write_text(UNIFORM_FIELD_CSV)
+        (tmp_path / "regions.json").write_text(json.dumps(FIELDMAP_CONFIG))
+        return ["fieldmap", "--mode-file", "c1=%s" % (tmp_path / "c1.csv"),
+                "--config", str(tmp_path / "regions.json")]
+    if command == "fit":
+        data, spec = write_fit_inputs(tmp_path)
+        return ["fit", "--data", str(data), "--spec", str(spec)]
+    return [command, "--preset", "cavity-pi-fit"]
+
+
+@pytest.mark.parametrize("command", ["gauge", "spectrum", "s21", "fieldmap", "fit"])
+def test_unwritable_out_exits_1_with_one_error_line(tmp_path, command):
+    out = tmp_path / "no" / "such" / "dir" / "payload"
+    result = run(*command_args(command, tmp_path), "--out", str(out))
+    assert result.exit_code == 1
+    assert result.output.startswith("error: ") and result.output.count("\n") == 1
+
+
+def test_s21_unwritable_sidecar_exits_1_after_the_csv(tmp_path):
+    out = tmp_path / "map.csv"
+    (tmp_path / "map.csv.json").mkdir()
+    result = run("s21", "--preset", "cavity-pi-fit", "--out", str(out))
+    assert result.exit_code == 1
+    assert result.output.startswith("error: ") and result.output.count("\n") == 1
+    assert out.read_text() == run("s21", "--preset", "cavity-pi-fit").output
+
+
+def test_only_the_runner_maps_errors_to_exit_codes():
+    tree = ast.parse(pathlib.Path(loopmag.cli.__file__).read_text())
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef) or node.name == "_runs":
+            continue
+        inner = list(ast.walk(node))
+        assert not {"_fail", "_LOAD_ERRORS"} & {n.id for n in inner if isinstance(n, ast.Name)}
+        if node.name.startswith("cmd_"):
+            assert not any(isinstance(n, ast.Try) for n in inner), node.name
 
 
 # ====== start-up imports ======

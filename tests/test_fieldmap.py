@@ -97,6 +97,23 @@ def test_field_sample_validation():
         SphereRegion((0.0, 0.0, 0.0), 0.0, "m1")
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_field_data_is_rejected(bad):
+    table = sphere_table((0, 0, 0), (1.0, 0.0, 0.0), n=(2, 2, 2))
+    columns = {"positions": table.positions, "h": table.h, "weights": table.weights}
+    for name in columns:
+        broken = dict(columns, **{name: columns[name].copy()})
+        broken[name].flat[3] = bad
+        with pytest.raises(ValueError, match="%s must be finite" % name):
+            FieldTable(**broken)
+    with pytest.raises(ValueError, match="center"):
+        SphereRegion((0.0, bad, 0.0), R_SPHERE, "m1")
+    with pytest.raises(ValueError, match="radius"):
+        SphereRegion((0.0, 0.0, 0.0), abs(bad), "m1")
+    with pytest.raises(ValueError, match="spin_density"):
+        PhysicalConstants(spin_density=abs(bad))
+
+
 # ====== coupling phase ======
 
 
@@ -396,6 +413,9 @@ def test_csv_validation_errors():
         field_table_from_csv(
             "x_m,y_m,z_m,hx_re,hx_im,hy_re,hy_im,hz_re,hz_im,weight_m3\n"
         )
+    for bad in ("nan", "inf", "-inf", "1e999"):
+        with pytest.raises(SchemaError, match="line 3: expected finite numbers"):
+            field_table_from_csv(CSV_WITH_WEIGHTS.replace("0.002", bad))
     # degenerate bounding box cannot define uniform weights
     with pytest.raises(SchemaError, match="bounding box"):
         field_table_from_csv(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from loopmag.spectrum import eig_hermitian
 from loopmag.transmission import (
     DEFAULT_MAGNON_LOSS_MHZ,
     DEFAULT_PHOTON_LOSS_MHZ,
+    S21_FLOOR,
     PortSpec,
     TransmissionMap,
     _local_maxima,
@@ -305,6 +307,20 @@ def test_zero_coupling_map_is_magnon_independent():
     tmap = s21_map(system, symmetric_ports(), np.arange(4.95, 5.0501, 0.005), [4.5, 5.0, 5.5])
     spread = np.max(np.abs(tmap.magnitude_db - tmap.magnitude_db[:, :1]))
     assert spread <= 1e-12
+
+
+def test_decoupled_ports_read_the_floor_instead_of_failing():
+    system = SystemModel(
+        modes=(ModeSpec("c", "photon", 5.0), ModeSpec("d", "photon", 6.0)),
+        edges=(),
+        magnon_sweep_target=frozenset(),
+    )
+    ports = (PortSpec(1, {"c": 5.0}), PortSpec(2, {"d": 5.0}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tmap = s21_map(system, ports, np.linspace(4.9, 5.1, 5), [5.0])
+    assert np.all(tmap.magnitude_db == 20.0 * np.log10(S21_FLOOR))
+    assert extract_peaks(tmap, 0) == []
 
 
 def test_map_csv_long_form_frozen_values():
