@@ -21,7 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .gauge import reduce_system
-from .model import CouplingEdge, SchemaError, SystemModel, hamiltonians, write_coupling
+from .model import (CouplingEdge, SchemaError, SystemModel, hamiltonians, read_numeric_csv,
+                    write_coupling)
 # unused here; kept because perfbench's tracer test patches and calls this binding
 from .spectrum import branch_frequencies  # noqa: F401
 
@@ -76,33 +77,9 @@ def dataset_from_csv(text: str) -> PeakDataset:
 
     The sigma_ghz column is optional; missing uncertainties get the default.
     """
-    lines = text.splitlines()
-    header = lines[0].strip() if lines else ""
-    if header == _CSV_HEADER:
-        n_cols = 3
-    elif header == _CSV_HEADER_NO_SIGMA:
-        n_cols = 2
-    else:
-        raise SchemaError(
-            "unrecognized peak CSV header; expected %r with optional sigma_ghz"
-            % _CSV_HEADER_NO_SIGMA
-        )
-    records = []
-    for k, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != n_cols:
-            raise SchemaError("line %d: expected %d columns, got %d" % (k, n_cols, len(parts)))
-        try:
-            values = [float(p) for p in parts]
-        except ValueError:
-            raise SchemaError("line %d: could not parse a numeric value" % k) from None
-        records.append(PeakRecord(*values))
-    if not records:
-        raise SchemaError("peak CSV contains no data rows")
+    _, data = read_numeric_csv(text, (_CSV_HEADER_NO_SIGMA, _CSV_HEADER))
     try:
-        return PeakDataset(records=tuple(records))
+        return PeakDataset(records=tuple(PeakRecord(*row) for row in data.tolist()))
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
 
@@ -329,6 +306,19 @@ def _simplex(objective, x0, bounds, max_iterations):
     return result
 
 
+def initial_values(spec: FitSpec, initial) -> tuple:
+    """The free parameters of initial as floats, each checked against its bounds."""
+    values = _checked_params(spec, initial)
+    names = spec.parameter_names()
+    for name, value, (lo, hi) in zip(names, values, _bounds_for(spec, names)):
+        if not lo <= value <= hi:
+            raise ValueError(
+                "initial value %g for %r is outside its bounds [%g, %g]"
+                % (value, name, lo, hi)
+            )
+    return values
+
+
 def fit(
     spec: FitSpec,
     data: PeakDataset,
@@ -342,14 +332,8 @@ def fit(
     is reported through converged=False with the best point found so far.
     """
     names = spec.parameter_names()
-    values = _checked_params(spec, initial)
+    values = initial_values(spec, initial)
     bounds = _bounds_for(spec, names)
-    for name, value, (lo, hi) in zip(names, values, bounds):
-        if not lo <= value <= hi:
-            raise ValueError(
-                "initial value %g for %r is outside its bounds [%g, %g]"
-                % (value, name, lo, hi)
-            )
     if spec.continuous_theta:
         bounds += _bounds_for(spec, ["theta:%d" % k for k in range(len(spec.theta_hypotheses[0]))])
 

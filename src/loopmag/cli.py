@@ -30,6 +30,7 @@ from .calibrate import (
     FitSpec,
     dataset_from_csv,
     fit,
+    initial_values,
 )
 from .fieldmap import SphereRegion, coupling_table, field_table_from_csv
 from .gauge import reduce_system, reduction_to_document
@@ -299,6 +300,7 @@ def _fit_spec(document: dict):
             "fit spec: 'initial' must hold %d value(s), got %d"
             % (len(spec.parameter_names()), len(initial))
         )
+    initial = initial_values(spec, initial)
     max_iterations = document.get("max_iterations", MAX_SIMPLEX_ITERATIONS)
     if type(max_iterations) is not int or max_iterations < 1:  # not isinstance: bool is an int
         raise SchemaError("fit spec.max_iterations: expected a positive integer")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import TWO_PI, CouplingEdge, SchemaError, fold_phase
+from .model import TWO_PI, CouplingEdge, SchemaError, fold_phase, read_numeric_csv
 
 _DEGENERACY_FLOOR_FACTOR = 1e-12
 
@@ -273,39 +273,10 @@ def field_table_from_csv(text: str) -> FieldTable:
     by weight_m3.  Without weights, each sample gets an equal share of the
     positions' bounding-box volume.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
-        raise SchemaError("field CSV is empty")
-    header = lines[0].strip()
-    if header == _CSV_HEADER_WEIGHTED:
-        has_weights = True
-    elif header == _CSV_HEADER:
-        has_weights = False
-    else:
-        raise SchemaError(
-            "unrecognized field CSV header; expected %r with optional weight_m3"
-            % _CSV_HEADER
-        )
-    n_cols = 10 if has_weights else 9
-    rows = []
-    for k, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != n_cols:
-            raise SchemaError("line %d: expected %d columns, got %d" % (k, n_cols, len(parts)))
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise SchemaError("line %d: could not parse a numeric value" % k) from None
-    if not rows:
-        raise SchemaError("field CSV contains no data rows")
-    data = np.array(rows, dtype=np.float64)
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        # float() takes nan and inf; report the first such line
-        raise SchemaError("line %d: expected finite numbers" % (np.argmin(finite) + 2))
+    header, data = read_numeric_csv(text, (_CSV_HEADER, _CSV_HEADER_WEIGHTED))
     positions = data[:, 0:3]
     h = data[:, 3:9:2] + 1j * data[:, 4:9:2]
-    if has_weights:
+    if header == _CSV_HEADER_WEIGHTED:
         weights = data[:, 9]
     else:
         extents = positions.max(axis=0) - positions.min(axis=0)

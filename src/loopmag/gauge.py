@@ -15,10 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import SystemModel, apply_vertex_phases, fold_phase
+from .model import CouplingEdge, SystemModel, apply_vertex_phases, fold_phase
 
 __all__ = [
-    "GraphEdge",
     "CouplingGraph",
     "Cycle",
     "PhysicalPhase",
@@ -32,13 +31,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class GraphEdge:
-    photon: str
-    magnon: str
-    phase: float
-
-
-@dataclass(frozen=True)
 class CouplingGraph:
     """Bipartite coupling graph over the modes that participate in edges.
 
@@ -48,7 +40,7 @@ class CouplingGraph:
 
     vertices: tuple[str, ...]
     photons: frozenset[str]
-    edges: tuple[GraphEdge, ...]
+    edges: tuple[CouplingEdge, ...]
     adjacency: dict[str, tuple[tuple[str, int], ...]]
 
 
@@ -93,15 +85,13 @@ def build_graph(system: SystemModel) -> CouplingGraph:
         used.add(edge.magnon)
     vertices = tuple(m.label for m in system.modes if m.label in used)
     adjacency: dict[str, list[tuple[str, int]]] = {v: [] for v in vertices}
-    graph_edges = []
     for idx, edge in enumerate(system.edges):
-        graph_edges.append(GraphEdge(edge.photon, edge.magnon, edge.phase))
         adjacency[edge.photon].append((edge.magnon, idx))
         adjacency[edge.magnon].append((edge.photon, idx))
     return CouplingGraph(
         vertices=vertices,
         photons=frozenset(v for v in vertices if v in set(system.photon_labels())),
-        edges=tuple(graph_edges),
+        edges=system.edges,
         adjacency={v: tuple(pairs) for v, pairs in adjacency.items()},
     )
 
@@ -113,16 +103,17 @@ class _SpanningForest:
         self.graph = graph
         self.parent: dict[str, str | None] = {}
         self.parent_edge: dict[str, int] = {}
-        self.roots: list[str] = []
         self.chords: list[int] = []
+        # each vertex's gauge rotation, set where the traversal first reaches it
+        self.rotation: dict[str, float] = {}
         seen_chords = set()
         visited = set()
         # one traversal per component, rooted at its smallest photon label
         for root in sorted(graph.photons):
             if root in visited:
                 continue
-            self.roots.append(root)
             self.parent[root] = None
+            self.rotation[root] = 0.0
             visited.add(root)
             stack = [(root, iter(graph.adjacency[root]))]
             while stack:
@@ -139,6 +130,11 @@ class _SpanningForest:
                     visited.add(other)
                     self.parent[other] = vertex
                     self.parent_edge[other] = idx
+                    phase = graph.edges[idx].phase
+                    if other == graph.edges[idx].magnon:
+                        self.rotation[other] = phase + self.rotation[vertex]
+                    else:
+                        self.rotation[other] = self.rotation[vertex] - phase
                     stack.append((other, iter(graph.adjacency[other])))
                     advanced = True
                     break
@@ -219,21 +215,7 @@ def reduce_system(system: SystemModel) -> GaugeReduction:
     """
     graph = build_graph(system)
     forest = _SpanningForest(graph)
-    raw: dict[str, float] = {}
-    for root in forest.roots:
-        raw[root] = 0.0
-        stack = [root]
-        while stack:
-            vertex = stack.pop()
-            for other, idx in graph.adjacency[vertex]:
-                if forest.parent.get(other) == vertex and forest.parent_edge[other] == idx:
-                    phase = graph.edges[idx].phase
-                    if other == graph.edges[idx].magnon:
-                        raw[other] = phase + raw[vertex]
-                    else:
-                        raw[other] = raw[vertex] - phase
-                    stack.append(other)
-    vertex_phases = {v: fold_phase(raw[v]) for v in graph.vertices}
+    vertex_phases = {v: fold_phase(forest.rotation[v]) for v in graph.vertices}
     applied = apply_vertex_phases(system, vertex_phases)
     reduced_edges = tuple((e.photon, e.magnon, e.phase) for e in applied.edges)
     physical = tuple(

@@ -369,3 +369,54 @@ def system_from_document(doc: dict) -> SystemModel:
         return SystemModel(tuple(modes), tuple(edges), frozenset(sweep_doc))
     except ValueError as err:
         raise SchemaError(str(err)) from None
+
+
+# ====== numeric CSV exports and frequency axes ======
+
+
+def read_numeric_csv(text: str, headers) -> tuple:
+    """The header line and the (rows, cols) float64 data of a numeric CSV export.
+
+    The first non-blank line must equal one of headers, and every data row
+    must hold as many comma-separated finite numbers as that header names.
+    Blank lines are skipped; every message names the line of the text.
+    """
+    lines = text.splitlines()
+    start = next((k for k, line in enumerate(lines) if line.strip()), None)
+    expected = " or ".join(map(repr, headers))
+    if start is None:
+        raise SchemaError("CSV is empty; expected the header %s" % expected)
+    header = lines[start].strip()
+    if header not in headers:
+        raise SchemaError("line %d: unrecognized header; expected %s" % (start + 1, expected))
+    n_cols = header.count(",") + 1
+    rows = []
+    for k, line in enumerate(lines[start + 1:], start=start + 2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != n_cols:
+            raise SchemaError("line %d: expected %d columns, got %d" % (k, n_cols, len(parts)))
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            raise SchemaError("line %d: could not parse a numeric value" % k) from None
+    if not rows:
+        raise SchemaError("CSV contains no data rows")
+    data = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        # float() takes nan and inf; count lines again to report the first such row
+        numbers = [k for k, line in enumerate(lines[start + 1:], start=start + 2) if line.strip()]
+        raise SchemaError("line %d: expected finite numbers" % numbers[np.argmin(finite)])
+    return header, data
+
+
+def frequency_axis(values, name: str) -> np.ndarray:
+    """values as a float64 array, checked to be non-empty, 1-d and strictly increasing."""
+    axis = np.asarray(values, dtype=np.float64)
+    if axis.ndim != 1 or axis.size == 0:
+        raise ValueError("%s must be a non-empty 1-d array" % name)
+    if not np.all(np.diff(axis) > 0):
+        raise ValueError("%s must be strictly increasing" % name)
+    return axis

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HermitianMatrixGHz, SystemModel, build_hamiltonian, hamiltonians
+from .model import HermitianMatrixGHz, SystemModel, build_hamiltonian, frequency_axis, hamiltonians
 
 __all__ = [
     "SweepResult",
@@ -80,20 +80,9 @@ def eig_hermitian(matrix):
     return vals, vecs
 
 
-def _validated_grid(omega_m_values) -> np.ndarray:
-    grid = np.asarray(omega_m_values, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("sweep grid must be a non-empty 1-d sequence")
-    if np.any(grid <= 0.0):
-        raise ValueError("sweep grid frequencies must be positive")
-    if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
-        raise ValueError("sweep grid must be strictly increasing")
-    return grid
-
-
 def sweep(system: SystemModel, omega_m_values) -> SweepResult:
     """Eigendecompose the system at every grid point of a magnon sweep."""
-    grid = _validated_grid(omega_m_values)
+    grid = frequency_axis(omega_m_values, "omega_m_grid")
     vals, vecs = np.linalg.eigh(hamiltonians(system, grid))
     labels = tuple(m.label for m in system.modes)
     photon_rows = tuple(k for k, m in enumerate(system.modes) if m.kind == "photon")
@@ -115,7 +104,7 @@ def sweep(system: SystemModel, omega_m_values) -> SweepResult:
 
 def branch_frequencies(system: SystemModel, omega_m_values) -> np.ndarray:
     """Sorted eigenvalues per grid point: the branches of sweep, bit for bit."""
-    grid = _validated_grid(omega_m_values)
+    grid = frequency_axis(omega_m_values, "omega_m_grid")
     # eigenvalues of the same eigh call as sweep: eigvalsh differs from it in
     # the last bits, and the two must agree bitwise
     vals, _ = np.linalg.eigh(hamiltonians(system, grid))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemModel, build_hamiltonian, hamiltonians
+from .model import SystemModel, build_hamiltonian, frequency_axis, hamiltonians
 from .spectrum import parabola_vertex
 
 DEFAULT_PHOTON_LOSS_MHZ = 5.0
@@ -60,8 +60,8 @@ class TransmissionMap:
     defaults_applied: tuple = ()
 
     def __post_init__(self):
-        omega = _validated_axis(self.omega_grid, "omega_grid")
-        omega_m = _validated_axis(self.omega_m_grid, "omega_m_grid")
+        omega = frequency_axis(self.omega_grid, "omega_grid")
+        omega_m = frequency_axis(self.omega_m_grid, "omega_m_grid")
         mags = np.asarray(self.magnitude_db, dtype=np.float64)
         object.__setattr__(self, "omega_grid", omega)
         object.__setattr__(self, "omega_m_grid", omega_m)
@@ -71,15 +71,6 @@ class TransmissionMap:
             raise ValueError("magnitude_db must have shape (len(omega), len(omega_m))")
         if not np.all(np.isfinite(mags)):
             raise ValueError("magnitude_db entries must be finite")
-
-
-def _validated_axis(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("%s must be a non-empty 1-d array" % name)
-    if arr.size > 1 and not np.all(np.diff(arr) > 0):
-        raise ValueError("%s must be strictly increasing" % name)
-    return arr
 
 
 def _ordered_ports(ports):
@@ -160,8 +151,8 @@ def s21_map(system: SystemModel, ports, omega_grid, omega_m_grid) -> Transmissio
     Ports whose photons the device decouples give |S21| at rounding level;
     a value that rounds to exactly zero is reported at S21_FLOOR, not -inf.
     """
-    omega = _validated_axis(omega_grid, "omega_grid")
-    omega_m = _validated_axis(omega_m_grid, "omega_m_grid")
+    omega = frequency_axis(omega_grid, "omega_grid")
+    omega_m = frequency_axis(omega_m_grid, "omega_m_grid")
     port1, port2 = _ordered_ports(ports)
     gamma, d1, d2, defaults = _loss_model(system, port1, port2)
     mats = hamiltonians(system, omega_m)

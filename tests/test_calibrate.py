@@ -351,6 +351,15 @@ def test_dataset_from_csv_rejects_malformed_input():
         dataset_from_csv("omega_m_ghz,omega_peak_ghz\n")
 
 
+def test_dataset_from_csv_skips_blank_lines_and_counts_them():
+    text = "\n\nomega_m_ghz,omega_peak_ghz\n5.1,4.52\n\n5.3,5.0\n"
+    assert dataset_from_csv(text).records == (PeakRecord(5.1, 4.52), PeakRecord(5.3, 5.0))
+    with pytest.raises(SchemaError, match="^line 6: expected 2 columns, got 3$"):
+        dataset_from_csv(text.replace("5.3,5.0", "5.3,5.0,0.001"))
+    with pytest.raises(SchemaError, match="^line 6: expected finite numbers$"):
+        dataset_from_csv(text.replace("5.3,5.0", "5.3,nan"))
+
+
 # ====== fit spec validation ======
 
 

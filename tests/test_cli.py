@@ -607,6 +607,17 @@ def test_fit_command_rejects_malformed_peaks(tmp_path):
     assert "header" in result.output
 
 
+def test_fit_initial_value_outside_its_bounds_exits_2(tmp_path):
+    data, spec = write_fit_inputs(tmp_path)
+    spec.write_text(json.dumps({
+        "preset": "cavity-pi-fit", "free_couplings": ["c1"],
+        "theta_hypotheses": [["pi"]], "initial": [5.0],
+    }))
+    result = run("fit", "--data", str(data), "--spec", str(spec))
+    assert result.exit_code == 2
+    assert result.output == "error: initial value 5 for 'g:c1' is outside its bounds [0, 2]\n"
+
+
 def test_fit_command_rejects_bad_spec(tmp_path):
     data, _ = write_fit_inputs(tmp_path)
     spec = tmp_path / "fitspec.json"

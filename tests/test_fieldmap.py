@@ -416,6 +416,12 @@ def test_csv_validation_errors():
     for bad in ("nan", "inf", "-inf", "1e999"):
         with pytest.raises(SchemaError, match="line 3: expected finite numbers"):
             field_table_from_csv(CSV_WITH_WEIGHTS.replace("0.002", bad))
+    # line numbers count the blank lines of the file
+    header, first, second = CSV_WITH_WEIGHTS.splitlines()
+    with pytest.raises(SchemaError, match="^line 5: expected 10 columns, got 11$"):
+        field_table_from_csv("\n".join([header, first, "", "", second + ",0"]))
+    with pytest.raises(SchemaError, match="^line 4: expected finite numbers$"):
+        field_table_from_csv("\n".join(["", header, "", second.replace("0.002", "nan")]))
     # degenerate bounding box cannot define uniform weights
     with pytest.raises(SchemaError, match="bounding box"):
         field_table_from_csv(

@@ -16,7 +16,9 @@ from loopmag.model import (
     build_hamiltonian,
     check_rwa,
     fold_phase,
+    frequency_axis,
     parse_phase,
+    read_numeric_csv,
     system_from_document,
     system_to_document,
 )
@@ -220,6 +222,43 @@ def test_build_hamiltonian_rejects_bad_omega():
         build_hamiltonian(single_pair_system(), 0.0)
     with pytest.raises(ValueError):
         build_hamiltonian(single_pair_system(), -1.0)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ([], "non-empty 1-d"),
+        ([[4.0, 5.0]], "non-empty 1-d"),
+        ([5.0, 5.0], "strictly increasing"),
+        ([5.0, 4.9], "strictly increasing"),
+        ([4.0, math.nan], "strictly increasing"),
+    ],
+)
+def test_frequency_axis_rejects_malformed_grids(values, message):
+    with pytest.raises(ValueError, match="^grid must be (a )?%s" % message):
+        frequency_axis(values, "grid")
+
+
+def test_read_numeric_csv_header_and_rows():
+    header, data = read_numeric_csv("\n a,b \n1,2\n\n3,4e0\n", ("a,b,c", "a,b"))
+    assert header == "a,b"
+    assert data.dtype == np.float64 and data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "CSV is empty; expected the header 'a,b'"),
+        (" \n\n", "CSV is empty; expected the header 'a,b'"),
+        ("\nx,y\n1,2\n", "line 2: unrecognized header; expected 'a,b'"),
+        ("a,b\n\n", "CSV contains no data rows"),
+        ("a,b\n1,2\n\n1,x\n", "line 4: could not parse a numeric value"),
+        ("a,b\n\n1,2\n1,inf\n", "line 4: expected finite numbers"),
+    ],
+)
+def test_read_numeric_csv_messages(text, message):
+    with pytest.raises(SchemaError, match="^%s$" % re.escape(message)):
+        read_numeric_csv(text, ("a,b",))
 
 
 def test_hermiticity_property_random_systems():

@@ -265,6 +265,14 @@ def test_sweep_validates_grid():
         sweep(system, np.array([5.0, 4.9]))
 
 
+def test_sweep_rejects_a_non_positive_grid_at_the_first_point():
+    for grid in ([0.0, 5.0], [-1.0, 5.0]):
+        with pytest.raises(ValueError, match="^omega_m must be > 0 GHz$"):
+            sweep(fit_device(), np.array(grid))
+        with pytest.raises(ValueError, match="^omega_m must be > 0 GHz$"):
+            branch_frequencies(fit_device(), np.array(grid))
+
+
 def test_pi0_has_five_branches_and_matches_oracle():
     system = pi0_device()
     grid = np.linspace(6.85, 7.40, 10)
