@@ -39,6 +39,9 @@ from .model import (SchemaError, SystemModel, _number, _require, _string, edges_
 from .spectrum import sweep, sweep_to_csv
 from .transmission import PortSpec, _loss_model, map_to_csv, s21_map
 
+MAX_GRID_POINTS = 100_000  # points of any one grid
+MAX_MAP_POINTS = 1_000_000  # probe x magnon points of one s21 map
+
 PRESETS = {
     "cavity-pi-table1": {
         "system": {
@@ -130,7 +133,8 @@ def _device(preset_name, config_path):
     return config, system_from_document(config["system"])
 
 
-def _grid(config: dict, key: str, start, stop, points) -> np.ndarray:
+def _grid(config: dict, key: str, start, stop, points) -> tuple:
+    """A grid's checked (start, stop, points), flags overriding config, recorded in config."""
     settings = config.get(key) or {}
     if not isinstance(settings, dict):
         raise SchemaError("%s: expected an object" % key)
@@ -151,12 +155,14 @@ def _grid(config: dict, key: str, start, stop, points) -> np.ndarray:
         raise SchemaError("%s.points: expected an integer" % key)
     if n < 1:
         raise SchemaError("%s.points must be >= 1" % key)
+    if n > MAX_GRID_POINTS:
+        raise SchemaError("%s.points must be <= %d" % (key, MAX_GRID_POINTS))
     if not lo > 0:
         raise SchemaError("%s.start_ghz must be > 0" % key)
     if n > 1 and not hi > lo:
         raise SchemaError("%s: stop_ghz must exceed start_ghz" % key)
     config[key] = {"start_ghz": lo, "stop_ghz": hi, "points": n}
-    return np.linspace(lo, hi, n)
+    return lo, hi, n
 
 
 def _ports(config: dict, system: SystemModel) -> tuple:
@@ -397,7 +403,7 @@ def cmd_spectrum(preset_name, config_path, grid_start_ghz, grid_stop_ghz, grid_p
     config, system = _device(preset_name, config_path)
     if single_sphere:
         system = _single_sphere(system)
-    grid = _grid(config, "magnon_grid", grid_start_ghz, grid_stop_ghz, grid_points)
+    grid = np.linspace(*_grid(config, "magnon_grid", grid_start_ghz, grid_stop_ghz, grid_points))
     return lambda: sweep_to_csv(sweep(system, grid))
 
 
@@ -419,6 +425,9 @@ def cmd_s21(preset_name, config_path, probe_start_ghz, probe_stop_ghz, probe_poi
     ports = _ports(config, system)
     probe = _grid(config, "probe_grid", probe_start_ghz, probe_stop_ghz, probe_points)
     magnon = _grid(config, "magnon_grid", magnon_start_ghz, magnon_stop_ghz, magnon_points)
+    if probe[2] * magnon[2] > MAX_MAP_POINTS:
+        raise SchemaError("probe_grid.points * magnon_grid.points must be <= %d" % MAX_MAP_POINTS)
+    probe, magnon = np.linspace(*probe), np.linspace(*magnon)
 
     def compute():
         tmap = s21_map(system, ports, probe, magnon)

@@ -142,6 +142,13 @@ def _inside(table: FieldTable, region: SphereRegion) -> np.ndarray:
     return mask
 
 
+def _moments(table: FieldTable, h: np.ndarray, region: SphereRegion):
+    """Weighted transverse moments of h over one sphere, and its weight sum V_m."""
+    mask = _inside(table, region)
+    w = table.weights[mask]
+    return np.sum(w * h[mask, 0]), np.sum(w * h[mask, 1]), np.sum(w)
+
+
 def _real_reduced(table: FieldTable) -> np.ndarray:
     """Real standing-wave field: rotate by the global phase that maximizes
     the real part's L2 norm, then drop the imaginary part."""
@@ -153,11 +160,8 @@ def _real_reduced(table: FieldTable) -> np.ndarray:
 def region_integrals(samples, region: SphereRegion):
     """Weighted transverse moments (Ix, Iy) of the raw field over one sphere."""
     table = _as_table(samples)
-    mask = _inside(table, region)
-    w = table.weights[mask]
-    ix = complex(np.sum(w * table.h[mask, 0]))
-    iy = complex(np.sum(w * table.h[mask, 1]))
-    return ix, iy
+    ix, iy, _ = _moments(table, table.h, region)
+    return complex(ix), complex(iy)
 
 
 def coupling_phase(samples, region: SphereRegion) -> float:
@@ -169,12 +173,7 @@ def coupling_phase(samples, region: SphereRegion) -> float:
     1e-12 * V_m * max|h|, where V_m is the in-region weight sum.
     """
     table = _as_table(samples)
-    mask = _inside(table, region)
-    hr = _real_reduced(table)
-    w = table.weights[mask]
-    ix = float(np.sum(w * hr[mask, 0]))
-    iy = float(np.sum(w * hr[mask, 1]))
-    v_m = float(np.sum(w))
+    ix, iy, v_m = map(float, _moments(table, _real_reduced(table), region))
     h_scale = float(np.max(np.linalg.norm(table.h, axis=1)))
     floor = _DEGENERACY_FLOOR_FACTOR * v_m * h_scale
     if math.hypot(ix, iy) <= floor:
@@ -193,15 +192,11 @@ def filling_factor(samples, region: SphereRegion) -> float:
     Cauchy-Schwarz bound keeps the result at or below one.
     """
     table = _as_table(samples)
-    mask = _inside(table, region)
     hr = _real_reduced(table)
+    ix, iy, v_m = map(float, _moments(table, hr, region))
     energy = float(np.sum(table.weights * np.sum(hr * hr, axis=1)))
     if energy <= 0:
         raise ValueError("mode has zero field energy")
-    w = table.weights[mask]
-    ix = float(np.sum(w * hr[mask, 0]))
-    iy = float(np.sum(w * hr[mask, 1]))
-    v_m = float(np.sum(w))
     eta = math.sqrt((ix * ix + iy * iy) / (v_m * energy))
     return min(eta, 1.0)
 

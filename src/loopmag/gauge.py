@@ -90,7 +90,7 @@ def build_graph(system: SystemModel) -> CouplingGraph:
         adjacency[edge.magnon].append((edge.photon, idx))
     return CouplingGraph(
         vertices=vertices,
-        photons=frozenset(v for v in vertices if v in set(system.photon_labels())),
+        photons=frozenset(system.photon_labels()).intersection(vertices),
         edges=system.edges,
         adjacency={v: tuple(pairs) for v, pairs in adjacency.items()},
     )

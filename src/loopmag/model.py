@@ -196,10 +196,12 @@ def build_hamiltonian(system: SystemModel, omega_m: float) -> HermitianMatrixGHz
 
     Args:
         system: validated device description.
-        omega_m: swept magnon frequency in GHz, > 0.
+        omega_m: swept magnon frequency in GHz, finite and > 0.
     """
     if not omega_m > 0:
         raise ValueError("omega_m must be > 0 GHz")
+    if not math.isfinite(omega_m):
+        raise ValueError("omega_m must be finite")
     n = len(system.modes)
     index = {m.label: i for i, m in enumerate(system.modes)}
     h = np.zeros((n, n), dtype=np.complex128)
@@ -413,10 +415,12 @@ def read_numeric_csv(text: str, headers) -> tuple:
 
 
 def frequency_axis(values, name: str) -> np.ndarray:
-    """values as a float64 array, checked to be non-empty, 1-d and strictly increasing."""
+    """values as a float64 array, checked to be non-empty, 1-d, strictly increasing and finite."""
     axis = np.asarray(values, dtype=np.float64)
     if axis.ndim != 1 or axis.size == 0:
         raise ValueError("%s must be a non-empty 1-d array" % name)
     if not np.all(np.diff(axis) > 0):
         raise ValueError("%s must be strictly increasing" % name)
+    if not np.all(np.isfinite(axis)):
+        raise ValueError("%s must be finite" % name)
     return axis

@@ -87,9 +87,9 @@ def sweep(system: SystemModel, omega_m_values) -> SweepResult:
     labels = tuple(m.label for m in system.modes)
     photon_rows = tuple(k for k, m in enumerate(system.modes) if m.kind == "photon")
     weights = (np.abs(vecs[:, photon_rows, :]) ** 2).sum(axis=1)
-    for row in range(grid.size):
-        cuts = np.nonzero(np.diff(vals[row]) >= DEGENERACY_CLUSTER_GHZ)[0] + 1
-        for segment in np.split(np.arange(vals.shape[1]), cuts):
+    apart = np.diff(vals, axis=1) >= DEGENERACY_CLUSTER_GHZ
+    for row in np.flatnonzero(~apart.all(axis=1)):
+        for segment in np.split(np.arange(vals.shape[1]), np.flatnonzero(apart[row]) + 1):
             if segment.size > 1:
                 weights[row, segment] = weights[row, segment].mean()
     return SweepResult(

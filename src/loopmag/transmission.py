@@ -155,13 +155,11 @@ def s21_map(system: SystemModel, ports, omega_grid, omega_m_grid) -> Transmissio
     omega_m = frequency_axis(omega_m_grid, "omega_m_grid")
     port1, port2 = _ordered_ports(ports)
     gamma, d1, d2, defaults = _loss_model(system, port1, port2)
-    mats = hamiltonians(system, omega_m)
-    eye = np.eye(len(system.modes))
+    damped = 1j * hamiltonians(system, omega_m) + np.diag(gamma) / 2.0
+    probe = 1j * omega[:, None, None] * np.eye(len(system.modes))
     mags = np.empty((omega.size, omega_m.size))
-    for j, h in enumerate(mats):
-        a = 1j * h + np.diag(gamma) / 2.0
-        m = a[None, :, :] - 1j * omega[:, None, None] * eye
-        x = np.linalg.solve(m, d1[:, None])[..., 0]
+    for j, a in enumerate(damped):
+        x = np.linalg.solve(a - probe, d1[:, None])[..., 0]
         mags[:, j] = 20.0 * np.log10(np.maximum(np.abs(x @ d2), S21_FLOOR))
     return TransmissionMap(omega, omega_m, mags, defaults)
 
@@ -231,7 +229,7 @@ def line_cut_csv(tmap: TransmissionMap, omega_m_index: int, offset_db: float = 0
     """Two-column CSV of one map column, with an optional presentation offset."""
     if not 0 <= omega_m_index < tmap.omega_m_grid.size:
         raise ValueError("omega_m_index %d out of range" % omega_m_index)
+    column = (tmap.magnitude_db[:, omega_m_index] + offset_db).tolist()
     lines = ["omega_ghz,s21_db"]
-    for i, om in enumerate(tmap.omega_grid):
-        lines.append(f"{om:.9g},{tmap.magnitude_db[i, omega_m_index] + offset_db:.9g}")
+    lines += [f"{om:.9g},{db:.9g}" for om, db in zip(tmap.omega_grid.tolist(), column)]
     return "\n".join(lines) + "\n"

@@ -280,6 +280,48 @@ def test_spectrum_grid_that_is_not_an_object_exits_2(tmp_path):
     assert result.output == "error: magnon_grid: expected an object\n"
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("spectrum", "--grid-points", "100001"), "magnon_grid.points must be <= 100000"),
+        (("s21", "--probe-points", "100001"), "probe_grid.points must be <= 100000"),
+        (("s21", "--magnon-points", "100001"), "magnon_grid.points must be <= 100000"),
+        (
+            ("s21", "--probe-points", "100000", "--magnon-points", "11"),
+            "probe_grid.points * magnon_grid.points must be <= 1000000",
+        ),
+    ],
+)
+def test_grids_beyond_their_caps_exit_2_before_any_grid_is_built(monkeypatch, args, message):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    result = run(*args, "--preset", "cavity-pi-fit")
+    assert result.exit_code == 2
+    assert result.output == "error: %s\n" % message
+
+
+@pytest.mark.parametrize(
+    "command, args, sizes",
+    [
+        ("sweep", ("spectrum", "--grid-points", "100000"), [(100000,)]),
+        ("s21_map", ("s21", "--probe-points", "100000", "--magnon-points", "10"), [(100000, 10)]),
+    ],
+)
+def test_grids_at_their_caps_are_accepted(monkeypatch, command, args, sizes):
+    seen = []
+
+    def stop(*arguments):
+        seen.append(tuple(grid.size for grid in arguments if isinstance(grid, np.ndarray)))
+        raise RuntimeError("stopped before solving")
+
+    monkeypatch.setattr(loopmag.cli, command, stop)
+    result = run(*args, "--preset", "cavity-pi-fit")
+    assert (result.exit_code, result.output) == (1, "error: stopped before solving\n")
+    assert seen == sizes
+
+
 def test_s21_infinite_port_rate_exits_2(tmp_path):
     def edit(config):
         config["ports"] = {"1": {"c1": math.inf}, "2": None}

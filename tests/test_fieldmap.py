@@ -86,6 +86,8 @@ def test_field_sample_list_matches_columnar_table():
     ]
     region = SphereRegion((0.0, 0.0, 0.0), R_SPHERE, "m1")
     assert region_integrals(samples, region) == region_integrals(table, region)
+    assert coupling_phase(samples, region) == coupling_phase(table, region)
+    assert filling_factor(samples, region) == filling_factor(table, region)
 
 
 def test_field_sample_validation():

@@ -218,10 +218,11 @@ def test_loop_system_matches_polynomial_oracle():
 
 
 def test_build_hamiltonian_rejects_bad_omega():
-    with pytest.raises(ValueError):
-        build_hamiltonian(single_pair_system(), 0.0)
-    with pytest.raises(ValueError):
-        build_hamiltonian(single_pair_system(), -1.0)
+    for bad in (0.0, -1.0, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="^omega_m must be > 0 GHz$"):
+            build_hamiltonian(single_pair_system(), bad)
+    with pytest.raises(ValueError, match="^omega_m must be finite$"):
+        build_hamiltonian(single_pair_system(), math.inf)
 
 
 @pytest.mark.parametrize(
@@ -232,6 +233,10 @@ def test_build_hamiltonian_rejects_bad_omega():
         ([5.0, 5.0], "strictly increasing"),
         ([5.0, 4.9], "strictly increasing"),
         ([4.0, math.nan], "strictly increasing"),
+        ([5.0, math.inf], "finite"),
+        ([math.inf], "finite"),
+        ([-math.inf, 5.0], "finite"),
+        ([math.nan], "finite"),
     ],
 )
 def test_frequency_axis_rejects_malformed_grids(values, message):

@@ -7,6 +7,7 @@ import pytest
 
 from loopmag.model import CouplingEdge, ModeSpec, SystemModel, build_hamiltonian
 from loopmag.spectrum import (
+    DEGENERACY_CLUSTER_GHZ,
     GapReport,
     branch_frequencies,
     dark_mode_metric,
@@ -273,6 +274,14 @@ def test_sweep_rejects_a_non_positive_grid_at_the_first_point():
             branch_frequencies(fit_device(), np.array(grid))
 
 
+@pytest.mark.parametrize("grid", [[5.0, math.inf], [math.inf], [-math.inf, 5.0], [math.nan]])
+def test_sweep_rejects_a_non_finite_grid(grid):
+    with pytest.raises(ValueError, match="^omega_m_grid must be finite$"):
+        sweep(fit_device(), np.array(grid))
+    with pytest.raises(ValueError, match="^omega_m_grid must be finite$"):
+        branch_frequencies(fit_device(), np.array(grid))
+
+
 def test_pi0_has_five_branches_and_matches_oracle():
     system = pi0_device()
     grid = np.linspace(6.85, 7.40, 10)
@@ -310,6 +319,57 @@ def test_degenerate_cluster_weight_is_basis_free():
     # away from the degeneracy the weights are crisp 0 / 1
     assert abs(result.photon_weights[0, 1] - 0.0) < 1e-12
     assert abs(result.photon_weights[0, 2] - 1.0) < 1e-12
+
+
+def per_row_cluster_weights(result):
+    """Photon weights averaged over degenerate clusters, one row at a time."""
+    weights = (np.abs(result.eigenvectors[:, result.photon_indices, :]) ** 2).sum(axis=1)
+    for row in range(result.omega_m_grid.size):
+        cuts = np.nonzero(np.diff(result.branches[row]) >= DEGENERACY_CLUSTER_GHZ)[0] + 1
+        for segment in np.split(np.arange(result.branches.shape[1]), cuts):
+            if segment.size > 1:
+                weights[row, segment] = weights[row, segment].mean()
+    return weights
+
+
+def three_fold_device():
+    # c1 and m9 are degenerate at 5.0 on every row; the uncoupled swept m1
+    # joins them only where omega_m is 5.0; c2 and m8 hybridize
+    return SystemModel(
+        modes=(
+            ModeSpec("c1", "photon", 5.0),
+            ModeSpec("c2", "photon", 6.0),
+            ModeSpec("m1", "magnon", 4.0),
+            ModeSpec("m8", "magnon", 6.1),
+            ModeSpec("m9", "magnon", 5.0),
+        ),
+        edges=(
+            CouplingEdge("c1", "m1", 0.0, 0.0),
+            CouplingEdge("c1", "m9", 0.0, 0.0),
+            CouplingEdge("c2", "m8", 80.0, 0.3),
+        ),
+        magnon_sweep_target=frozenset({"m1"}),
+    )
+
+
+@pytest.mark.parametrize(
+    "system, grid",
+    [
+        (three_fold_device(), [4.5, 4.9, 5.0, 5.1, 6.05]),
+        (star_device(8), np.linspace(4.8, 5.2, 41)),
+        (pi0_device(), np.linspace(6.4, 9.0, 2001)),
+    ],
+)
+def test_sweep_cluster_weights_equal_the_per_row_average(system, grid):
+    result = sweep(system, np.array(grid))
+    assert np.array_equal(result.photon_weights, per_row_cluster_weights(result))
+
+
+def test_three_fold_device_has_a_three_fold_cluster_on_one_row_only():
+    result = sweep(three_fold_device(), np.array([4.5, 4.9, 5.0, 5.1, 6.05]))
+    close = np.diff(result.branches, axis=1) < DEGENERACY_CLUSTER_GHZ
+    assert close.sum(axis=1).tolist() == [1, 1, 2, 1, 1]
+    assert result.photon_weights[2, :3] == pytest.approx([1.0 / 3.0] * 3, abs=1e-12)
 
 
 # ====== branch_frequencies ======

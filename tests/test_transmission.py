@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
+from loopmag.cli import PRESETS
 from loopmag.model import (
     CouplingEdge,
     ModeSpec,
     SystemModel,
     apply_vertex_phases,
     build_hamiltonian,
+    hamiltonians,
+    system_from_document,
 )
 from loopmag.spectrum import eig_hermitian
 from loopmag.transmission import (
@@ -23,6 +26,7 @@ from loopmag.transmission import (
     PortSpec,
     TransmissionMap,
     _local_maxima,
+    _loss_model,
     extract_peaks,
     line_cut_csv,
     map_to_csv,
@@ -269,6 +273,24 @@ def test_map_grid_validation():
         s21_map(system, ports, [4.9, 5.0], [2.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [[5.0, math.inf], [math.inf], [-math.inf, 5.0], [math.nan]])
+def test_non_finite_grids_are_rejected(bad):
+    system, ports = fit_device(), (PortSpec(1), PortSpec(2))
+    with pytest.raises(ValueError, match="^omega_grid must be finite$"):
+        s21_map(system, ports, bad, [5.36])
+    with pytest.raises(ValueError, match="^omega_m_grid must be finite$"):
+        s21_map(system, ports, [5.0], bad)
+    with pytest.raises(ValueError, match="^omega_grid must be finite$"):
+        TransmissionMap(np.array(bad), np.array([1.0]), np.zeros((len(bad), 1)))
+    with pytest.raises(ValueError, match="^omega_m_grid must be finite$"):
+        TransmissionMap(np.array([1.0]), np.array(bad), np.zeros((1, len(bad))))
+
+
+def test_s21_at_rejects_an_infinite_magnon_frequency():
+    with pytest.raises(ValueError, match="^omega_m must be finite$"):
+        s21_at(fit_device(), (PortSpec(1), PortSpec(2)), 5.0, math.inf)
+
+
 def test_transmission_map_invariants():
     grid = np.array([4.9, 5.0])
     with pytest.raises(ValueError):
@@ -293,6 +315,30 @@ def test_map_matches_pointwise_evaluation():
         for i, w in enumerate(omega):
             point = 20.0 * math.log10(abs(s21_at(system, ports, w, om)))
             assert tmap.magnitude_db[i, j] == pytest.approx(point, abs=1e-9)
+
+
+def per_point_map(system, ports, omega, omega_m):
+    """|S21| in dB with the damped matrix and probe term rebuilt at every magnon point."""
+    gamma, d1, d2, _ = _loss_model(system, *ports)
+    eye = np.eye(len(system.modes))
+    mags = np.empty((omega.size, omega_m.size))
+    for j, h in enumerate(hamiltonians(system, omega_m)):
+        a = 1j * h + np.diag(gamma) / 2.0
+        m = a[None, :, :] - 1j * omega[:, None, None] * eye
+        x = np.linalg.solve(m, d1[:, None])[..., 0]
+        mags[:, j] = 20.0 * np.log10(np.maximum(np.abs(x @ d2), S21_FLOOR))
+    return mags
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_map_equals_the_per_point_solve_on_the_presets(name):
+    system = system_from_document(PRESETS[name]["system"])
+    ports = (PortSpec(1), PortSpec(2))
+    probe, magnon = PRESETS[name]["probe_grid"], PRESETS[name]["magnon_grid"]
+    omega = np.linspace(probe["start_ghz"], probe["stop_ghz"], 1601)
+    omega_m = np.linspace(magnon["start_ghz"], magnon["stop_ghz"], 21)
+    tmap = s21_map(system, ports, omega, omega_m)
+    assert np.array_equal(tmap.magnitude_db, per_point_map(system, ports, omega, omega_m))
 
 
 def test_zero_coupling_map_is_magnon_independent():
@@ -364,6 +410,16 @@ def test_line_cut_csv_and_offset_flag():
     )
     with pytest.raises(ValueError):
         line_cut_csv(tmap, 5)
+
+
+@pytest.mark.parametrize("offset", [0.0, 45.0, -3.25, 7])
+def test_line_cut_csv_equals_per_row_formatting(offset):
+    omega = np.linspace(4.2, 6.6, 241)
+    tmap = s21_map(fit_device(), (PortSpec(1), PortSpec(2)), omega, [5.2, 5.36])
+    lines = ["omega_ghz,s21_db"]
+    for i, om in enumerate(tmap.omega_grid):
+        lines.append(f"{om:.9g},{tmap.magnitude_db[i, 1] + offset:.9g}")
+    assert line_cut_csv(tmap, 1, offset) == "\n".join(lines) + "\n"
 
 
 # ====== peak extraction ======
