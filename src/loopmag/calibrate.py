@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .gauge import reduce_system
-from .model import (CouplingEdge, SchemaError, SystemModel, hamiltonians, read_numeric_csv,
-                    write_coupling)
+from .model import (MAX_FREQUENCY_GHZ, CouplingEdge, SchemaError, SystemModel, hamiltonians,
+                    read_numeric_csv, write_coupling)
 # unused here; kept because perfbench's tracer test patches and calls this binding
 from .spectrum import branch_frequencies  # noqa: F401
 
@@ -61,6 +61,8 @@ class PeakDataset:
                 raise ValueError("record %d: all values must be finite" % k)
             if not r.omega_m > 0:
                 raise ValueError("record %d: omega_m must be > 0 GHz" % k)
+            if max(r.omega_m, abs(r.omega_peak)) > MAX_FREQUENCY_GHZ:
+                raise ValueError("record %d: frequencies must be <= %g GHz" % (k, MAX_FREQUENCY_GHZ))
             if not r.sigma > 0:
                 raise ValueError("record %d: sigma must be > 0 GHz" % k)
 
@@ -157,6 +159,10 @@ class FitSpec:
                 raise ValueError(
                     "bounds for %r: upper end %g is below the lower end %g"
                     % (name, hi, lo)
+                )
+            if name.startswith("omega_c:") and hi > MAX_FREQUENCY_GHZ:
+                raise ValueError(
+                    "bounds for %r must be <= %g GHz" % (name, MAX_FREQUENCY_GHZ)
                 )
             self.bounds[name] = (lo, hi)
 

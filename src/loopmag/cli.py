@@ -34,8 +34,8 @@ from .calibrate import (
 )
 from .fieldmap import SphereRegion, coupling_table, field_table_from_csv
 from .gauge import reduce_system, reduction_to_document
-from .model import (SchemaError, SystemModel, _number, _require, _string, edges_to_document,
-                    parse_phase, system_from_document)
+from .model import (MAX_FREQUENCY_GHZ, SchemaError, SystemModel, _number, _require, _string,
+                    edges_to_document, parse_phase, system_from_document)
 from .spectrum import sweep, sweep_to_csv
 from .transmission import PortSpec, _loss_model, map_to_csv, s21_map
 
@@ -161,6 +161,9 @@ def _grid(config: dict, key: str, start, stop, points) -> tuple:
         raise SchemaError("%s.start_ghz must be > 0" % key)
     if n > 1 and not hi > lo:
         raise SchemaError("%s: stop_ghz must exceed start_ghz" % key)
+    for field, value in (("start_ghz", lo), ("stop_ghz", hi)):
+        if value > MAX_FREQUENCY_GHZ:
+            raise SchemaError("%s.%s must be <= %g" % (key, field, MAX_FREQUENCY_GHZ))
     config[key] = {"start_ghz": lo, "stop_ghz": hi, "points": n}
     return lo, hi, n
 

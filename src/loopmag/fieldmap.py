@@ -12,7 +12,7 @@ constants of a YIG sphere.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -104,18 +104,10 @@ class PhysicalConstants:
     bohr_magneton: float = 9.2740100783e-24
 
     def __post_init__(self):
-        for name in (
-            "gyromagnetic_ratio",
-            "unit_cell_moment",
-            "lande_g",
-            "spin_density",
-            "vacuum_permeability",
-            "reduced_planck",
-            "bohr_magneton",
-        ):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (math.isfinite(value) and value > 0):
-                raise ValueError("%s must be finite and > 0" % name)
+                raise ValueError("%s must be finite and > 0" % f.name)
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()
@@ -134,27 +126,46 @@ def _as_table(samples) -> FieldTable:
     )
 
 
-def _inside(table: FieldTable, region: SphereRegion) -> np.ndarray:
+def _moments(table: FieldTable, h: np.ndarray, region: SphereRegion):
+    """Weighted transverse moments of h over one sphere, and its weight sum V_m."""
     center = np.asarray(region.center, dtype=np.float64)
     mask = np.linalg.norm(table.positions - center, axis=1) <= region.radius
     if not np.any(mask):
         raise ValueError("no samples inside region %r" % region.label)
-    return mask
-
-
-def _moments(table: FieldTable, h: np.ndarray, region: SphereRegion):
-    """Weighted transverse moments of h over one sphere, and its weight sum V_m."""
-    mask = _inside(table, region)
     w = table.weights[mask]
     return np.sum(w * h[mask, 0]), np.sum(w * h[mask, 1]), np.sum(w)
 
 
-def _real_reduced(table: FieldTable) -> np.ndarray:
-    """Real standing-wave field: rotate by the global phase that maximizes
-    the real part's L2 norm, then drop the imaginary part."""
+def _reduced(samples):
+    """The table, its real standing-wave field, that field's energy integral,
+    and max|h| of the raw field.
+
+    The standing-wave field is the real part after a rotation by the global
+    phase that maximizes the real part's L2 norm.
+    """
+    table = _as_table(samples)
     bilinear = np.sum(table.weights * np.sum(table.h * table.h, axis=1))
     psi = 0.0 if bilinear == 0 else -0.5 * np.angle(bilinear)
-    return np.real(np.exp(1j * psi) * table.h)
+    hr = np.real(np.exp(1j * psi) * table.h)
+    energy = float(np.sum(table.weights * np.sum(hr * hr, axis=1)))
+    return table, hr, energy, float(np.max(np.linalg.norm(table.h, axis=1)))
+
+
+def _filling(moments, energy: float) -> float:
+    ix, iy, v_m = map(float, moments)
+    if energy <= 0:
+        raise ValueError("mode has zero field energy")
+    return min(math.sqrt((ix * ix + iy * iy) / (v_m * energy)), 1.0)
+
+
+def _phase(moments, h_scale: float, label: str) -> float:
+    ix, iy, v_m = map(float, moments)
+    if math.hypot(ix, iy) <= _DEGENERACY_FLOOR_FACTOR * v_m * h_scale:
+        raise PhaseUndefinedError(
+            "region %r: transverse moment below the degeneracy floor, "
+            "coupling phase undefined" % label
+        )
+    return fold_phase(math.atan2(iy, ix))
 
 
 def region_integrals(samples, region: SphereRegion):
@@ -172,16 +183,8 @@ def coupling_phase(samples, region: SphereRegion) -> float:
     when the transverse moment magnitude falls below
     1e-12 * V_m * max|h|, where V_m is the in-region weight sum.
     """
-    table = _as_table(samples)
-    ix, iy, v_m = map(float, _moments(table, _real_reduced(table), region))
-    h_scale = float(np.max(np.linalg.norm(table.h, axis=1)))
-    floor = _DEGENERACY_FLOOR_FACTOR * v_m * h_scale
-    if math.hypot(ix, iy) <= floor:
-        raise PhaseUndefinedError(
-            "region %r: transverse moment below the degeneracy floor, "
-            "coupling phase undefined" % region.label
-        )
-    return fold_phase(math.atan2(iy, ix))
+    table, hr, _, h_scale = _reduced(samples)
+    return _phase(_moments(table, hr, region), h_scale, region.label)
 
 
 def filling_factor(samples, region: SphereRegion) -> float:
@@ -191,14 +194,8 @@ def filling_factor(samples, region: SphereRegion) -> float:
     sphere volume times the mode energy integral over all samples; the
     Cauchy-Schwarz bound keeps the result at or below one.
     """
-    table = _as_table(samples)
-    hr = _real_reduced(table)
-    ix, iy, v_m = map(float, _moments(table, hr, region))
-    energy = float(np.sum(table.weights * np.sum(hr * hr, axis=1)))
-    if energy <= 0:
-        raise ValueError("mode has zero field energy")
-    eta = math.sqrt((ix * ix + iy * iy) / (v_m * energy))
-    return min(eta, 1.0)
+    table, hr, energy, _ = _reduced(samples)
+    return _filling(_moments(table, hr, region), energy)
 
 
 def coupling_strength(
@@ -252,11 +249,12 @@ def coupling_table(
     for mode_label, samples in mode_fields.items():
         if mode_label not in frequencies:
             raise ValueError("no frequency given for mode %r" % mode_label)
-        table = _as_table(samples)
+        table, hr, energy, h_scale = _reduced(samples)
         for region in regions:
-            eta = filling_factor(table, region)
+            moments = _moments(table, hr, region)
+            eta = _filling(moments, energy)
             g_mhz = coupling_strength(eta, frequencies[mode_label], constants)
-            phi = coupling_phase(table, region)
+            phi = _phase(moments, h_scale, region.label)
             edges.append(CouplingEdge(mode_label, region.label, g_mhz, phi))
     return edges
 

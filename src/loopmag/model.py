@@ -15,6 +15,11 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
+# Ceiling on every mode, grid and peak frequency, in GHz.  It sits far above
+# any microwave device and far below where a Hamiltonian's norm overflows
+# (near 1e154 GHz), so no accepted frequency can turn a result into inf or NaN.
+MAX_FREQUENCY_GHZ = 1e6
+
 PHASE_STRINGS = {
     "pi/2": math.pi / 2.0,
     "-pi/2": -math.pi / 2.0,
@@ -70,6 +75,10 @@ class ModeSpec:
             raise ValueError("mode %r: kind must be 'photon' or 'magnon'" % self.label)
         if not (math.isfinite(self.frequency) and self.frequency > 0):
             raise ValueError("mode %r: frequency must be finite and > 0 GHz" % self.label)
+        if self.frequency > MAX_FREQUENCY_GHZ:
+            raise ValueError(
+                "mode %r: frequency must be <= %g GHz" % (self.label, MAX_FREQUENCY_GHZ)
+            )
         for name in ("intrinsic_loss", "external_loss"):
             rate = getattr(self, name)
             if rate is not None and not (math.isfinite(rate) and rate >= 0):
@@ -196,12 +205,14 @@ def build_hamiltonian(system: SystemModel, omega_m: float) -> HermitianMatrixGHz
 
     Args:
         system: validated device description.
-        omega_m: swept magnon frequency in GHz, finite and > 0.
+        omega_m: swept magnon frequency in GHz, > 0 and <= MAX_FREQUENCY_GHZ.
     """
     if not omega_m > 0:
         raise ValueError("omega_m must be > 0 GHz")
     if not math.isfinite(omega_m):
         raise ValueError("omega_m must be finite")
+    if omega_m > MAX_FREQUENCY_GHZ:
+        raise ValueError("omega_m must be <= %g GHz" % MAX_FREQUENCY_GHZ)
     n = len(system.modes)
     index = {m.label: i for i, m in enumerate(system.modes)}
     h = np.zeros((n, n), dtype=np.complex128)
@@ -400,7 +411,7 @@ def read_numeric_csv(text: str, headers) -> tuple:
         if len(parts) != n_cols:
             raise SchemaError("line %d: expected %d columns, got %d" % (k, n_cols, len(parts)))
         try:
-            rows.append([float(p) for p in parts])
+            rows.append(list(map(float, parts)))
         except ValueError:
             raise SchemaError("line %d: could not parse a numeric value" % k) from None
     if not rows:
@@ -415,7 +426,8 @@ def read_numeric_csv(text: str, headers) -> tuple:
 
 
 def frequency_axis(values, name: str) -> np.ndarray:
-    """values as a float64 array, checked to be non-empty, 1-d, strictly increasing and finite."""
+    """values as a float64 array, checked to be non-empty, 1-d, strictly increasing,
+    finite and within MAX_FREQUENCY_GHZ in magnitude."""
     axis = np.asarray(values, dtype=np.float64)
     if axis.ndim != 1 or axis.size == 0:
         raise ValueError("%s must be a non-empty 1-d array" % name)
@@ -423,4 +435,6 @@ def frequency_axis(values, name: str) -> np.ndarray:
         raise ValueError("%s must be strictly increasing" % name)
     if not np.all(np.isfinite(axis)):
         raise ValueError("%s must be finite" % name)
+    if max(-axis[0], axis[-1]) > MAX_FREQUENCY_GHZ:
+        raise ValueError("%s must be within +-%g GHz" % (name, MAX_FREQUENCY_GHZ))
     return axis

@@ -137,6 +137,8 @@ def _loss_model(system: SystemModel, port1: PortSpec, port2: PortSpec):
 
 def s21_at(system: SystemModel, ports, omega: float, omega_m: float) -> complex:
     """Complex S21 at a single probe frequency and magnon frequency (GHz)."""
+    if not math.isfinite(omega):
+        raise ValueError("omega must be finite")
     port1, port2 = _ordered_ports(ports)
     gamma, d1, d2, _ = _loss_model(system, port1, port2)
     h = build_hamiltonian(system, omega_m).entries

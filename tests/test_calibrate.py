@@ -318,6 +318,9 @@ def test_peak_record_validation():
         PeakDataset(records=(PeakRecord(5.0, math.inf, 0.001),))
     with pytest.raises(ValueError, match="at least one"):
         PeakDataset(records=())
+    for record in ((1e300, 5.9), (6.0, 1e300), (6.0, -2e6)):
+        with pytest.raises(ValueError, match=r"^record 0: frequencies must be <= 1e\+06 GHz$"):
+            PeakDataset(records=(PeakRecord(*record),))
 
 
 def test_dataset_from_csv_with_sigma_column():
@@ -388,6 +391,10 @@ def test_fitspec_rejects_bad_bounds():
         two_tone_spec(bounds={"g:c1": (0.2, 0.1)})
     with pytest.raises(ValueError, match="not a parameter"):
         two_tone_spec(bounds={"g:m1": (0.0, 0.2)})
+    with pytest.raises(ValueError, match=r"^bounds for 'omega_c:c1' must be <= 1e\+06 GHz$"):
+        two_tone_spec(bounds={"omega_c:c1": (0.1, 1e300)})
+    spec = two_tone_spec(bounds={"omega_c:c1": (0.1, 1e6), "g:c1": (0, 1e7)})
+    assert spec.bounds == {"omega_c:c1": (0.1, 1e6), "g:c1": (0.0, 1e7)}
 
 
 def test_parameter_names_order_frequencies_then_couplings():

@@ -322,6 +322,44 @@ def test_grids_at_their_caps_are_accepted(monkeypatch, command, args, sizes):
     assert seen == sizes
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("spectrum", "--grid-start-ghz", "1e300", "--grid-stop-ghz", "1.1e300",
+          "--grid-points", "2"), "magnon_grid.start_ghz must be <= 1e+06"),
+        (("spectrum", "--grid-start-ghz", "1e300", "--grid-points", "1"),
+         "magnon_grid.start_ghz must be <= 1e+06"),
+        (("s21", "--probe-stop-ghz", "2e6"), "probe_grid.stop_ghz must be <= 1e+06"),
+        (("s21", "--magnon-stop-ghz", "1e300"), "magnon_grid.stop_ghz must be <= 1e+06"),
+    ],
+)
+def test_grids_beyond_the_frequency_ceiling_exit_2_without_warnings(args, message):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(*args, "--preset", "cavity-pi-fit")
+    assert [str(w.message) for w in caught] == []
+    assert (result.exit_code, result.output) == (2, "error: %s\n" % message)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda config: config["magnon_grid"].update(stop_ghz=1e300),
+         "magnon_grid.stop_ghz must be <= 1e+06"),
+        (lambda config: config["system"]["modes"][1].update(frequency_ghz=1e300),
+         "modes[1]: mode 'c2': frequency must be <= 1e+06 GHz"),
+    ],
+)
+def test_configs_beyond_the_frequency_ceiling_exit_2_without_warnings(tmp_path, edit, message):
+    path = write_config(tmp_path, edit)
+    for command in ("spectrum", "s21"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run(command, "--config", str(path))
+        assert [str(w.message) for w in caught] == []
+        assert (result.exit_code, result.output) == (2, "error: %s\n" % message)
+
+
 def test_s21_infinite_port_rate_exits_2(tmp_path):
     def edit(config):
         config["ports"] = {"1": {"c1": math.inf}, "2": None}

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from loopmag import fieldmap
 from loopmag.fieldmap import (
     DEFAULT_CONSTANTS,
     FieldSample,
@@ -20,7 +21,7 @@ from loopmag.fieldmap import (
     region_integrals,
 )
 from loopmag.gauge import reduce_system
-from loopmag.model import ModeSpec, SchemaError, SystemModel, fold_phase
+from loopmag.model import CouplingEdge, ModeSpec, SchemaError, SystemModel, fold_phase
 from synthfields import circulating_field, pi_device_posts, sphere_grid
 
 PI = math.pi
@@ -309,6 +310,92 @@ def test_coupling_table_validation():
             [region, SphereRegion((0.0, 0.0, 0.0), R_SPHERE, "m1")],
             {"c1": 4.5},
         )
+
+
+def parent_filling_factor_and_phase(table, region):
+    """Per-pair reference: filling factor and coupling phase as separate
+    passes over the whole table, each with its own reduction and mask."""
+    bilinear = np.sum(table.weights * np.sum(table.h * table.h, axis=1))
+    psi = 0.0 if bilinear == 0 else -0.5 * np.angle(bilinear)
+    hr = np.real(np.exp(1j * psi) * table.h)
+    mask = np.linalg.norm(table.positions - np.asarray(region.center), axis=1) <= region.radius
+    w = table.weights[mask]
+    ix, iy, v_m = map(float, (np.sum(w * hr[mask, 0]), np.sum(w * hr[mask, 1]), np.sum(w)))
+    energy = float(np.sum(table.weights * np.sum(hr * hr, axis=1)))
+    eta = min(math.sqrt((ix * ix + iy * iy) / (v_m * energy)), 1.0)
+    h_scale = float(np.max(np.linalg.norm(table.h, axis=1)))
+    assert math.hypot(ix, iy) > 1e-12 * v_m * h_scale
+    return eta, fold_phase(math.atan2(iy, ix))
+
+
+def complex_mode_tables():
+    """Two modes whose fields are not real up to a global phase, over three spheres."""
+    mode1_posts, mode2_posts = pi_device_posts(A)
+    centers = [(A / 2, 0.0, 0.0), (-A / 2, 0.0, 0.0), (0.0, A / 2, 0.0)]
+    tables = {}
+    for label, posts, other, tilt in (
+        ("c1", mode1_posts, mode2_posts, 0.61),
+        ("c2", mode2_posts, mode1_posts, -2.3),
+    ):
+        table = mode_table(posts, centers, n=(4, 4, 6))
+        quadrature = circulating_field(table.positions, other)
+        tables[label] = FieldTable(
+            table.positions, np.exp(1j * tilt) * (table.h + 0.3j * quadrature), table.weights
+        )
+    regions = [SphereRegion(c, R_SPHERE, "m%d" % (k + 1)) for k, c in enumerate(centers)]
+    return tables, regions
+
+
+def test_coupling_table_equals_the_per_pair_reference_bit_for_bit():
+    tables, regions = complex_mode_tables()
+    frequencies = {"c1": 4.524, "c2": 6.378}
+    edges = coupling_table(tables, regions, frequencies)
+    reference = []
+    for label, table in tables.items():
+        for region in regions:
+            eta, phi = parent_filling_factor_and_phase(table, region)
+            assert filling_factor(table, region) == eta
+            assert coupling_phase(table, region) == phi
+            g_mhz = coupling_strength(eta, frequencies[label])
+            reference.append(CouplingEdge(label, region.label, g_mhz, phi))
+    assert edges == reference
+    assert len({e.phase for e in edges}) > 2 and all(0 < e.strength for e in edges)
+
+
+def test_coupling_table_reduces_each_mode_once_and_masks_each_pair_once(monkeypatch):
+    calls = {"_reduced": 0, "_moments": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(fieldmap, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(fieldmap, name, counted)
+    tables, regions = complex_mode_tables()
+    edges = coupling_table(tables, regions, {"c1": 4.524, "c2": 6.378})
+    assert len(edges) == 6
+    assert calls == {"_reduced": 2, "_moments": 6}
+
+
+def test_coupling_table_reports_the_first_fault_of_each_pair():
+    zero = sphere_table((0, 0, 0), (0, 0, 0))
+    axial = sphere_table((0, 0, 0), (0, 0, 1))
+    inside = SphereRegion((0.0, 0.0, 0.0), R_SPHERE, "m1")
+    far = SphereRegion((10 * A, 0.0, 0.0), R_SPHERE, "m2")
+    frequencies = {"c1": 4.5, "c2": 6.3}
+    cases = [
+        # an empty region comes before the zero energy of the same mode
+        ({"c1": zero}, [far, inside], ValueError, "^no samples inside region 'm2'$"),
+        # zero energy comes before the undefined phase of the same pair
+        ({"c1": zero}, [inside, far], ValueError, "^mode has zero field energy$"),
+        ({"c1": axial}, [inside, far], PhaseUndefinedError, "^region 'm1': transverse"),
+        # modes go in order: the first mode's fault wins
+        ({"c1": axial, "c2": zero}, [inside], PhaseUndefinedError, "^region 'm1'"),
+        ({"c2": zero, "c1": axial}, [inside], ValueError, "^mode has zero field energy$"),
+    ]
+    for mode_fields, regions, error, message in cases:
+        with pytest.raises(error, match=message):
+            coupling_table(mode_fields, regions, frequencies)
 
 
 # ====== frame rotation ======

@@ -8,6 +8,7 @@ import pytest
 
 from loopmag.model import (
     CouplingEdge,
+    MAX_FREQUENCY_GHZ,
     HermitianMatrixGHz,
     ModeSpec,
     SchemaError,
@@ -105,6 +106,8 @@ def test_mode_spec_validation():
         ModeSpec("c1", "photon", 4.0, intrinsic_loss=-1.0)
     with pytest.raises(ValueError):
         ModeSpec("m1", "magnon", 4.0, external_loss=3.0)
+    with pytest.raises(ValueError, match=r"^mode 'c1': frequency must be <= 1e\+06 GHz$"):
+        ModeSpec("c1", "photon", 1.000001e6)
     spec = ModeSpec("c1", "photon", 4.0, intrinsic_loss=5.0, external_loss=5.0)
     assert spec.external_loss == 5.0
 
@@ -223,6 +226,8 @@ def test_build_hamiltonian_rejects_bad_omega():
             build_hamiltonian(single_pair_system(), bad)
     with pytest.raises(ValueError, match="^omega_m must be finite$"):
         build_hamiltonian(single_pair_system(), math.inf)
+    with pytest.raises(ValueError, match=r"^omega_m must be <= 1e\+06 GHz$"):
+        build_hamiltonian(single_pair_system(), 1e300)
 
 
 @pytest.mark.parametrize(
@@ -237,11 +242,22 @@ def test_build_hamiltonian_rejects_bad_omega():
         ([math.inf], "finite"),
         ([-math.inf, 5.0], "finite"),
         ([math.nan], "finite"),
+        ([5.0, 1e300], r"within \+-1e\+06 GHz"),
+        ([-1e300, 5.0], r"within \+-1e\+06 GHz"),
+        ([2e6], r"within \+-1e\+06 GHz"),
     ],
 )
 def test_frequency_axis_rejects_malformed_grids(values, message):
     with pytest.raises(ValueError, match="^grid must be (a )?%s" % message):
         frequency_axis(values, "grid")
+
+
+def test_frequencies_at_the_ceiling_stay_finite():
+    system = single_pair_system(omega_c=MAX_FREQUENCY_GHZ)
+    h = build_hamiltonian(system, MAX_FREQUENCY_GHZ).entries
+    assert np.all(np.isfinite(h)) and h[0, 0] == h[1, 1] == MAX_FREQUENCY_GHZ
+    axis = [-MAX_FREQUENCY_GHZ, MAX_FREQUENCY_GHZ]
+    assert frequency_axis(axis, "grid").tolist() == axis
 
 
 def test_read_numeric_csv_header_and_rows():

@@ -202,6 +202,12 @@ def test_far_detuned_default_map_peak_value():
 # ====== validation and error paths ======
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_probe_frequency_is_rejected(bad):
+    with pytest.raises(ValueError, match="^omega must be finite$"):
+        s21_at(single_photon(), (PortSpec(1), PortSpec(2)), bad, 1.0)
+
+
 def test_port_spec_validation():
     with pytest.raises(ValueError):
         PortSpec(3)
