@@ -21,8 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .gauge import reduce_system
-from .model import (MAX_FREQUENCY_GHZ, CouplingEdge, SchemaError, SystemModel, hamiltonians,
-                    read_numeric_csv, write_coupling)
+from .model import (MAX_FREQUENCY_GHZ, MAX_RATE_MHZ, CouplingEdge, SchemaError, SystemModel,
+                    hamiltonians, read_numeric_csv, write_coupling)
 # unused here; kept because perfbench's tracer test patches and calls this binding
 from .spectrum import branch_frequencies  # noqa: F401
 
@@ -163,6 +163,10 @@ class FitSpec:
             if name.startswith("omega_c:") and hi > MAX_FREQUENCY_GHZ:
                 raise ValueError(
                     "bounds for %r must be <= %g GHz" % (name, MAX_FREQUENCY_GHZ)
+                )
+            if name.startswith("g:") and max(-lo, hi) > MAX_RATE_MHZ * 1e-3:
+                raise ValueError(
+                    "bounds for %r must be within +-%g GHz" % (name, MAX_RATE_MHZ * 1e-3)
                 )
             self.bounds[name] = (lo, hi)
 

@@ -126,29 +126,41 @@ def _as_table(samples) -> FieldTable:
     )
 
 
-def _moments(table: FieldTable, h: np.ndarray, region: SphereRegion):
+def _moments(positions, weights, h, region: SphereRegion):
     """Weighted transverse moments of h over one sphere, and its weight sum V_m."""
     center = np.asarray(region.center, dtype=np.float64)
-    mask = np.linalg.norm(table.positions - center, axis=1) <= region.radius
+    mask = np.linalg.norm(positions - center, axis=1) <= region.radius
     if not np.any(mask):
         raise ValueError("no samples inside region %r" % region.label)
-    w = table.weights[mask]
+    w = weights[mask]
     return np.sum(w * h[mask, 0]), np.sum(w * h[mask, 1]), np.sum(w)
 
 
+def _exponent(values: np.ndarray) -> int:
+    """The binary exponent e of max|values|, which lies in [2^(e-1), 2^e)."""
+    return math.frexp(float(np.max(np.abs(values))))[1]
+
+
 def _reduced(samples):
-    """The table, its real standing-wave field, that field's energy integral,
-    and max|h| of the raw field.
+    """The positions, weights and real standing-wave field of a table, that
+    field's energy integral, and max|h| of the raw field.
 
     The standing-wave field is the real part after a rotation by the global
-    phase that maximizes the real part's L2 norm.
+    phase that maximizes the real part's L2 norm.  The field and the weights
+    come back divided by the power of two that brings their largest entry
+    into [0.5, 1), which is exact, so no product below can overflow or
+    underflow; filling factors, phases and the degeneracy floor are ratios
+    of these quantities and do not change.
     """
     table = _as_table(samples)
-    bilinear = np.sum(table.weights * np.sum(table.h * table.h, axis=1))
+    weights = np.ldexp(table.weights, -_exponent(table.weights))
+    e = max(_exponent(table.h.real), _exponent(table.h.imag))
+    h = np.ldexp(table.h.real, -e) + 1j * np.ldexp(table.h.imag, -e)
+    bilinear = np.sum(weights * np.sum(h * h, axis=1))
     psi = 0.0 if bilinear == 0 else -0.5 * np.angle(bilinear)
-    hr = np.real(np.exp(1j * psi) * table.h)
-    energy = float(np.sum(table.weights * np.sum(hr * hr, axis=1)))
-    return table, hr, energy, float(np.max(np.linalg.norm(table.h, axis=1)))
+    hr = np.real(np.exp(1j * psi) * h)
+    energy = float(np.sum(weights * np.sum(hr * hr, axis=1)))
+    return table.positions, weights, hr, energy, float(np.max(np.linalg.norm(h, axis=1)))
 
 
 def _filling(moments, energy: float) -> float:
@@ -171,7 +183,7 @@ def _phase(moments, h_scale: float, label: str) -> float:
 def region_integrals(samples, region: SphereRegion):
     """Weighted transverse moments (Ix, Iy) of the raw field over one sphere."""
     table = _as_table(samples)
-    ix, iy, _ = _moments(table, table.h, region)
+    ix, iy, _ = _moments(table.positions, table.weights, table.h, region)
     return complex(ix), complex(iy)
 
 
@@ -183,8 +195,8 @@ def coupling_phase(samples, region: SphereRegion) -> float:
     when the transverse moment magnitude falls below
     1e-12 * V_m * max|h|, where V_m is the in-region weight sum.
     """
-    table, hr, _, h_scale = _reduced(samples)
-    return _phase(_moments(table, hr, region), h_scale, region.label)
+    positions, weights, hr, _, h_scale = _reduced(samples)
+    return _phase(_moments(positions, weights, hr, region), h_scale, region.label)
 
 
 def filling_factor(samples, region: SphereRegion) -> float:
@@ -194,8 +206,8 @@ def filling_factor(samples, region: SphereRegion) -> float:
     sphere volume times the mode energy integral over all samples; the
     Cauchy-Schwarz bound keeps the result at or below one.
     """
-    table, hr, energy, _ = _reduced(samples)
-    return _filling(_moments(table, hr, region), energy)
+    positions, weights, hr, energy, _ = _reduced(samples)
+    return _filling(_moments(positions, weights, hr, region), energy)
 
 
 def coupling_strength(
@@ -249,9 +261,9 @@ def coupling_table(
     for mode_label, samples in mode_fields.items():
         if mode_label not in frequencies:
             raise ValueError("no frequency given for mode %r" % mode_label)
-        table, hr, energy, h_scale = _reduced(samples)
+        positions, weights, hr, energy, h_scale = _reduced(samples)
         for region in regions:
-            moments = _moments(table, hr, region)
+            moments = _moments(positions, weights, hr, region)
             eta = _filling(moments, energy)
             g_mhz = coupling_strength(eta, frequencies[mode_label], constants)
             phi = _phase(moments, h_scale, region.label)

@@ -19,6 +19,9 @@ TWO_PI = 2.0 * math.pi
 # any microwave device and far below where a Hamiltonian's norm overflows
 # (near 1e154 GHz), so no accepted frequency can turn a result into inf or NaN.
 MAX_FREQUENCY_GHZ = 1e6
+# Ceiling on every coupling strength and loss rate, in MHz: the same bound,
+# so every Hamiltonian and damping entry stays finite and far from overflow.
+MAX_RATE_MHZ = MAX_FREQUENCY_GHZ * 1e3
 
 PHASE_STRINGS = {
     "pi/2": math.pi / 2.0,
@@ -90,6 +93,11 @@ class ModeSpec:
                 "mode %r: magnons do not couple to ports, external_loss must be unset"
                 % self.label
             )
+        for name in ("intrinsic_loss", "external_loss"):
+            if (getattr(self, name) or 0.0) > MAX_RATE_MHZ:
+                raise ValueError(
+                    "mode %r: %s must be <= %g MHz" % (self.label, name, MAX_RATE_MHZ)
+                )
 
 
 @dataclass(frozen=True)
@@ -111,6 +119,11 @@ class CouplingEdge:
         if not (math.isfinite(strength) and math.isfinite(phase)):
             raise ValueError(
                 "edge (%s, %s): strength and phase must be finite" % (self.photon, self.magnon)
+            )
+        if abs(strength) > MAX_RATE_MHZ:
+            raise ValueError(
+                "edge (%s, %s): strength must be within +-%g MHz"
+                % (self.photon, self.magnon, MAX_RATE_MHZ)
             )
         if strength < 0:
             strength = -strength
@@ -374,7 +387,10 @@ def system_from_document(doc: dict) -> SystemModel:
             phase = parse_phase(_require(e, "phase_rad", where))
         except SchemaError as err:
             raise SchemaError("%s.%s" % (where, err)) from None
-        edges.append(CouplingEdge(photon, magnon, g, phase))
+        try:
+            edges.append(CouplingEdge(photon, magnon, g, phase))
+        except ValueError as err:
+            raise SchemaError("%s: %s" % (where, err)) from None
     for i, label in enumerate(sweep_doc):
         if not isinstance(label, str):
             raise SchemaError("sweep[%d]: expected a mode label" % i)

@@ -247,10 +247,6 @@ def sweep_to_csv(result: SweepResult) -> str:
     header = ["omega_m_ghz"]
     header += [f"branch_{k}_ghz" for k in range(n)]
     header += [f"pweight_{k}" for k in range(n)]
-    lines = [",".join(header)]
-    rows = zip(
-        result.omega_m_grid.tolist(), result.branches.tolist(), result.photon_weights.tolist()
-    )
-    for omega_m, branches, weights in rows:
-        lines.append(",".join(f"{v:.9g}" for v in [omega_m, *branches, *weights]))
-    return "\n".join(lines) + "\n"
+    table = np.column_stack([result.omega_m_grid, result.branches, result.photon_weights])
+    row = ",".join(["%.9g"] * table.shape[1]) + "\n"
+    return ",".join(header) + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist())

@@ -13,12 +13,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemModel, build_hamiltonian, frequency_axis, hamiltonians
+from .model import MAX_RATE_MHZ, SystemModel, build_hamiltonian, frequency_axis, hamiltonians
 from .spectrum import parabola_vertex
 
 DEFAULT_PHOTON_LOSS_MHZ = 5.0
 DEFAULT_MAGNON_LOSS_MHZ = 2.0
 S21_FLOOR = np.finfo(np.float64).tiny  # about -6153 dB
+# s21_map sums eigenmode residues only where cond(R) of the eigenvector
+# matrix is at most this; rounding in the residues grows as eps * cond(R),
+# about 1e-13 relative here.  Near an exceptional point (coalescing
+# eigenvectors) cond(R) runs to 1e6 and more, and the per-point solve is used.
+RESIDUE_COND_LIMIT = 1e3
+# complex entries per temporary (probe, magnon) block of s21_map: 512 KiB
+BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -46,6 +53,12 @@ class PortSpec:
                     raise ValueError(
                         "port %d: external rate for %r must be finite and >= 0 MHz"
                         % (self.port, label)
+                    )
+            for label, rate in couplings.items():
+                if rate > MAX_RATE_MHZ:
+                    raise ValueError(
+                        "port %d: external rate for %r must be <= %g MHz"
+                        % (self.port, label, MAX_RATE_MHZ)
                     )
             object.__setattr__(self, "couplings", couplings)
 
@@ -147,22 +160,49 @@ def s21_at(system: SystemModel, ports, omega: float, omega_m: float) -> complex:
     return complex(d2 @ np.linalg.solve(m, d1))
 
 
+def _decibels(s21: np.ndarray) -> np.ndarray:
+    return 20.0 * np.log10(np.maximum(np.abs(s21), S21_FLOOR))
+
+
 def s21_map(system: SystemModel, ports, omega_grid, omega_m_grid) -> TransmissionMap:
     """Transmission magnitude map over probe and magnon frequency grids.
 
-    Ports whose photons the device decouples give |S21| at rounding level;
-    a value that rounds to exactly zero is reported at S21_FLOOR, not -inf.
+    At each magnon point the damped matrix A = iH + Gamma/2 is decomposed
+    once, A = R diag(lambda) R^-1, so that
+    S21(omega) = sum_k (d2 . r_k) (R^-1 d1)_k / (lambda_k - i omega).
+    A point whose eigenvector matrix R has a condition number above
+    RESIDUE_COND_LIMIT, or none, is solved per probe frequency instead, as
+    s21_at does.  Ports whose photons the device decouples give |S21| at
+    rounding level; a value that rounds to exactly zero is reported at
+    S21_FLOOR, not -inf.
     """
     omega = frequency_axis(omega_grid, "omega_grid")
     omega_m = frequency_axis(omega_m_grid, "omega_m_grid")
     port1, port2 = _ordered_ports(ports)
     gamma, d1, d2, defaults = _loss_model(system, port1, port2)
     damped = 1j * hamiltonians(system, omega_m) + np.diag(gamma) / 2.0
-    probe = 1j * omega[:, None, None] * np.eye(len(system.modes))
+    lam, r = np.linalg.eig(damped)
+    cond = np.linalg.cond(r)
+    # a NaN condition number compares False here, so it falls back too
+    diagonal = cond <= RESIDUE_COND_LIMIT
+    residues = np.zeros(lam.shape, dtype=np.complex128)
+    left = np.linalg.solve(r[diagonal], d1[:, None])[..., 0]
+    residues[diagonal] = (d2[:, None] * r[diagonal]).sum(axis=1) * left
     mags = np.empty((omega.size, omega_m.size))
-    for j, a in enumerate(damped):
-        x = np.linalg.solve(a - probe, d1[:, None])[..., 0]
-        mags[:, j] = 20.0 * np.log10(np.maximum(np.abs(x @ d2), S21_FLOOR))
+    probe = 1j * omega[:, None]
+    width = max(1, BLOCK_ENTRIES // omega.size)
+    for start in range(0, omega_m.size, width):
+        block = slice(start, start + width)
+        s21 = np.zeros((omega.size, lam[block].shape[0]), dtype=np.complex128)
+        for k in range(lam.shape[1]):
+            s21 += residues[block, k] / (lam[block, k] - probe)
+        mags[:, block] = _decibels(s21)
+    fallback = np.flatnonzero(~diagonal)
+    if fallback.size:
+        eye_probe = probe[..., None] * np.eye(len(system.modes))
+        for j in fallback:
+            x = np.linalg.solve(damped[j] - eye_probe, d1[:, None])[..., 0]
+            mags[:, j] = _decibels(x @ d2)
     return TransmissionMap(omega, omega_m, mags, defaults)
 
 
@@ -218,13 +258,17 @@ def extract_peaks(tmap: TransmissionMap, omega_m_index: int, prominence_floor_db
 
 def map_to_csv(tmap: TransmissionMap) -> str:
     """Long-form CSV (omega_ghz, omega_m_ghz, s21_db), grouped by omega_m."""
-    omegas = [f"{om:.9g}" for om in tmap.omega_grid.tolist()]
-    lines = ["omega_ghz,omega_m_ghz,s21_db"]
-    for j, om_m in enumerate(tmap.omega_m_grid.tolist()):
-        om_m_text = f"{om_m:.9g}"
-        column = tmap.magnitude_db[:, j].tolist()
-        lines += [f"{om},{om_m_text},{db:.9g}" for om, db in zip(omegas, column)]
-    return "\n".join(lines) + "\n"
+    # one row template per map, "<omega>,\0,%.9g" per row; each column fills
+    # in its omega_m text and formats all its values with a single %
+    template = "".join(om + ",\0,%.9g\n" for om in _texts(tmap.omega_grid))
+    return "omega_ghz,omega_m_ghz,s21_db\n" + "".join(
+        template.replace("\0", om_m) % tuple(column.tolist())
+        for om_m, column in zip(_texts(tmap.omega_m_grid), tmap.magnitude_db.T)
+    )
+
+
+def _texts(values: np.ndarray) -> list:
+    return [f"{v:.9g}" for v in values.tolist()]
 
 
 def line_cut_csv(tmap: TransmissionMap, omega_m_index: int, offset_db: float = 0.0) -> str:

@@ -393,8 +393,10 @@ def test_fitspec_rejects_bad_bounds():
         two_tone_spec(bounds={"g:m1": (0.0, 0.2)})
     with pytest.raises(ValueError, match=r"^bounds for 'omega_c:c1' must be <= 1e\+06 GHz$"):
         two_tone_spec(bounds={"omega_c:c1": (0.1, 1e300)})
-    spec = two_tone_spec(bounds={"omega_c:c1": (0.1, 1e6), "g:c1": (0, 1e7)})
-    assert spec.bounds == {"omega_c:c1": (0.1, 1e6), "g:c1": (0.0, 1e7)}
+    with pytest.raises(ValueError, match=r"^bounds for 'g:c1' must be within \+-1e\+06 GHz$"):
+        two_tone_spec(bounds={"g:c1": (0, 1e7)})
+    spec = two_tone_spec(bounds={"omega_c:c1": (0.1, 1e6), "g:c1": (0, 1e6)})
+    assert spec.bounds == {"omega_c:c1": (0.1, 1e6), "g:c1": (0.0, 1e6)}
 
 
 def test_parameter_names_order_frequencies_then_couplings():

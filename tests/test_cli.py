@@ -360,6 +360,42 @@ def test_configs_beyond_the_frequency_ceiling_exit_2_without_warnings(tmp_path, 
         assert (result.exit_code, result.output) == (2, "error: %s\n" % message)
 
 
+@pytest.mark.parametrize(
+    "commands, edit, message",
+    [
+        (("spectrum", "s21"), lambda config: config["system"]["edges"][0].update(g_mhz=1e300),
+         "edges[0]: edge (c1, m1): strength must be within +-1e+09 MHz"),
+        (("spectrum", "s21"),
+         lambda config: config["system"]["modes"][2].update(intrinsic_loss_mhz=1e300),
+         "modes[2]: mode 'm1': intrinsic_loss must be <= 1e+09 MHz"),
+        (("spectrum", "s21"),
+         lambda config: config["system"]["modes"][0].update(external_loss_mhz=1e300),
+         "modes[0]: mode 'c1': external_loss must be <= 1e+09 MHz"),
+        (("s21",), lambda config: config.update(ports={"1": {"c1": 1e300}, "2": None}),
+         "port 1: external rate for 'c1' must be <= 1e+09 MHz"),
+    ],
+)
+def test_configs_beyond_the_rate_ceiling_exit_2_without_warnings(tmp_path, commands, edit, message):
+    path = write_config(tmp_path, edit)
+    for command in commands:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = run(command, "--config", str(path))
+        assert [str(w.message) for w in caught] == []
+        assert (result.exit_code, result.output) == (2, "error: %s\n" % message)
+
+
+def test_fit_coupling_bound_beyond_the_rate_ceiling_exits_2(tmp_path):
+    data, spec = write_fit_inputs(tmp_path)
+    spec.write_text(json.dumps({
+        "preset": "cavity-pi-fit", "free_couplings": ["c1"], "theta_hypotheses": [["pi"]],
+        "initial": [0.1], "bounds": {"g:c1": [0.0, 1e7]},
+    }))
+    result = run("fit", "--data", str(data), "--spec", str(spec))
+    assert (result.exit_code, result.output) == (
+        2, "error: bounds for 'g:c1' must be within +-1e+06 GHz\n")
+
+
 def test_s21_infinite_port_rate_exits_2(tmp_path):
     def edit(config):
         config["ports"] = {"1": {"c1": math.inf}, "2": None}
@@ -517,6 +553,27 @@ def test_fieldmap_emits_edge_document(tmp_path):
     edge = document["edges"][0]
     assert edge["photon"] == "c1"
     assert edge["magnon"] == "m1"
+    assert abs(edge["g_mhz"] - 27.9094456) < 1e-3
+    assert abs(edge["phase_rad"]) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("0,0,1,0,0,0,0,0,0.5", "0,0,1e200,0,0,0,0,0,0.5"),
+     ("0,0,1,0,0,0,0,0,0.5", "0,0,1,0,0,0,0,0,1e300")],
+)
+def test_fieldmap_huge_field_or_weight_gives_the_unscaled_edge(tmp_path, old, new):
+    (tmp_path / "c1.csv").write_text(UNIFORM_FIELD_CSV.replace(old, new))
+    (tmp_path / "regions.json").write_text(json.dumps(FIELDMAP_CONFIG))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(
+            "fieldmap", "--mode-file", "c1=%s" % (tmp_path / "c1.csv"),
+            "--config", str(tmp_path / "regions.json"),
+        )
+    assert [str(w.message) for w in caught] == []
+    assert result.exit_code == 0, result.output
+    edge = json.loads(result.output)["edges"][0]
     assert abs(edge["g_mhz"] - 27.9094456) < 1e-3
     assert abs(edge["phase_rad"]) < 1e-12
 

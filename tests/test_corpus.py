@@ -27,16 +27,16 @@ STDOUT_SHA256 = {
     "spectrum cavity-pi-fit": "a7adde958e7133b07d9bd76209bc62aae731824d5e06a525acfc85af4e577114",
     "spectrum cavity-pi0-table2": "e0d6f9ca9bf3a8b9b6ac4ac5a7f41ac87390f96d816bc4a152d0242767cba078",
     "s21 cavity-pi-table1": "522bb61288670aabc80da386fa88baad178e01d947db09fb57124501a8406afa",
-    "s21 cavity-pi-fit": "c71866608490a97ffb5cc94cf5aaed3803d896ef48fd9ba303a5c909d4b914df",
+    "s21 cavity-pi-fit": "d3373a3ba12f7a66148b7863ea325caac615b4f4be1a75c688ae54818d4eff17",
     "s21 cavity-pi0-table2": "5a221ddd4fcaa57c52df6c60b2741eb916bc50f5a8abbb02692f5c34fc825dac",
     "fieldmap": "9b9d549c93ea7ceb799e1178b379f89ca64244a5cabc36a98d52f9f186353405",
     "fit": "2e7b50c46f8e7326f4df87f6b51affac90de202dbde1c6afcfc9f624be57342c",
 }
 
 PEAKS_SHA256 = {
-    "cavity-pi-table1": "14df8c03eedf34417efd7aaaf29d43387df865e458d78a30b4f844b09fea8ef6",
-    "cavity-pi-fit": "3b8dae94a358f182c90afcb7a169e979524fcdbf94199ba7b4904ed2270fb67e",
-    "cavity-pi0-table2": "66a1f9715fb9ad28f956ffb6f45f2f426880b7674df9551048937e8d2ec06065",
+    "cavity-pi-table1": "c8ac6cf6842706518431b83b0cf82d4e0f65f40838666c58df8b85717fef81d2",
+    "cavity-pi-fit": "381533a96571605292c51f0313a148514c1e49af3b80244eaf319b39f47ea144",
+    "cavity-pi0-table2": "88b70b5de7ee60dd5d489b9df4a947480e6be8830ef848c6102e5cf453eba190",
 }
 
 FIELD_HEADER = "x_m,y_m,z_m,hx_re,hx_im,hy_re,hy_im,hz_re,hz_im"

@@ -1,6 +1,7 @@
 """Tests for field-map integrals: coupling phases, filling factors, strengths."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -360,6 +361,27 @@ def test_coupling_table_equals_the_per_pair_reference_bit_for_bit():
             reference.append(CouplingEdge(label, region.label, g_mhz, phi))
     assert edges == reference
     assert len({e.phase for e in edges}) > 2 and all(0 < e.strength for e in edges)
+
+
+@pytest.mark.parametrize(
+    "field_scale, weight_scale",
+    [(2.0**664, 1.0), (1.0, 2.0**996), (2.0**664, 2.0**996), (2.0**-900, 2.0**-900)],
+)
+def test_huge_or_tiny_fields_and_weights_give_the_same_edges(field_scale, weight_scale):
+    """Fields near 1e200 and weights near 1e300 (or tiny ones) overflow no product."""
+    tables, regions = complex_mode_tables()
+    frequencies = {"c1": 4.524, "c2": 6.378}
+    reference = coupling_table(tables, regions, frequencies)
+    scaled = {
+        label: FieldTable(table.positions, table.h * field_scale, table.weights * weight_scale)
+        for label, table in tables.items()
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert coupling_table(scaled, regions, frequencies) == reference
+        for label, table in scaled.items():
+            assert filling_factor(table, regions[0]) == filling_factor(tables[label], regions[0])
+            assert coupling_phase(table, regions[0]) == coupling_phase(tables[label], regions[0])
 
 
 def test_coupling_table_reduces_each_mode_once_and_masks_each_pair_once(monkeypatch):

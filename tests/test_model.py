@@ -9,6 +9,7 @@ import pytest
 from loopmag.model import (
     CouplingEdge,
     MAX_FREQUENCY_GHZ,
+    MAX_RATE_MHZ,
     HermitianMatrixGHz,
     ModeSpec,
     SchemaError,
@@ -124,6 +125,26 @@ def test_mode_spec_and_edge_reject_non_finite_values(bad):
         CouplingEdge("c1", "m1", bad, 0.0)
     with pytest.raises(ValueError, match="finite"):
         CouplingEdge("c1", "m1", 10.0, bad)
+
+
+def test_rates_above_the_rate_ceiling_are_rejected():
+    with pytest.raises(ValueError, match=r"^mode 'c1': intrinsic_loss must be <= 1e\+09 MHz$"):
+        ModeSpec("c1", "photon", 4.0, intrinsic_loss=1.000001e9)
+    with pytest.raises(ValueError, match=r"^mode 'c1': external_loss must be <= 1e\+09 MHz$"):
+        ModeSpec("c1", "photon", 4.0, external_loss=1e300)
+    # the ceiling is checked after every earlier rule
+    with pytest.raises(ValueError, match=r"^mode 'c1': external_loss must be finite"):
+        ModeSpec("c1", "photon", 4.0, intrinsic_loss=1e300, external_loss=-1.0)
+    with pytest.raises(ValueError, match=r"^mode 'm1': magnons do not couple"):
+        ModeSpec("m1", "magnon", 4.0, intrinsic_loss=1e300, external_loss=1.0)
+    for strength in (1e300, -1.000001e9):
+        with pytest.raises(
+            ValueError, match=r"^edge \(c1, m1\): strength must be within \+-1e\+09 MHz$"
+        ):
+            CouplingEdge("c1", "m1", strength, 0.0)
+    mode = ModeSpec("c1", "photon", 4.0, intrinsic_loss=MAX_RATE_MHZ, external_loss=MAX_RATE_MHZ)
+    assert mode.intrinsic_loss == mode.external_loss == MAX_RATE_MHZ
+    assert CouplingEdge("c1", "m1", -MAX_RATE_MHZ, 0.0).strength == MAX_RATE_MHZ
 
 
 def test_coupling_edge_normalizes_negative_strength():

@@ -6,10 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from loopmag.cli import PRESETS
 from loopmag.model import (
+    MAX_FREQUENCY_GHZ,
+    MAX_RATE_MHZ,
     CouplingEdge,
     ModeSpec,
     SystemModel,
@@ -22,6 +26,7 @@ from loopmag.spectrum import eig_hermitian
 from loopmag.transmission import (
     DEFAULT_MAGNON_LOSS_MHZ,
     DEFAULT_PHOTON_LOSS_MHZ,
+    RESIDUE_COND_LIMIT,
     S21_FLOOR,
     PortSpec,
     TransmissionMap,
@@ -35,6 +40,8 @@ from loopmag.transmission import (
 )
 
 PI = math.pi
+# s21_map (eigenmode residues) against the per-point solve, in dB
+MAP_TOLERANCE_DB = 1e-9
 
 
 def single_photon(kappa_int=5.0):
@@ -218,6 +225,12 @@ def test_port_spec_validation():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="'c' must be finite"):
             PortSpec(2, {"c": bad})
+    with pytest.raises(ValueError, match=r"^port 2: external rate for 'c' must be <= 1e\+09 MHz$"):
+        PortSpec(2, {"c": 1.000001e9})
+    # the ceiling is checked after every rate passed the earlier rule
+    with pytest.raises(ValueError, match="'d' must be finite"):
+        PortSpec(2, {"c": 1e300, "d": -1.0})
+    assert PortSpec(2, {"c": MAX_RATE_MHZ}).couplings == {"c": MAX_RATE_MHZ}
 
 
 def test_ports_must_carry_distinct_ids_one_and_two():
@@ -336,15 +349,120 @@ def per_point_map(system, ports, omega, omega_m):
     return mags
 
 
+def preset_grids(name, probe_points, magnon_points):
+    probe, magnon = PRESETS[name]["probe_grid"], PRESETS[name]["magnon_grid"]
+    return (np.linspace(probe["start_ghz"], probe["stop_ghz"], probe_points),
+            np.linspace(magnon["start_ghz"], magnon["stop_ghz"], magnon_points))
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_map_equals_the_per_point_solve_on_the_presets(name):
     system = system_from_document(PRESETS[name]["system"])
     ports = (PortSpec(1), PortSpec(2))
-    probe, magnon = PRESETS[name]["probe_grid"], PRESETS[name]["magnon_grid"]
-    omega = np.linspace(probe["start_ghz"], probe["stop_ghz"], 1601)
-    omega_m = np.linspace(magnon["start_ghz"], magnon["stop_ghz"], 21)
+    omega, omega_m = preset_grids(name, 1601, 21)
     tmap = s21_map(system, ports, omega, omega_m)
-    assert np.array_equal(tmap.magnitude_db, per_point_map(system, ports, omega, omega_m))
+    diff = np.abs(tmap.magnitude_db - per_point_map(system, ports, omega, omega_m))
+    assert diff.max() <= MAP_TOLERANCE_DB
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_bench_size_maps_keep_the_solve_path_values_and_peak_counts(name):
+    system = system_from_document(PRESETS[name]["system"])
+    ports = (PortSpec(1), PortSpec(2))
+    omega, omega_m = preset_grids(name, 1601, 201)
+    tmap = s21_map(system, ports, omega, omega_m)
+    solved = TransmissionMap(omega, omega_m, per_point_map(system, ports, omega, omega_m))
+    assert np.abs(tmap.magnitude_db - solved.magnitude_db).max() <= MAP_TOLERANCE_DB
+    counts = [len(extract_peaks(tmap, j)) for j in range(omega_m.size)]
+    assert counts == [len(extract_peaks(solved, j)) for j in range(omega_m.size)]
+    assert sum(counts) > omega_m.size
+
+
+def exceptional_point_device():
+    """Photon (15 MHz total linewidth) and magnon (2 MHz) with g = |15 - 2| / 4 MHz:
+    on resonance the two eigenvectors of the damped matrix coalesce."""
+    system = SystemModel(
+        modes=(
+            ModeSpec("c", "photon", 5.0, intrinsic_loss=5.0),
+            ModeSpec("m", "magnon", 5.0, intrinsic_loss=2.0),
+        ),
+        edges=(CouplingEdge("c", "m", 13.0 / 4.0, 0.0),),
+        magnon_sweep_target=frozenset({"m"}),
+    )
+    return system, symmetric_ports(5.0)
+
+
+def test_exceptional_point_column_falls_back_to_the_solve_bit_for_bit():
+    system, ports = exceptional_point_device()
+    omega, omega_m = np.linspace(4.95, 5.05, 1601), np.array([4.99, 5.0, 5.01])
+    gamma, _, _, _ = _loss_model(system, *ports)
+    _, r = np.linalg.eig(1j * hamiltonians(system, omega_m) + np.diag(gamma) / 2.0)
+    cond = np.linalg.cond(r)
+    assert cond[1] > 1e6 > RESIDUE_COND_LIMIT > 10 > max(cond[0], cond[2])
+    tmap = s21_map(system, ports, omega, omega_m)
+    solved = per_point_map(system, ports, omega, omega_m)
+    assert np.array_equal(tmap.magnitude_db[:, 1], solved[:, 1])
+    assert np.abs(tmap.magnitude_db - solved).max() <= MAP_TOLERANCE_DB
+
+
+@st.composite
+def random_devices(draw):
+    """2-5 modes, at least one photon and one magnon, random couplings and
+    losses, and ports with unequal rates, so S21 and S12 differ."""
+    n = draw(st.integers(2, 5))
+    n_photons = draw(st.integers(1, n - 1))
+    frequency, loss = st.floats(4.0, 7.0), st.floats(0.5, 10.0)
+    modes = tuple(
+        ModeSpec("%s%d" % ("c" if k < n_photons else "m", k),
+                 "photon" if k < n_photons else "magnon", draw(frequency),
+                 intrinsic_loss=draw(loss))
+        for k in range(n)
+    )
+    phase = st.sampled_from([0.0, PI / 2, PI, -PI / 2]) | st.floats(-PI, PI)
+    edges = tuple(
+        CouplingEdge(c.label, m.label, draw(st.floats(0.0, 200.0)), draw(phase))
+        for c in modes[:n_photons]
+        for m in modes[n_photons:]
+        if draw(st.booleans())
+    )
+    swept = frozenset(m.label for m in modes[n_photons:] if draw(st.booleans()))
+    ports = tuple(
+        PortSpec(port, {c.label: draw(loss) for c in modes[:n_photons]}) for port in (1, 2)
+    )
+    return SystemModel(modes, edges, swept), ports
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(random_devices())
+def test_map_equals_the_per_point_solve_on_random_devices(device):
+    system, ports = device
+    omega, omega_m = np.linspace(3.8, 7.2, 341), np.linspace(4.0, 7.0, 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tmap = s21_map(system, ports, omega, omega_m)
+    solved = per_point_map(system, ports, omega, omega_m)
+    assert np.abs(tmap.magnitude_db - solved).max() <= MAP_TOLERANCE_DB
+
+
+def test_rates_at_the_ceiling_give_a_finite_map():
+    rate = MAX_RATE_MHZ
+    system = SystemModel(
+        modes=(
+            ModeSpec("c", "photon", MAX_FREQUENCY_GHZ, intrinsic_loss=rate, external_loss=rate),
+            ModeSpec("d", "photon", 5.0, intrinsic_loss=rate),
+            ModeSpec("m", "magnon", 5.0, intrinsic_loss=rate),
+        ),
+        edges=(CouplingEdge("c", "m", rate, 0.3), CouplingEdge("d", "m", -rate, 2.0)),
+        magnon_sweep_target=frozenset({"m"}),
+    )
+    ports = (PortSpec(1, {"c": rate, "d": rate}), PortSpec(2, {"c": rate, "d": rate}))
+    omega = np.array([-MAX_FREQUENCY_GHZ, 0.0, 5.0, MAX_FREQUENCY_GHZ])
+    omega_m = np.array([1.0, MAX_FREQUENCY_GHZ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tmap = s21_map(system, ports, omega, omega_m)
+    solved = per_point_map(system, ports, omega, omega_m)
+    assert np.abs(tmap.magnitude_db - solved).max() <= MAP_TOLERANCE_DB
 
 
 def test_zero_coupling_map_is_magnon_independent():
