@@ -1,5 +1,7 @@
 """Loop-coupled cavity magnonics: gauge reduction, spectra, transmission, fits."""
 
+import types
+
 from .calibrate import (
     DEFAULT_SIGMA_GHZ,
     FitResult,
@@ -73,65 +75,7 @@ from .transmission import (
     s21_map,
 )
 
-__all__ = [
-    "PHASE_STRINGS",
-    "DEFAULT_CONSTANTS",
-    "DEFAULT_SIGMA_GHZ",
-    "CouplingEdge",
-    "CouplingGraph",
-    "Cycle",
-    "FieldSample",
-    "FieldTable",
-    "FitResult",
-    "FitSpec",
-    "GapReport",
-    "GaugeReduction",
-    "HermitianMatrixGHz",
-    "HypothesisFit",
-    "ModeSpec",
-    "PeakDataset",
-    "PeakRecord",
-    "PhaseUndefinedError",
-    "PhysicalConstants",
-    "PhysicalPhase",
-    "PortSpec",
-    "RwaCheck",
-    "SchemaError",
-    "SphereRegion",
-    "SweepResult",
-    "SystemModel",
-    "TransmissionMap",
-    "apply_vertex_phases",
-    "branch_frequencies",
-    "build_graph",
-    "build_hamiltonian",
-    "check_rwa",
-    "coupling_phase",
-    "coupling_strength",
-    "coupling_table",
-    "cycle_basis",
-    "dark_mode_metric",
-    "dataset_from_csv",
-    "eig_hermitian",
-    "extract_peaks",
-    "field_table_from_csv",
-    "filling_factor",
-    "fit",
-    "fold_phase",
-    "line_cut_csv",
-    "loop_phase",
-    "map_to_csv",
-    "min_gap",
-    "parse_phase",
-    "reduce_system",
-    "reduction_to_document",
-    "region_integrals",
-    "resonant_gap",
-    "residual",
-    "s21_at",
-    "s21_map",
-    "sweep",
-    "sweep_to_csv",
-    "system_from_document",
-    "system_to_document",
-]
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .gauge import reduce_system
 from .model import (MAX_FREQUENCY_GHZ, MAX_RATE_MHZ, CouplingEdge, SchemaError, SystemModel,
-                    hamiltonians, read_numeric_csv, write_coupling)
+                    hamiltonians, number, parse_phase, read_numeric_csv, string, write_coupling)
 # unused here; kept because perfbench's tracer test patches and calls this binding
 from .spectrum import branch_frequencies  # noqa: F401
 
@@ -316,7 +316,7 @@ def _simplex(objective, x0, bounds, max_iterations):
     return result
 
 
-def initial_values(spec: FitSpec, initial) -> tuple:
+def _initial_values(spec: FitSpec, initial) -> tuple:
     """The free parameters of initial as floats, each checked against its bounds."""
     values = _checked_params(spec, initial)
     names = spec.parameter_names()
@@ -342,7 +342,7 @@ def fit(
     is reported through converged=False with the best point found so far.
     """
     names = spec.parameter_names()
-    values = initial_values(spec, initial)
+    values = _initial_values(spec, initial)
     bounds = _bounds_for(spec, names)
     if spec.continuous_theta:
         bounds += _bounds_for(spec, ["theta:%d" % k for k in range(len(spec.theta_hypotheses[0]))])
@@ -383,3 +383,65 @@ def fit(
         ambiguous=ambiguous,
         per_hypothesis=tuple(outcomes),
     )
+
+
+# ====== fit spec documents ======
+
+
+def _spec_list(document: dict, key: str, what: str, default=None) -> list:
+    value = document.get(key, default)
+    if not isinstance(value, list):
+        raise SchemaError("fit spec.%s: expected a list of %s" % (key, what))
+    return value
+
+
+def _spec_labels(document: dict, key: str) -> tuple:
+    labels = _spec_list(document, key, "labels", [])
+    return tuple(string(label, "fit spec.%s[%d]" % (key, k)) for k, label in enumerate(labels))
+
+
+def fit_spec_from_document(document: dict, system: SystemModel) -> tuple:
+    """The FitSpec over system, the checked initial values and the iteration cap
+    of a fit spec document; its 'preset' or 'system' key is read by the caller."""
+    if "theta_hypotheses" not in document or "initial" not in document:
+        raise SchemaError("fit spec: 'theta_hypotheses' and 'initial' are required")
+    hypotheses = []
+    for k, hypothesis in enumerate(_spec_list(document, "theta_hypotheses", "loop-phase lists")):
+        if not isinstance(hypothesis, list):
+            raise SchemaError("fit spec.theta_hypotheses[%d]: expected a list of loop phases" % k)
+        try:
+            hypotheses.append(tuple(parse_phase(value) for value in hypothesis))
+        except SchemaError as error:
+            raise SchemaError("fit spec.theta_hypotheses[%d]: %s" % (k, error)) from None
+    bounds_doc = document.get("bounds", {})
+    if not isinstance(bounds_doc, dict):
+        raise SchemaError("fit spec.bounds: expected an object of [lower, upper] pairs")
+    bounds = {}
+    for name, pair in bounds_doc.items():
+        where = "fit spec.bounds.%s" % name
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise SchemaError("%s: expected a [lower, upper] pair" % where)
+        bounds[name] = tuple(number(v, "%s[%d]" % (where, k)) for k, v in enumerate(pair))
+    continuous = document.get("continuous_theta", False)
+    if not isinstance(continuous, bool):
+        raise SchemaError("fit spec.continuous_theta: expected true or false")
+    spec = FitSpec(
+        base_system=system,
+        free_photon_frequencies=_spec_labels(document, "free_photon_frequencies"),
+        free_couplings=_spec_labels(document, "free_couplings"),
+        theta_hypotheses=tuple(hypotheses),
+        bounds=bounds,
+        continuous_theta=continuous,
+    )
+    initial = _spec_list(document, "initial", "numbers")
+    initial = tuple(number(v, "fit spec.initial[%d]" % k) for k, v in enumerate(initial))
+    if len(initial) != len(spec.parameter_names()):
+        raise SchemaError(
+            "fit spec: 'initial' must hold %d value(s), got %d"
+            % (len(spec.parameter_names()), len(initial))
+        )
+    initial = _initial_values(spec, initial)
+    max_iterations = document.get("max_iterations", MAX_SIMPLEX_ITERATIONS)
+    if type(max_iterations) is not int or max_iterations < 1:  # not isinstance: bool is an int
+        raise SchemaError("fit spec.max_iterations: expected a positive integer")
+    return spec, initial, max_iterations

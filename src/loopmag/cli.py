@@ -25,19 +25,13 @@ import pathlib
 import click
 import numpy as np
 
-from .calibrate import (
-    MAX_SIMPLEX_ITERATIONS,
-    FitSpec,
-    dataset_from_csv,
-    fit,
-    initial_values,
-)
-from .fieldmap import SphereRegion, coupling_table, field_table_from_csv
+from .calibrate import dataset_from_csv, fit, fit_spec_from_document
+from .fieldmap import coupling_table, field_table_from_csv, regions_from_document
 from .gauge import reduce_system, reduction_to_document
-from .model import (MAX_FREQUENCY_GHZ, SchemaError, SystemModel, _number, _require, _string,
-                    edges_to_document, parse_phase, system_from_document)
+from .model import (MAX_FREQUENCY_GHZ, SchemaError, SystemModel, edges_to_document, number, string,
+                    system_from_document)
 from .spectrum import sweep, sweep_to_csv
-from .transmission import PortSpec, _loss_model, map_to_csv, s21_map
+from .transmission import map_to_csv, ports_from_document, s21_map
 
 MAX_GRID_POINTS = 100_000  # points of any one grid
 MAX_MAP_POINTS = 1_000_000  # probe x magnon points of one s21 map
@@ -139,18 +133,14 @@ def _grid(config: dict, key: str, start, stop, points) -> tuple:
     if not isinstance(settings, dict):
         raise SchemaError("%s: expected an object" % key)
     settings = dict(settings)
-    if start is not None:
-        settings["start_ghz"] = start
-    if stop is not None:
-        settings["stop_ghz"] = stop
-    if points is not None:
-        settings["points"] = points
-    for field in ("start_ghz", "stop_ghz", "points"):
+    for field, flag in (("start_ghz", start), ("stop_ghz", stop), ("points", points)):
+        if flag is not None:
+            settings[field] = flag
         if field not in settings:
             raise SchemaError("%s.%s: missing (set it in the config or by flag)" % (key, field))
     lo, hi, n = settings["start_ghz"], settings["stop_ghz"], settings["points"]
-    _number(lo, key + ".start_ghz")
-    _number(hi, key + ".stop_ghz")
+    number(lo, key + ".start_ghz")
+    number(hi, key + ".stop_ghz")
     if not isinstance(n, int) or isinstance(n, bool):
         raise SchemaError("%s.points: expected an integer" % key)
     if n < 1:
@@ -168,27 +158,6 @@ def _grid(config: dict, key: str, start, stop, points) -> tuple:
     return lo, hi, n
 
 
-def _ports(config: dict, system: SystemModel) -> tuple:
-    """The two PortSpecs of a config, checked against the system as s21_map checks them."""
-    ports_doc = config.get("ports")
-    if ports_doc is None:
-        ports = (PortSpec(1), PortSpec(2))
-    elif not isinstance(ports_doc, dict) or set(ports_doc) != {"1", "2"}:
-        raise SchemaError("ports: expected an object with exactly the keys '1' and '2'")
-    else:
-        ports = tuple(_port(key, ports_doc[key]) for key in ("1", "2"))
-    _loss_model(system, *ports)
-    return ports
-
-
-def _port(key: str, rates) -> PortSpec:
-    if rates is None:
-        return PortSpec(int(key))
-    if not isinstance(rates, dict):
-        raise SchemaError("ports.%s: expected null or a label->rate object" % key)
-    return PortSpec(int(key), {l: _number(r, "ports.%s.%s" % (key, l)) for l, r in rates.items()})
-
-
 def _single_sphere(system: SystemModel) -> SystemModel:
     magnons = system.magnon_labels()
     if not magnons:
@@ -201,35 +170,8 @@ def _single_sphere(system: SystemModel) -> SystemModel:
     )
 
 
-def _fieldmap_inputs(config_path, mode_files):
-    """The mode_fields, regions and frequencies arguments of coupling_table."""
-    config = _load_json(config_path)
-    if "regions" not in config or "mode_frequencies_ghz" not in config:
-        raise SchemaError("config: 'regions' and 'mode_frequencies_ghz' are both required")
-    if not isinstance(config["regions"], list):
-        raise SchemaError("regions: expected a list")
-    regions = []
-    for k, region in enumerate(config["regions"]):
-        where = "regions[%d]" % k
-        center = _require(region, "center_m", where)
-        if not (isinstance(center, list) and len(center) == 3):
-            raise SchemaError("%s.center_m: expected a list of three numbers" % where)
-        center = tuple(_number(v, "%s.center_m[%d]" % (where, i)) for i, v in enumerate(center))
-        radius = _number(_require(region, "radius_m", where), where + ".radius_m")
-        label = _string(_require(region, "label", where), where + ".label")
-        if label in (r.label for r in regions):
-            raise SchemaError("%s.label: duplicate region label %r" % (where, label))
-        try:
-            regions.append(SphereRegion(center, radius, label))
-        except ValueError as error:
-            raise SchemaError("%s: %s" % (where, error)) from None
-    if not isinstance(config["mode_frequencies_ghz"], dict):
-        raise SchemaError("mode_frequencies_ghz: expected a label->GHz object")
-    frequencies = {}
-    for label, value in config["mode_frequencies_ghz"].items():
-        frequencies[label] = _number(value, "mode_frequencies_ghz." + label)
-        if not frequencies[label] > 0:
-            raise SchemaError("mode_frequencies_ghz.%s must be > 0" % label)
+def _mode_fields(mode_files, frequencies) -> dict:
+    """The mode_fields argument of coupling_table: one field export per --mode-file."""
     mode_fields = {}
     for item in mode_files:
         label, sep, path = item.partition("=")
@@ -244,76 +186,19 @@ def _fieldmap_inputs(config_path, mode_files):
             mode_fields[label] = field_table_from_csv(text)
         except ValueError as error:
             raise SchemaError("--mode-file %s: %s" % (label, error)) from None
-    return mode_fields, regions, frequencies
+    return mode_fields
 
 
-def _spec_list(document: dict, key: str, what: str, default=None) -> list:
-    value = document.get(key, default)
-    if not isinstance(value, list):
-        raise SchemaError("fit spec.%s: expected a list of %s" % (key, what))
-    return value
-
-
-def _spec_labels(document: dict, key: str) -> tuple:
-    labels = _spec_list(document, key, "labels", [])
-    return tuple(_string(label, "fit spec.%s[%d]" % (key, k)) for k, label in enumerate(labels))
-
-
-def _fit_spec(document: dict):
-    """The FitSpec, initial values and iteration cap of a fit spec document."""
+def _fit_system(document: dict) -> SystemModel:
+    """The base system of a fit spec document, named by 'preset' or given as 'system'."""
     if ("preset" in document) == ("system" in document):
         raise SchemaError("fit spec: give exactly one of 'preset' or 'system'")
     if "preset" in document:
-        name = _string(document["preset"], "fit spec.preset")
+        name = string(document["preset"], "fit spec.preset")
         if name not in PRESETS:
             raise SchemaError("fit spec: unknown preset %r" % name)
-        system = system_from_document(PRESETS[name]["system"])
-    else:
-        system = system_from_document(document["system"])
-    if "theta_hypotheses" not in document or "initial" not in document:
-        raise SchemaError("fit spec: 'theta_hypotheses' and 'initial' are required")
-    hypotheses = []
-    for k, hypothesis in enumerate(_spec_list(document, "theta_hypotheses", "loop-phase lists")):
-        if not isinstance(hypothesis, list):
-            raise SchemaError("fit spec.theta_hypotheses[%d]: expected a list of loop phases" % k)
-        try:
-            hypotheses.append(tuple(parse_phase(value) for value in hypothesis))
-        except SchemaError as error:
-            raise SchemaError("fit spec.theta_hypotheses[%d]: %s" % (k, error)) from None
-    bounds_doc = document.get("bounds", {})
-    if not isinstance(bounds_doc, dict):
-        raise SchemaError("fit spec.bounds: expected an object of [lower, upper] pairs")
-    bounds = {}
-    for name, pair in bounds_doc.items():
-        where = "fit spec.bounds.%s" % name
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise SchemaError("%s: expected a [lower, upper] pair" % where)
-        bounds[name] = tuple(_number(v, "%s[%d]" % (where, k)) for k, v in enumerate(pair))
-    continuous = document.get("continuous_theta", False)
-    if not isinstance(continuous, bool):
-        raise SchemaError("fit spec.continuous_theta: expected true or false")
-    spec = FitSpec(
-        base_system=system,
-        free_photon_frequencies=_spec_labels(document, "free_photon_frequencies"),
-        free_couplings=_spec_labels(document, "free_couplings"),
-        theta_hypotheses=tuple(hypotheses),
-        bounds=bounds,
-        continuous_theta=continuous,
-    )
-    initial = tuple(
-        _number(v, "fit spec.initial[%d]" % k)
-        for k, v in enumerate(_spec_list(document, "initial", "numbers"))
-    )
-    if len(initial) != len(spec.parameter_names()):
-        raise SchemaError(
-            "fit spec: 'initial' must hold %d value(s), got %d"
-            % (len(spec.parameter_names()), len(initial))
-        )
-    initial = initial_values(spec, initial)
-    max_iterations = document.get("max_iterations", MAX_SIMPLEX_ITERATIONS)
-    if type(max_iterations) is not int or max_iterations < 1:  # not isinstance: bool is an int
-        raise SchemaError("fit spec.max_iterations: expected a positive integer")
-    return spec, initial, max_iterations
+        return system_from_document(PRESETS[name]["system"])
+    return system_from_document(document["system"])
 
 
 # ====== command runner ======
@@ -425,7 +310,7 @@ def cmd_s21(preset_name, config_path, probe_start_ghz, probe_stop_ghz, probe_poi
             magnon_start_ghz, magnon_stop_ghz, magnon_points, timestamp):
     """Compute a two-port transmission map over probe and magnon frequency."""
     config, system = _device(preset_name, config_path)
-    ports = _ports(config, system)
+    ports = ports_from_document(config.get("ports"), system)
     probe = _grid(config, "probe_grid", probe_start_ghz, probe_stop_ghz, probe_points)
     magnon = _grid(config, "magnon_grid", magnon_start_ghz, magnon_stop_ghz, magnon_points)
     if probe[2] * magnon[2] > MAX_MAP_POINTS:
@@ -462,8 +347,10 @@ def cmd_s21(preset_name, config_path, probe_start_ghz, probe_stop_ghz, probe_poi
 @_runs
 def cmd_fieldmap(mode_files, config_path):
     """Turn field exports into coupling edges (strength and phase per sphere)."""
-    inputs = _fieldmap_inputs(config_path, mode_files)
-    return lambda: _json_text({"edges": edges_to_document(coupling_table(*inputs))})
+    regions, frequencies = regions_from_document(_load_json(config_path))
+    mode_fields = _mode_fields(mode_files, frequencies)
+    return lambda: _json_text(
+        {"edges": edges_to_document(coupling_table(mode_fields, regions, frequencies))})
 
 
 @main.command("fit")
@@ -476,7 +363,8 @@ def cmd_fieldmap(mode_files, config_path):
 def cmd_fit(data_path, spec_path):
     """Fit free device parameters to measured peaks under loop-phase hypotheses."""
     dataset = dataset_from_csv(pathlib.Path(data_path).read_text())
-    spec, initial, max_iterations = _fit_spec(_load_json(spec_path))
+    document = _load_json(spec_path)
+    spec, initial, max_iterations = fit_spec_from_document(document, _fit_system(document))
 
     def compute():
         result = fit(spec, dataset, initial, max_iterations)

@@ -16,9 +16,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import TWO_PI, CouplingEdge, SchemaError, fold_phase, read_numeric_csv
+from .model import (MAX_FREQUENCY_GHZ, TWO_PI, CouplingEdge, SchemaError, fold_phase, number,
+                    read_numeric_csv, require, string)
 
 _DEGENERACY_FLOOR_FACTOR = 1e-12
+# Ceiling on every sample coordinate, sphere center coordinate and radius, in
+# m.  It sits far above any cavity and far below where the distance from a
+# sample to a sphere center overflows in the inside-sphere test.
+MAX_LENGTH_M = 1e6
 
 _CSV_COLUMNS = ("x_m", "y_m", "z_m", "hx_re", "hx_im", "hy_re", "hy_im", "hz_re", "hz_im")
 _CSV_HEADER = ",".join(_CSV_COLUMNS)
@@ -67,6 +72,8 @@ class FieldTable:
                 raise ValueError("%s must be finite" % name)
         if not np.all(weights > 0):
             raise ValueError("weights must be > 0 m^3")
+        if not np.all(np.abs(positions) <= MAX_LENGTH_M):
+            raise ValueError("positions must be within +-%g m" % MAX_LENGTH_M)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "weights", weights)
@@ -85,6 +92,10 @@ class SphereRegion:
             raise ValueError("center must have three finite components")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError("radius must be finite and > 0 m")
+        if max(map(abs, self.center)) > MAX_LENGTH_M:
+            raise ValueError("center must be within +-%g m" % MAX_LENGTH_M)
+        if self.radius > MAX_LENGTH_M:
+            raise ValueError("radius must be <= %g m" % MAX_LENGTH_M)
 
 
 @dataclass(frozen=True)
@@ -282,14 +293,48 @@ def field_table_from_csv(text: str) -> FieldTable:
     positions = data[:, 0:3]
     h = data[:, 3:9:2] + 1j * data[:, 4:9:2]
     if header == _CSV_HEADER_WEIGHTED:
-        weights = data[:, 9]
-    else:
-        extents = positions.max(axis=0) - positions.min(axis=0)
-        volume = float(np.prod(extents))
-        if volume <= 0:
-            raise SchemaError(
-                "degenerate bounding box: cannot infer uniform weights, "
-                "provide a weight_m3 column"
-            )
-        weights = np.full(len(positions), volume / len(positions))
-    return FieldTable(positions, h, weights)
+        return FieldTable(positions, h, data[:, 9])
+    # unit weights first: positions are checked against MAX_LENGTH_M before the box volume
+    FieldTable(positions, h, np.ones(len(positions)))
+    extents = positions.max(axis=0) - positions.min(axis=0)
+    volume = float(np.prod(extents))
+    if volume <= 0:
+        raise SchemaError(
+            "degenerate bounding box: cannot infer uniform weights, "
+            "provide a weight_m3 column"
+        )
+    return FieldTable(positions, h, np.full(len(positions), volume / len(positions)))
+
+
+def regions_from_document(config: dict) -> tuple:
+    """The SphereRegion list and the photon label -> GHz map of a fieldmap config,
+    the regions and frequencies arguments of coupling_table."""
+    if "regions" not in config or "mode_frequencies_ghz" not in config:
+        raise SchemaError("config: 'regions' and 'mode_frequencies_ghz' are both required")
+    if not isinstance(config["regions"], list):
+        raise SchemaError("regions: expected a list")
+    regions = []
+    for k, region in enumerate(config["regions"]):
+        where = "regions[%d]" % k
+        center = require(region, "center_m", where)
+        if not (isinstance(center, list) and len(center) == 3):
+            raise SchemaError("%s.center_m: expected a list of three numbers" % where)
+        center = tuple(number(v, "%s.center_m[%d]" % (where, i)) for i, v in enumerate(center))
+        radius = number(require(region, "radius_m", where), where + ".radius_m")
+        label = string(require(region, "label", where), where + ".label")
+        if label in (r.label for r in regions):
+            raise SchemaError("%s.label: duplicate region label %r" % (where, label))
+        try:
+            regions.append(SphereRegion(center, radius, label))
+        except ValueError as error:
+            raise SchemaError("%s: %s" % (where, error)) from None
+    if not isinstance(config["mode_frequencies_ghz"], dict):
+        raise SchemaError("mode_frequencies_ghz: expected a label->GHz object")
+    frequencies = {}
+    for label, value in config["mode_frequencies_ghz"].items():
+        frequencies[label] = number(value, "mode_frequencies_ghz." + label)
+        if not frequencies[label] > 0:
+            raise SchemaError("mode_frequencies_ghz.%s must be > 0" % label)
+        if frequencies[label] > MAX_FREQUENCY_GHZ:
+            raise SchemaError("mode_frequencies_ghz.%s must be <= %g" % (label, MAX_FREQUENCY_GHZ))
+    return regions, frequencies

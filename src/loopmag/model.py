@@ -51,7 +51,7 @@ def parse_phase(value) -> float:
                 % (value, ", ".join(sorted(PHASE_STRINGS)))
             ) from None
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return _number(value, "phase_rad")
+        return number(value, "phase_rad")
     raise SchemaError("phase_rad: expected number or phase string, got %r" % (value,))
 
 
@@ -320,7 +320,8 @@ def edges_to_document(edges) -> list:
     ]
 
 
-def _require(doc: dict, key: str, where: str):
+def require(doc: dict, key: str, where: str):
+    """doc[key], where doc must be an object holding key."""
     if not isinstance(doc, dict):
         raise SchemaError("%s: expected an object" % where)
     if key not in doc:
@@ -328,7 +329,8 @@ def _require(doc: dict, key: str, where: str):
     return doc[key]
 
 
-def _number(value, where: str, allow_none=False):
+def number(value, where: str, allow_none=False):
+    """value as a finite float (None passes when allow_none)."""
     if value is None and allow_none:
         return None
     if isinstance(value, (int, float)) and not isinstance(value, bool):
@@ -340,7 +342,8 @@ def _number(value, where: str, allow_none=False):
     raise SchemaError("%s: expected a number" % where)
 
 
-def _string(value, where: str) -> str:
+def string(value, where: str) -> str:
+    """value, which must be a string."""
     if not isinstance(value, str):
         raise SchemaError("%s: expected a string" % where)
     return value
@@ -352,9 +355,9 @@ def system_from_document(doc: dict) -> SystemModel:
     Raises:
         SchemaError: with a path-anchored message on any schema violation.
     """
-    modes_doc = _require(doc, "modes", "document")
-    edges_doc = _require(doc, "edges", "document")
-    sweep_doc = _require(doc, "sweep", "document")
+    modes_doc = require(doc, "modes", "document")
+    edges_doc = require(doc, "edges", "document")
+    sweep_doc = require(doc, "sweep", "document")
     if not isinstance(modes_doc, list):
         raise SchemaError("modes: expected a list")
     if not isinstance(edges_doc, list):
@@ -364,13 +367,13 @@ def system_from_document(doc: dict) -> SystemModel:
     modes = []
     for i, m in enumerate(modes_doc):
         where = "modes[%d]" % i
-        label = _string(_require(m, "label", where), where + ".label")
-        kind = _string(_require(m, "kind", where), where + ".kind")
-        freq = _number(_require(m, "frequency_ghz", where), where + ".frequency_ghz")
-        intrinsic = _number(
+        label = string(require(m, "label", where), where + ".label")
+        kind = string(require(m, "kind", where), where + ".kind")
+        freq = number(require(m, "frequency_ghz", where), where + ".frequency_ghz")
+        intrinsic = number(
             m.get("intrinsic_loss_mhz"), where + ".intrinsic_loss_mhz", allow_none=True
         )
-        external = _number(
+        external = number(
             m.get("external_loss_mhz"), where + ".external_loss_mhz", allow_none=True
         )
         try:
@@ -380,11 +383,11 @@ def system_from_document(doc: dict) -> SystemModel:
     edges = []
     for i, e in enumerate(edges_doc):
         where = "edges[%d]" % i
-        photon = _string(_require(e, "photon", where), where + ".photon")
-        magnon = _string(_require(e, "magnon", where), where + ".magnon")
-        g = _number(_require(e, "g_mhz", where), where + ".g_mhz")
+        photon = string(require(e, "photon", where), where + ".photon")
+        magnon = string(require(e, "magnon", where), where + ".magnon")
+        g = number(require(e, "g_mhz", where), where + ".g_mhz")
         try:
-            phase = parse_phase(_require(e, "phase_rad", where))
+            phase = parse_phase(require(e, "phase_rad", where))
         except SchemaError as err:
             raise SchemaError("%s.%s" % (where, err)) from None
         try:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import MAX_RATE_MHZ, SystemModel, build_hamiltonian, frequency_axis, hamiltonians
+from .model import (MAX_RATE_MHZ, SchemaError, SystemModel, build_hamiltonian, frequency_axis,
+                    hamiltonians, number)
 from .spectrum import parabola_vertex
 
 DEFAULT_PHOTON_LOSS_MHZ = 5.0
@@ -146,6 +147,26 @@ def _loss_model(system: SystemModel, port1: PortSpec, port2: PortSpec):
         if not np.any(drives[spec.port] > 0):
             raise ValueError("port %d couples to no photon mode" % spec.port)
     return gamma, drives[1], drives[2], tuple(defaults)
+
+
+def ports_from_document(ports_doc, system: SystemModel) -> tuple:
+    """The PortSpecs of a device's ports block (None: default ports), checked as s21_map does."""
+    if ports_doc is None:
+        ports = (PortSpec(1), PortSpec(2))
+    elif not isinstance(ports_doc, dict) or set(ports_doc) != {"1", "2"}:
+        raise SchemaError("ports: expected an object with exactly the keys '1' and '2'")
+    else:
+        ports = tuple(_port_from_document(key, ports_doc[key]) for key in ("1", "2"))
+    _loss_model(system, *ports)
+    return ports
+
+
+def _port_from_document(key: str, rates) -> PortSpec:
+    if rates is None:
+        return PortSpec(int(key))
+    if not isinstance(rates, dict):
+        raise SchemaError("ports.%s: expected null or a label->rate object" % key)
+    return PortSpec(int(key), {l: number(r, "ports.%s.%s" % (key, l)) for l, r in rates.items()})
 
 
 def s21_at(system: SystemModel, ports, omega: float, omega_m: float) -> complex:

@@ -14,15 +14,18 @@ import pytest
 from click.testing import CliRunner
 
 import loopmag.cli
+from loopmag.calibrate import dataset_from_csv, fit_spec_from_document
 from loopmag.cli import PRESETS, main
+from loopmag.fieldmap import field_table_from_csv, regions_from_document
 from loopmag.model import (
     CouplingEdge,
     ModeSpec,
+    SchemaError,
     SystemModel,
     system_from_document,
 )
 from loopmag.spectrum import branch_frequencies, sweep, sweep_to_csv
-from loopmag.transmission import PortSpec, map_to_csv, s21_map
+from loopmag.transmission import PortSpec, map_to_csv, ports_from_document, s21_map
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -415,6 +418,7 @@ def test_s21_infinite_port_rate_exits_2(tmp_path):
         ({"1": {"c1": None}, "2": None}, "ports.1.c1: expected a number"),
         ({"1": None, "2": {"c2": "5"}}, "ports.2.c2: expected a number"),
         ({"1": {"c1": True}, "2": None}, "ports.1.c1: expected a number"),
+        ({"1": 5.0, "2": None}, "ports.1: expected null or a label->rate object"),
     ],
 )
 def test_s21_malformed_ports_exit_2(tmp_path, ports, message):
@@ -637,6 +641,15 @@ def test_fieldmap_degenerate_phase_is_computation_failure(tmp_path):
         (lambda c: c["regions"][0].update(radius_m=-1.0),
          "regions[0]: radius must be finite and > 0 m"),
         (lambda c: c["regions"][0].pop("center_m"), "regions[0].center_m: missing required key"),
+        (lambda c: c["regions"][0].update(center_m=[0.0, 0.0]),
+         "regions[0].center_m: expected a list of three numbers"),
+        (lambda c: c["regions"][0].update(center_m=[1e200, 0, 0]),
+         "regions[0]: center must be within +-1e+06 m"),
+        (lambda c: c["regions"][0].update(radius_m=1e300), "regions[0]: radius must be <= 1e+06 m"),
+        (lambda c: c["mode_frequencies_ghz"].update(c1=1e300),
+         "mode_frequencies_ghz.c1 must be <= 1e+06"),
+        (lambda c: c["mode_frequencies_ghz"].update(c1=1e7),
+         "mode_frequencies_ghz.c1 must be <= 1e+06"),
     ],
 )
 def test_fieldmap_malformed_config_exits_2(tmp_path, edit, message):
@@ -665,6 +678,32 @@ def test_fieldmap_non_finite_sample_exits_2_without_a_warning(tmp_path, bad):
     assert result.exit_code == 2
     assert result.output == "error: --mode-file c1: line 3: expected finite numbers\n"
     assert [str(w.message) for w in caught] == []
+
+
+UNWEIGHTED_FIELD_CSV = (
+    "x_m,y_m,z_m,hx_re,hx_im,hy_re,hy_im,hz_re,hz_im\n"
+    "-1e308,-1e200,-1e200,1,0,0,0,0,0\n"
+    "1e308,1e200,1e200,1,0,0,0,0,0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "csv",
+    [UNIFORM_FIELD_CSV.replace("\n0.1,0,0", "\n1e200,0,0"), UNWEIGHTED_FIELD_CSV],
+    ids=["weighted", "unweighted"],
+)
+def test_fieldmap_export_beyond_the_length_ceiling_exits_2_without_warnings(tmp_path, csv):
+    (tmp_path / "regions.json").write_text(json.dumps(FIELDMAP_CONFIG))
+    (tmp_path / "c1.csv").write_text(csv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(
+            "fieldmap", "--mode-file", "c1=%s" % (tmp_path / "c1.csv"),
+            "--config", str(tmp_path / "regions.json"),
+        )
+    assert [str(w.message) for w in caught] == []
+    assert (result.exit_code, result.output) == (
+        2, "error: --mode-file c1: positions must be within +-1e+06 m\n")
 
 
 # ====== fit command ======
@@ -779,6 +818,7 @@ def test_fit_command_rejects_bad_spec(tmp_path):
         ("preset", ["x"], "fit spec.preset: expected a string"),
         ("max_iterations", [1], "fit spec.max_iterations: expected a positive integer"),
         ("continuous_theta", "false", "fit spec.continuous_theta: expected true or false"),
+        ("initial", [4.52], "fit spec: 'initial' must hold 4 value(s), got 1"),
     ],
 )
 def test_fit_command_rejects_mistyped_spec_fields(tmp_path, key, bad, message):
@@ -789,6 +829,89 @@ def test_fit_command_rejects_mistyped_spec_fields(tmp_path, key, bad, message):
     result = run("fit", "--data", str(data), "--spec", str(spec))
     assert result.exit_code == 2
     assert message in result.output
+
+
+# ====== library loaders ======
+
+
+def arguments_of(monkeypatch, name):
+    """The positional arguments each call of loopmag.cli.<name> gets; the call then fails."""
+    seen = []
+
+    def stop(*arguments):
+        seen.append(arguments)
+        raise RuntimeError("stopped before computing")
+
+    monkeypatch.setattr(loopmag.cli, name, stop)
+    return seen
+
+
+def test_ports_loader_returns_what_s21_builds(tmp_path, monkeypatch):
+    seen = arguments_of(monkeypatch, "s21_map")
+    system = preset_system("cavity-pi-table1")
+    for ports_doc in (None, {"1": {"c1": 5.0}, "2": None}, {"1": None, "2": {"c2": 0.5}}):
+        path = write_config(tmp_path, lambda config: config.update(ports=ports_doc))
+        assert run("s21", "--config", str(path)).exit_code == 1
+        assert seen.pop()[:2] == (system, ports_from_document(ports_doc, system))
+    assert ports_from_document(None, system) == (PortSpec(1), PortSpec(2))
+
+
+def test_ports_loader_raises_the_message_s21_prints():
+    with pytest.raises(SchemaError) as error:
+        ports_from_document({"1": 5.0, "2": None}, preset_system("cavity-pi-table1"))
+    assert str(error.value) == "ports.1: expected null or a label->rate object"
+
+
+def test_regions_loader_returns_what_fieldmap_builds(tmp_path, monkeypatch):
+    seen = arguments_of(monkeypatch, "coupling_table")
+    config = json.loads(json.dumps(FIELDMAP_CONFIG))
+    config["regions"].append({"label": "m2", "center_m": [0.5, 0, 0], "radius_m": 0.25})
+    config["mode_frequencies_ghz"]["c2"] = 6.19
+    (tmp_path / "regions.json").write_text(json.dumps(config))
+    (tmp_path / "c1.csv").write_text(UNIFORM_FIELD_CSV)
+    result = run("fieldmap", "--mode-file", "c1=%s" % (tmp_path / "c1.csv"),
+                 "--config", str(tmp_path / "regions.json"))
+    assert result.exit_code == 1
+    (mode_fields, regions, frequencies), = seen
+    assert (regions, frequencies) == regions_from_document(config)
+    assert [r.label for r in regions] == ["m1", "m2"] and frequencies == {"c1": 4.524, "c2": 6.19}
+    table = field_table_from_csv(UNIFORM_FIELD_CSV)
+    assert list(mode_fields) == ["c1"]
+    for name in ("positions", "h", "weights"):
+        assert np.array_equal(getattr(mode_fields["c1"], name), getattr(table, name))
+
+
+def test_regions_loader_raises_the_message_fieldmap_prints():
+    config = json.loads(json.dumps(FIELDMAP_CONFIG))
+    config["regions"][0]["center_m"] = [0.0, 0.0]
+    with pytest.raises(SchemaError) as error:
+        regions_from_document(config)
+    assert str(error.value) == "regions[0].center_m: expected a list of three numbers"
+
+
+def test_fit_spec_loader_returns_what_fit_builds(tmp_path, monkeypatch):
+    seen = arguments_of(monkeypatch, "fit")
+    data, spec = write_fit_inputs(tmp_path)
+    document = json.loads(spec.read_text())
+    for extra in ({}, {"bounds": {"g:c1": [0.05, 0.1]}, "max_iterations": 7}):
+        document.update(extra)
+        spec.write_text(json.dumps(document))
+        assert run("fit", "--data", str(data), "--spec", str(spec)).exit_code == 1
+        fit_spec, dataset, initial, max_iterations = seen.pop()
+        assert dataset == dataset_from_csv(data.read_text())
+        assert (fit_spec, initial, max_iterations) == fit_spec_from_document(
+            document, preset_system("cavity-pi-fit"))
+    assert fit_spec.bounds == {"g:c1": (0.05, 0.1)} and max_iterations == 7
+    assert initial == (4.52, 6.195, 0.078, 0.118)
+    assert fit_spec.theta_hypotheses == ((math.pi,), (0.0,))
+
+
+def test_fit_spec_loader_raises_the_message_fit_prints(tmp_path):
+    document = json.loads(write_fit_inputs(tmp_path)[1].read_text())
+    document["initial"] = [4.52]
+    with pytest.raises(SchemaError) as error:
+        fit_spec_from_document(document, preset_system("cavity-pi-fit"))
+    assert str(error.value) == "fit spec: 'initial' must hold 4 value(s), got 1"
 
 
 # ====== command runner ======

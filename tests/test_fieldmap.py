@@ -80,6 +80,24 @@ def test_region_with_no_samples_is_rejected():
         region_integrals(table, far)
 
 
+def test_lengths_up_to_the_ceiling_are_accepted_and_beyond_it_rejected():
+    assert fieldmap.MAX_LENGTH_M == 1e6
+    edge = fieldmap.MAX_LENGTH_M
+    FieldTable([[edge, -edge, 0.0]], [[1.0, 0.0, 0.0]], [1.0])
+    SphereRegion((edge, 0.0, -edge), edge, "m1")
+    with pytest.raises(ValueError, match=r"^positions must be within \+-1e\+06 m$"):
+        FieldTable([[0.0, 0.0, 0.0], [0.0, -1.5e6, 0.0]], np.ones((2, 3)), [1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^center must be within \+-1e\+06 m$"):
+        SphereRegion((0.0, 0.0, 1e200), 1.0, "m1")
+    with pytest.raises(ValueError, match=r"^radius must be <= 1e\+06 m$"):
+        SphereRegion((0.0, 0.0, 0.0), 1e300, "m1")
+    # the existing checks come first
+    with pytest.raises(ValueError, match="weights must be > 0"):
+        FieldTable([[1e200, 0.0, 0.0]], [[1.0, 0.0, 0.0]], [0.0])
+    with pytest.raises(ValueError, match="radius must be finite and > 0"):
+        SphereRegion((1e200, 0.0, 0.0), -1.0, "m1")
+
+
 def test_field_sample_list_matches_columnar_table():
     table = sphere_table((0, 0, 0), (0.3, -0.8, 0.1))
     samples = [
