@@ -28,8 +28,8 @@ import numpy as np
 from .calibrate import dataset_from_csv, fit, fit_spec_from_document
 from .fieldmap import coupling_table, field_table_from_csv, regions_from_document
 from .gauge import reduce_system, reduction_to_document
-from .model import (MAX_FREQUENCY_GHZ, SchemaError, SystemModel, edges_to_document, number, string,
-                    system_from_document)
+from .model import (MAX_FREQUENCY_GHZ, RWA_LIMIT, SchemaError, SystemModel, check_rwa,
+                    edges_to_document, number, string, system_from_document)
 from .spectrum import sweep, sweep_to_csv
 from .transmission import map_to_csv, ports_from_document, s21_map
 
@@ -201,6 +201,15 @@ def _fit_system(document: dict) -> SystemModel:
     return system_from_document(document["system"])
 
 
+def _warn_rwa(system: SystemModel) -> None:
+    """One warning: line on stderr per edge at or above the rotating-wave limit."""
+    for check in check_rwa(system):
+        if not check.ok:
+            click.echo("warning: edge (%s, %s): g/omega_photon = %.3g is not below the "
+                       "rotating-wave limit %g" % (check.edge.photon, check.edge.magnon,
+                                                   check.ratio, RWA_LIMIT), err=True)
+
+
 # ====== command runner ======
 
 _LOAD_ERRORS = (SchemaError, ValueError, OSError, json.JSONDecodeError)
@@ -271,6 +280,7 @@ def main():
 def cmd_gauge(preset_name, config_path):
     """Reduce a device to its gauge-invariant loop phases."""
     _, system = _device(preset_name, config_path)
+    _warn_rwa(system)
     return lambda: _json_text(reduction_to_document(reduce_system(system)))
 
 
@@ -292,6 +302,7 @@ def cmd_spectrum(preset_name, config_path, grid_start_ghz, grid_stop_ghz, grid_p
     if single_sphere:
         system = _single_sphere(system)
     grid = np.linspace(*_grid(config, "magnon_grid", grid_start_ghz, grid_stop_ghz, grid_points))
+    _warn_rwa(system)
     return lambda: sweep_to_csv(sweep(system, grid))
 
 
@@ -316,6 +327,7 @@ def cmd_s21(preset_name, config_path, probe_start_ghz, probe_stop_ghz, probe_poi
     if probe[2] * magnon[2] > MAX_MAP_POINTS:
         raise SchemaError("probe_grid.points * magnon_grid.points must be <= %d" % MAX_MAP_POINTS)
     probe, magnon = np.linspace(*probe), np.linspace(*magnon)
+    _warn_rwa(system)
 
     def compute():
         tmap = s21_map(system, ports, probe, magnon)
@@ -364,7 +376,9 @@ def cmd_fit(data_path, spec_path):
     """Fit free device parameters to measured peaks under loop-phase hypotheses."""
     dataset = dataset_from_csv(pathlib.Path(data_path).read_text())
     document = _load_json(spec_path)
-    spec, initial, max_iterations = fit_spec_from_document(document, _fit_system(document))
+    system = _fit_system(document)
+    spec, initial, max_iterations = fit_spec_from_document(document, system)
+    _warn_rwa(system)
 
     def compute():
         result = fit(spec, dataset, initial, max_iterations)

@@ -6,6 +6,7 @@ is H / hbar expressed in GHz linear frequency.  The matrix entry
 <photon|H|magnon> carries g * exp(-i*phase).
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -22,6 +23,9 @@ MAX_FREQUENCY_GHZ = 1e6
 # Ceiling on every coupling strength and loss rate, in MHz: the same bound,
 # so every Hamiltonian and damping entry stays finite and far from overflow.
 MAX_RATE_MHZ = MAX_FREQUENCY_GHZ * 1e3
+# The rotating-wave approximation behind the Hamiltonian holds while every
+# coupling stays below this fraction of its photon frequency.
+RWA_LIMIT = 0.10
 
 PHASE_STRINGS = {
     "pi/2": math.pi / 2.0,
@@ -260,12 +264,12 @@ class RwaCheck(NamedTuple):
 
 
 def check_rwa(system: SystemModel) -> list:
-    """Coupling-to-frequency ratio per edge; ok when strength/omega_photon < 10%."""
+    """Coupling-to-frequency ratio per edge; ok when strength/omega_photon < RWA_LIMIT."""
     out = []
     for e in system.edges:
         omega = system.mode(e.photon).frequency
         ratio = (e.strength * 1e-3) / omega
-        out.append(RwaCheck(e, ratio, ratio < 0.10))
+        out.append(RwaCheck(e, ratio, ratio < RWA_LIMIT))
     return out
 
 
@@ -442,6 +446,122 @@ def read_numeric_csv(text: str, headers) -> tuple:
         numbers = [k for k, line in enumerate(lines[start + 1:], start=start + 2) if line.strip()]
         raise SchemaError("line %d: expected finite numbers" % numbers[np.argmin(finite)])
     return header, data
+
+
+# ====== %.9g CSV text ======
+
+# bytes per g9_cells cell: a text of at most 23 characters, NUL-padded, then an end byte
+CELL_BYTES = 24
+# float64 values per block of csv_rows, which bounds its temporaries to a few MB
+CSV_BLOCK_VALUES = 1 << 15
+_POW10 = np.array([10.0**k for k in range(13)])  # exact
+_POW10_INT = np.array([10**k for k in range(9)], dtype=np.uint32)
+
+
+@functools.cache
+def _cell_tables() -> tuple:
+    """The little-endian 64-bit words that g9_cells ORs together into cells.
+
+    A cell is three words: the sign at byte 0, a lead ("0.", "0.0", "0.00"
+    or "0.000" for exponents -1..-4) in bytes 1-5, the digits d0..d8 at
+    bytes 6, 8, ..., 22 with a point slot after each of d0..d7, and the end
+    byte 23.  quads[q] puts the four digits of q at the even bytes of a word
+    (d1..d4 in word 1, d5..d8 in word 2), and quads[10000 + q] the same
+    without trailing zeros.  frames[((e + 4) * 2 + fraction) * 2 + negative],
+    for exponents e in -4..9, holds the sign, the lead, the integer part's
+    digit slots set to "0" (ORing "0" into a digit character keeps it) and,
+    when there is a fraction, the point after d_e.  Built on first use, so
+    that importing the package runs no numpy computation.
+    """
+    q = np.arange(10000, dtype=np.uint16)
+    quads = np.zeros((2, 10000, 8), np.uint8)
+    for k in range(4):
+        quads[0, :, 2 * k] = q // 10 ** (3 - k) % 10 + ord("0")
+        quads[1, :, 2 * k] = quads[0, :, 2 * k] * (q % 10 ** (4 - k) != 0)
+    frames = np.zeros((56, CELL_BYTES), np.uint8)
+    for e in range(-4, 10):
+        for fraction in (0, 1):
+            for negative in (0, 1):
+                cell = frames[((e + 4) * 2 + fraction) * 2 + negative]
+                cell[0] = ord("-") * negative
+                if e < 0:
+                    lead = b"0." + b"0" * (-e - 1)
+                    cell[1:1 + len(lead)] = np.frombuffer(lead, np.uint8)
+                if e > 0:
+                    cell[8:7 + 2 * min(e, 8):2] = ord("0")
+                if 0 <= e <= 7 and fraction:
+                    cell[7 + 2 * e] = ord(".")
+    quads, frames = quads.reshape(20000, 8).view("<u8")[:, 0], frames.view("<u8")
+    quads.flags.writeable = frames.flags.writeable = False
+    return quads, frames
+
+
+def g9_cells(values, end=0) -> np.ndarray:
+    """'%.9g' % v of each float64 value, as fixed-width cells for CSV text.
+
+    Returns uint8 of shape values.shape + (CELL_BYTES,): each cell holds the
+    characters of its text in order with NUL bytes among and after them, then
+    the end byte, end broadcast against values.  cells_text removes the NULs.
+
+    The digits of 1e-4 <= |v| < 1e9 are computed here: with
+    e = floor(log10|v|), 10**(8 - e) is exact, so s = |v| * 10**(8 - e), of
+    at most nine integer digits, is within 2**-24 of the exact product, and
+    rounding s to an integer rounds the exact product the same way unless
+    the fraction of s is within 2**-21 of one half.  Those values, zeros,
+    non-finite values, values whose log10 is off by one and values that
+    print with an exponent are formatted by Python's %, in one call.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    flat = v.ravel()
+    a = np.abs(flat)
+    fast = np.isfinite(a) & (a > 0)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    fast &= (e >= -4) & (e <= 8)
+    np.clip(e, -4, 8, out=e)
+    s = a * _POW10[8 - e]
+    whole = np.floor(s)
+    fraction = s - whole
+    fast &= (whole >= 1e8) & (whole < 1e9) & (np.abs(fraction - 0.5) > 2.0**-21)
+    n = np.minimum(whole, 1e9).astype(np.uint32) + (fraction > 0.5)
+    carry = n == 10**9
+    n[carry] = 10**8
+    e += carry
+    fast &= e <= 8
+    d0 = n // 10**8
+    rest = n - d0 * 10**8
+    q1 = rest // 10000
+    q2 = rest - q1 * 10000
+    has_fraction = n % _POW10_INT[8 - np.clip(e, 0, 8)] != 0
+    quads, frames = _cell_tables()
+    words = np.take(frames, ((e + 4) * 2 + has_fraction) * 2 + (flat < 0), axis=0)
+    words[:, 0] |= (d0.astype(np.uint64) + ord("0")) << 48
+    words[:, 1] |= quads[q1 + 10000 * (q2 == 0)]
+    words[:, 2] |= quads[q2 + 10000]
+    cells = words.view(np.uint8).reshape(v.shape + (CELL_BYTES,))
+    cells[..., -1] = end
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = ("%.9g\n" * slow.size) % tuple(flat[slow].tolist())
+        cells.reshape(-1, CELL_BYTES)[slow, :-1] = np.array(
+            texts.split("\n")[:-1], dtype="S%d" % (CELL_BYTES - 1)
+        ).view(np.uint8).reshape(-1, CELL_BYTES - 1)
+    return cells
+
+
+def cells_text(cells: np.ndarray) -> str:
+    """The text of an array of g9_cells cells: its bytes without the NULs."""
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def csv_rows(table) -> str:
+    """One CSV line of comma-separated '%.9g' % v cells per row of a 2-d table."""
+    table = np.asarray(table, dtype=np.float64)
+    ends = np.full(table.shape[1], ord(","), np.uint8)
+    ends[-1] = ord("\n")
+    step = max(1, CSV_BLOCK_VALUES // table.shape[1])
+    return "".join(cells_text(g9_cells(table[k:k + step], ends))
+                   for k in range(0, len(table), step))
 
 
 def frequency_axis(values, name: str) -> np.ndarray:

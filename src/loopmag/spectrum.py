@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HermitianMatrixGHz, SystemModel, build_hamiltonian, frequency_axis, hamiltonians
+from .model import (HermitianMatrixGHz, SystemModel, build_hamiltonian, csv_rows, frequency_axis,
+                    hamiltonians)
 
 __all__ = [
     "SweepResult",
@@ -248,5 +249,4 @@ def sweep_to_csv(result: SweepResult) -> str:
     header += [f"branch_{k}_ghz" for k in range(n)]
     header += [f"pweight_{k}" for k in range(n)]
     table = np.column_stack([result.omega_m_grid, result.branches, result.photon_weights])
-    row = ",".join(["%.9g"] * table.shape[1]) + "\n"
-    return ",".join(header) + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist())
+    return ",".join(header) + "\n" + csv_rows(table)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (MAX_RATE_MHZ, SchemaError, SystemModel, build_hamiltonian, frequency_axis,
-                    hamiltonians, number)
+from .model import (CELL_BYTES, MAX_RATE_MHZ, SchemaError, SystemModel, build_hamiltonian,
+                    cells_text, csv_rows, frequency_axis, g9_cells, hamiltonians, number)
 from .spectrum import parabola_vertex
 
 DEFAULT_PHOTON_LOSS_MHZ = 5.0
@@ -279,24 +279,33 @@ def extract_peaks(tmap: TransmissionMap, omega_m_index: int, prominence_floor_db
 
 def map_to_csv(tmap: TransmissionMap) -> str:
     """Long-form CSV (omega_ghz, omega_m_ghz, s21_db), grouped by omega_m."""
-    # one row template per map, "<omega>,\0,%.9g" per row; each column fills
-    # in its omega_m text and formats all its values with a single %
-    template = "".join(om + ",\0,%.9g\n" for om in _texts(tmap.omega_grid))
-    return "omega_ghz,omega_m_ghz,s21_db\n" + "".join(
-        template.replace("\0", om_m) % tuple(column.tolist())
-        for om_m, column in zip(_texts(tmap.omega_m_grid), tmap.magnitude_db.T)
-    )
+    omega = _axis_cells(tmap.omega_grid)
+    omega_m = _axis_cells(tmap.omega_m_grid)
+    # one row of bytes per CSV line: each axis text padded to its longest, then the value cell
+    row = np.dtype([("omega", omega.dtype), ("omega_m", omega_m.dtype),
+                    ("s21_db", "V%d" % CELL_BYTES)])
+    texts = ["omega_ghz,omega_m_ghz,s21_db\n"]
+    width = max(1, BLOCK_ENTRIES // omega.size)
+    for start in range(0, omega_m.size, width):
+        block = slice(start, start + width)
+        rows = np.empty((omega_m[block].size, omega.size), row)
+        rows["omega"] = omega
+        rows["omega_m"] = omega_m[block, None]
+        cells = g9_cells(tmap.magnitude_db[:, block].T, ord("\n"))
+        rows["s21_db"] = cells.view(row["s21_db"])[..., 0]
+        texts.append(cells_text(rows))
+    return "".join(texts)
 
 
-def _texts(values: np.ndarray) -> list:
-    return [f"{v:.9g}" for v in values.tolist()]
+def _axis_cells(axis: np.ndarray) -> np.ndarray:
+    """'%.9g,' % v of each axis value, as bytes NUL-padded to the longest."""
+    return np.array([text + "," for text in cells_text(g9_cells(axis, ord("\n"))).splitlines()],
+                    dtype="S")
 
 
 def line_cut_csv(tmap: TransmissionMap, omega_m_index: int, offset_db: float = 0.0) -> str:
     """Two-column CSV of one map column, with an optional presentation offset."""
     if not 0 <= omega_m_index < tmap.omega_m_grid.size:
         raise ValueError("omega_m_index %d out of range" % omega_m_index)
-    column = (tmap.magnitude_db[:, omega_m_index] + offset_db).tolist()
-    lines = ["omega_ghz,s21_db"]
-    lines += [f"{om:.9g},{db:.9g}" for om, db in zip(tmap.omega_grid.tolist(), column)]
-    return "\n".join(lines) + "\n"
+    column = tmap.magnitude_db[:, omega_m_index] + offset_db
+    return "omega_ghz,s21_db\n" + csv_rows(np.column_stack([tmap.omega_grid, column]))

@@ -831,6 +831,44 @@ def test_fit_command_rejects_mistyped_spec_fields(tmp_path, key, bad, message):
     assert message in result.output
 
 
+# ====== rotating-wave warnings ======
+
+
+def test_presets_print_no_rotating_wave_warning(tmp_path):
+    out = str(tmp_path / "out")
+    for name in PRESETS:
+        for command in ("gauge", "spectrum", "s21"):
+            assert (run(command, "--preset", name, "--out", out).output) == ""
+    data, spec = write_fit_inputs(tmp_path)
+    spec.write_text(json.dumps({"preset": "cavity-pi-fit", "free_couplings": ["c1"],
+                                "theta_hypotheses": [["pi"]], "initial": [0.08],
+                                "max_iterations": 5}))
+    assert run("fit", "--data", str(data), "--spec", str(spec), "--out", out).output == ""
+
+
+def test_an_edge_beyond_the_rotating_wave_limit_warns_once_on_stderr(tmp_path):
+    config = json.loads(json.dumps(PRESETS["cavity-pi-fit"]))
+    config["system"]["edges"][2]["g_mhz"] = 1e7  # c2-m1: 1e4 GHz against 6.19 GHz
+    path = tmp_path / "device.json"
+    path.write_text(json.dumps(config))
+    warning = ("warning: edge (c2, m1): g/omega_photon = 1.62e+03 is not below the "
+               "rotating-wave limit 0.1\n")
+    out = tmp_path / "out"
+    for command in ("gauge", "spectrum", "s21"):
+        result = run(command, "--config", str(path), "--out", str(out))
+        assert (result.exit_code, result.output) == (0, warning)
+    system = system_from_document(config["system"])
+    assert out.read_text() == map_to_csv(s21_map(
+        system, (PortSpec(1), PortSpec(2)), grid_from("probe_grid", "cavity-pi-fit"),
+        grid_from("magnon_grid", "cavity-pi-fit")))
+    data, spec = write_fit_inputs(tmp_path)
+    spec.write_text(json.dumps({"system": config["system"], "free_couplings": ["c1"],
+                                "theta_hypotheses": [["pi"]], "initial": [0.08],
+                                "max_iterations": 5}))
+    result = run("fit", "--data", str(data), "--spec", str(spec), "--out", str(out))
+    assert (result.exit_code, result.output) == (0, warning)
+
+
 # ====== library loaders ======
 
 

@@ -2,11 +2,16 @@
 
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopmag.model import (
+    CELL_BYTES,
+    CSV_BLOCK_VALUES,
     CouplingEdge,
     MAX_FREQUENCY_GHZ,
     MAX_RATE_MHZ,
@@ -16,14 +21,18 @@ from loopmag.model import (
     SystemModel,
     apply_vertex_phases,
     build_hamiltonian,
+    cells_text,
     check_rwa,
+    csv_rows,
     fold_phase,
     frequency_axis,
+    g9_cells,
     parse_phase,
     read_numeric_csv,
     system_from_document,
     system_to_document,
 )
+from loopmag.transmission import S21_FLOOR
 from oracles import OracleError, char_poly_eigenvalues
 
 PI = math.pi
@@ -301,6 +310,87 @@ def test_read_numeric_csv_header_and_rows():
 def test_read_numeric_csv_messages(text, message):
     with pytest.raises(SchemaError, match="^%s$" % re.escape(message)):
         read_numeric_csv(text, ("a,b",))
+
+
+# ====== %.9g cells ======
+
+
+def g9_texts(values) -> list:
+    return cells_text(g9_cells(values, ord("\n"))).split("\n")[:-1]
+
+
+def assert_g9_exact(values):
+    values = np.asarray(values, dtype=np.float64).ravel()
+    with np.errstate(all="raise"):
+        texts = g9_texts(values)
+    assert texts == ["%.9g" % v for v in values.tolist()]
+
+
+def from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    patterns=st.lists(st.integers(0, 2**64 - 1).map(from_bits), max_size=40),
+    values=st.lists(st.floats(-1e10, 1e10), max_size=40),
+    scaled=st.lists(
+        st.builds(lambda m, x: m * 10.0**x, st.floats(-10.0, 10.0), st.integers(-6, 10)),
+        max_size=40,
+    ),
+)
+def test_g9_cells_equal_python_on_any_float64(patterns, values, scaled):
+    assert_g9_exact(patterns + values + scaled)
+
+
+def test_g9_cells_equal_python_on_ties_edges_and_specials():
+    rng = np.random.default_rng(11)
+    # exact ties at the tenth significant digit: r / 2**d with r odd and 5**d * r ten digits long
+    d = rng.integers(1, 14, 4000)
+    r = np.floor(rng.uniform(1e9, 1e10, 4000) / 5.0**d / 2) * 2 + 1
+    exact_ties = r / 2.0**d
+    # (k + 1/2) * 10**j, the nearest float64 to a decimal tie, for nine-digit k
+    k = rng.integers(10**8, 10**9, 4000)
+    decimal_ties = (k + 0.5) * 10.0 ** rng.integers(-13, 1, 4000)
+    edges = [9.9999999995, 999999999.5, 1e-4, 9.99999999e-05, 99999999.995, 0.99999999995,
+             9.999999995e-05, 999999999.4, 1e9, 1e8, 1.0, 100.0]
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300,
+                20.0 * math.log10(S21_FLOOR)]
+    for values in (exact_ties, decimal_ties, edges, specials):
+        assert_g9_exact(values)
+        assert_g9_exact(np.negative(values))
+    assert "%.9g" % exact_ties[0] != "%.10g" % exact_ties[0]  # a tie: the tenth digit is a 5
+
+
+@pytest.mark.parametrize("error", [-1e-7, 1e-7])
+def test_g9_cells_fall_back_where_log10_is_off_by_one(monkeypatch, error):
+    # numpy's log10 is off by a few ulps at most, and near a power of ten the rounding
+    # of s absorbs that; a log10 off by 1e-7 puts values up to 2e-7 from a power of ten
+    # in the wrong decade, and they must go to Python instead of losing or gaining a digit
+    values = np.outer(10.0 ** np.arange(-4, 9), [1 - 1e-7, 1 - 1e-8, 1.0, 1 + 1e-8, 1 + 1e-7])
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + error)
+    assert_g9_exact(values)
+    assert_g9_exact(-values)
+
+
+def test_g9_cells_keep_the_shape_and_end_bytes():
+    cells = g9_cells(np.arange(6.0).reshape(2, 3) + 0.5, np.array([1, 2, 3], np.uint8))
+    assert cells.shape == (2, 3, CELL_BYTES) and cells.dtype == np.uint8
+    assert cells[..., -1].tolist() == [[1, 2, 3], [1, 2, 3]]
+    assert g9_cells(-2.5).shape == (CELL_BYTES,)
+    assert cells_text(g9_cells(-2.5, ord(","))) == "-2.5,"
+
+
+def test_csv_rows_equal_a_row_template_across_blocks():
+    rng = np.random.default_rng(5)
+    rows = CSV_BLOCK_VALUES // 3 * 2 + 7  # two full blocks and a partial one
+    table = rng.normal(0.0, 1.0, (rows, 3)) * 10.0 ** rng.integers(-7, 11, (rows, 3))
+    table[:5] = [[0.0, -0.0, 1e-5], [S21_FLOOR, 1e300, -1e-4], [0.5, 1e9 - 0.5, 123456789.5],
+                 [1.0, 2.0, 3.0], [-1e-12, 5e-324, 99999999.95]]
+    template = ",".join(["%.9g"] * 3) + "\n"
+    want = (template * rows) % tuple(table.ravel().tolist())
+    assert csv_rows(table).split("\n") == want.split("\n")
 
 
 def test_hermiticity_property_random_systems():

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from loopmag.model import CouplingEdge, ModeSpec, SystemModel, build_hamiltonian
+from loopmag.cli import PRESETS
+from loopmag.model import (CouplingEdge, ModeSpec, SystemModel, build_hamiltonian,
+                           system_from_document)
 from loopmag.spectrum import (
     DEGENERACY_CLUSTER_GHZ,
     GapReport,
@@ -579,3 +581,36 @@ def test_sweep_csv_uses_nine_significant_digits():
     lines = sweep_to_csv(result).strip().split("\n")
     assert lines[1].startswith("4.98765432,")
     assert lines[2].startswith("5.12345679,")
+
+
+def template_sweep_csv(result):
+    """The sweep CSV as one '%.9g' row template filled with every value by Python's %."""
+    n = result.branches.shape[1]
+    header = ["omega_m_ghz"] + [f"branch_{k}_ghz" for k in range(n)]
+    header += [f"pweight_{k}" for k in range(n)]
+    table = np.column_stack([result.omega_m_grid, result.branches, result.photon_weights])
+    row = ",".join(["%.9g"] * table.shape[1]) + "\n"
+    return ",".join(header) + "\n" + (row * table.shape[0]) % tuple(table.ravel().tolist())
+
+
+def test_sweep_csv_equals_the_template_writer_on_a_preset_at_bench_size():
+    doc = PRESETS["cavity-pi0-table2"]
+    grid = doc["magnon_grid"]
+    result = sweep(system_from_document(doc["system"]),
+                   np.linspace(grid["start_ghz"], grid["stop_ghz"], 2001))
+    assert sweep_to_csv(result).split("\n") == template_sweep_csv(result).split("\n")
+
+
+def test_sweep_csv_equals_the_template_writer_on_python_formatted_weights():
+    # a weakly coupled, detuned magnon has photon weights far below 1e-4 (exponent form),
+    # and an uncoupled one has weights of exactly 0 and 1
+    system = SystemModel(
+        modes=(ModeSpec("c1", "photon", 4.5), ModeSpec("m1", "magnon", 5.0),
+               ModeSpec("m2", "magnon", 7.0)),
+        edges=(CouplingEdge("c1", "m1", 0.01, 0.0),),
+        magnon_sweep_target=frozenset({"m1"}),
+    )
+    result = sweep(system, np.linspace(5.0, 6.0, 101))
+    weights = result.photon_weights
+    assert np.any((weights > 0) & (weights < 1e-4)) and np.any(weights == 0.0)
+    assert sweep_to_csv(result).split("\n") == template_sweep_csv(result).split("\n")

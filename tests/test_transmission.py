@@ -24,6 +24,7 @@ from loopmag.model import (
 )
 from loopmag.spectrum import eig_hermitian
 from loopmag.transmission import (
+    BLOCK_ENTRIES,
     DEFAULT_MAGNON_LOSS_MHZ,
     DEFAULT_PHOTON_LOSS_MHZ,
     RESIDUE_COND_LIMIT,
@@ -544,6 +545,54 @@ def test_line_cut_csv_equals_per_row_formatting(offset):
     for i, om in enumerate(tmap.omega_grid):
         lines.append(f"{om:.9g},{tmap.magnitude_db[i, 1] + offset:.9g}")
     assert line_cut_csv(tmap, 1, offset) == "\n".join(lines) + "\n"
+
+
+# The writers are compared with their oracles line by line: equal line lists are equal
+# strings, and a failure reports the first differing line instead of diffing megabytes.
+
+
+def template_map_csv(tmap):
+    """The map CSV as one '%.9g' row template per map, filled per column by Python's %."""
+    texts = lambda values: [f"{v:.9g}" for v in values.tolist()]
+    template = "".join(om + ",\0,%.9g\n" for om in texts(tmap.omega_grid))
+    return "omega_ghz,omega_m_ghz,s21_db\n" + "".join(
+        template.replace("\0", om_m) % tuple(column.tolist())
+        for om_m, column in zip(texts(tmap.omega_m_grid), tmap.magnitude_db.T)
+    )
+
+
+def test_map_csv_equals_the_template_writer_on_a_preset_at_bench_size():
+    doc = PRESETS["cavity-pi-table1"]
+    probe, magnon = doc["probe_grid"], doc["magnon_grid"]
+    tmap = s21_map(system_from_document(doc["system"]), (PortSpec(1), PortSpec(2)),
+                   np.linspace(probe["start_ghz"], probe["stop_ghz"], 1601),
+                   np.linspace(magnon["start_ghz"], magnon["stop_ghz"], 201))
+    assert map_to_csv(tmap).split("\n") == template_map_csv(tmap).split("\n")
+
+
+@pytest.mark.parametrize(
+    "probes, columns",
+    # one column per block; blocks of 32 columns that 70 does not fill
+    [(BLOCK_ENTRIES + 5, 3), (1000, 70)],
+)
+def test_map_csv_equals_the_template_writer_across_blocks(probes, columns):
+    rng = np.random.default_rng(probes)
+    tmap = TransmissionMap(np.linspace(4.0, 7.0, probes), np.linspace(5.0, 6.0, columns),
+                           rng.uniform(-80.0, 0.0, (probes, columns)))
+    assert map_to_csv(tmap).split("\n") == template_map_csv(tmap).split("\n")
+
+
+def test_map_csv_equals_the_template_writer_on_python_formatted_values():
+    rng = np.random.default_rng(3)
+    omega = np.concatenate([[1e-5, 9.99999999995e-05, 1e-4], np.linspace(4.0, 7.0, 47)])
+    omega_m = np.array([2.5e-7, 0.5, 999999.5, 1e6])
+    mags = rng.uniform(-60.0, 0.0, (50, 4))
+    mags[::7, 0] = 0.0
+    mags[1::5, 1] = -1e-5
+    mags[:, 2] = 20.0 * np.log10(S21_FLOOR)
+    mags[2::3, 3] = [-0.0, -1e-300, -123456789.5, -1.25e-4, -(2.0**-30), -1e-8] * 2 + [-0.0] * 4
+    tmap = TransmissionMap(omega, omega_m, mags)
+    assert map_to_csv(tmap).split("\n") == template_map_csv(tmap).split("\n")
 
 
 # ====== peak extraction ======
