@@ -81,7 +81,7 @@ def dataset_from_csv(text: str) -> PeakDataset:
     """
     _, data = read_numeric_csv(text, (_CSV_HEADER_NO_SIGMA, _CSV_HEADER))
     try:
-        return PeakDataset(records=tuple(PeakRecord(*row) for row in data.tolist()))
+        return PeakDataset(records=data.tolist())
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
 

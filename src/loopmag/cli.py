@@ -108,7 +108,10 @@ def _json_text(document: dict) -> str:
 
 
 def _load_json(path) -> dict:
-    document = json.loads(pathlib.Path(path).read_text())
+    try:
+        document = json.loads(pathlib.Path(path).read_text())
+    except RecursionError:
+        raise SchemaError("%s: JSON nesting is too deep" % path) from None
     if not isinstance(document, dict):
         raise SchemaError("%s: expected a JSON object at top level" % path)
     return document
@@ -201,6 +204,12 @@ def _fit_system(document: dict) -> SystemModel:
     return system_from_document(document["system"])
 
 
+def _hypothesis_document(h) -> dict:
+    """The four fields a HypothesisFit and the winning FitResult share, as JSON."""
+    return {"theta_assignment_rad": list(h.theta_assignment), "params": h.params,
+            "residual": h.residual, "converged": h.converged}
+
+
 def _warn_rwa(system: SystemModel) -> None:
     """One warning: line on stderr per edge at or above the rotating-wave limit."""
     for check in check_rwa(system):
@@ -212,7 +221,7 @@ def _warn_rwa(system: SystemModel) -> None:
 
 # ====== command runner ======
 
-_LOAD_ERRORS = (SchemaError, ValueError, OSError, json.JSONDecodeError)
+_LOAD_ERRORS = (ValueError, OSError)
 
 
 def _fail(code: int, error) -> None:
@@ -382,24 +391,9 @@ def cmd_fit(data_path, spec_path):
 
     def compute():
         result = fit(spec, dataset, initial, max_iterations)
-        return _json_text(
-            {
-                "params": result.params,
-                "theta_assignment_rad": list(result.theta_assignment),
-                "residual": result.residual,
-                "converged": result.converged,
-                "ambiguous": result.ambiguous,
-                "per_hypothesis": [
-                    {
-                        "theta_assignment_rad": list(h.theta_assignment),
-                        "params": h.params,
-                        "residual": h.residual,
-                        "converged": h.converged,
-                    }
-                    for h in result.per_hypothesis
-                ],
-            }
-        )
+        hypotheses = [_hypothesis_document(h) for h in result.per_hypothesis]
+        return _json_text({**_hypothesis_document(result), "ambiguous": result.ambiguous,
+                           "per_hypothesis": hypotheses})
 
     return compute
 

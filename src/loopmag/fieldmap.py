@@ -235,6 +235,10 @@ def coupling_strength(
         raise ValueError("eta must be >= 0")
     if not omega_ghz > 0:
         raise ValueError("omega_ghz must be > 0")
+    if not math.isfinite(eta):
+        raise ValueError("eta must be finite")
+    if not math.isfinite(omega_ghz):
+        raise ValueError("omega_ghz must be finite")
     gamma_angular = TWO_PI * constants.gyromagnetic_ratio * 1e9
     moment = constants.unit_cell_moment * constants.bohr_magneton
     ratio = moment / (constants.lande_g * constants.bohr_magneton)

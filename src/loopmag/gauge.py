@@ -17,18 +17,6 @@ from dataclasses import dataclass
 
 from .model import CouplingEdge, SystemModel, apply_vertex_phases, fold_phase
 
-__all__ = [
-    "CouplingGraph",
-    "Cycle",
-    "PhysicalPhase",
-    "GaugeReduction",
-    "build_graph",
-    "cycle_basis",
-    "loop_phase",
-    "reduce_system",
-    "reduction_to_document",
-]
-
 
 @dataclass(frozen=True)
 class CouplingGraph:

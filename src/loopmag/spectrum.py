@@ -8,7 +8,6 @@ Units follow the model module: all frequencies in GHz, gaps reported in MHz.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,23 +15,9 @@ import numpy as np
 from .model import (HermitianMatrixGHz, SystemModel, build_hamiltonian, csv_rows, frequency_axis,
                     hamiltonians)
 
-__all__ = [
-    "SweepResult",
-    "GapReport",
-    "eig_hermitian",
-    "sweep",
-    "branch_frequencies",
-    "min_gap",
-    "resonant_gap",
-    "dark_mode_metric",
-    "sweep_to_csv",
-]
-
 # eigenvalues closer than this (GHz) form one degenerate cluster whose
 # photon weight is averaged, since the eigenbasis within it is arbitrary
 DEGENERACY_CLUSTER_GHZ = 1e-9
-
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,8 +125,9 @@ def min_gap(
     """Minimum separation of two branches over a window of the sweep.
 
     The grid minimum is refined between grid points: by the parabola through
-    the bracketing triple, and, when the system is supplied, by golden-section
-    search on exact re-eigensolves down to a 1e-6 GHz bracket.
+    the bracketing triple, and, when the system is supplied, by a bounded
+    scalar minimizer (scipy, imported only when system is given) on exact
+    re-eigensolves, x tolerance 1e-6 GHz.
     """
     n_branches = result.branches.shape[1]
     for b in (branch_a, branch_b):
@@ -167,31 +153,17 @@ def min_gap(
     xr = float(grid[inside[k + 1]]) if k < inside.size - 1 else best_x
 
     if system is not None and xr > xl:
+        # imported here so that only an exact refinement pays for loading scipy
+        from scipy.optimize import minimize_scalar
 
         def exact_gap(x: float) -> float:
             row = branch_frequencies(system, np.array([x]))[0]
             return abs(float(row[branch_b]) - float(row[branch_a]))
 
-        a, b = xl, xr
-        c_pt = b - _INVPHI * (b - a)
-        d_pt = a + _INVPHI * (b - a)
-        fc, fd = exact_gap(c_pt), exact_gap(d_pt)
-        for pt, val in ((c_pt, fc), (d_pt, fd)):
-            if val < best_g:
-                best_x, best_g = pt, val
-        while b - a > 1e-6:
-            if fc <= fd:
-                b, d_pt, fd = d_pt, c_pt, fc
-                c_pt = b - _INVPHI * (b - a)
-                fc = exact_gap(c_pt)
-                if fc < best_g:
-                    best_x, best_g = c_pt, fc
-            else:
-                a, c_pt, fc = c_pt, d_pt, fd
-                d_pt = a + _INVPHI * (b - a)
-                fd = exact_gap(d_pt)
-                if fd < best_g:
-                    best_x, best_g = d_pt, fd
+        found = minimize_scalar(exact_gap, bounds=(xl, xr), method="bounded",
+                                options={"xatol": 1e-6})
+        if found.fun < best_g:
+            best_x, best_g = float(found.x), float(found.fun)
     elif have_triple:
         curvature, vertex, fitted = parabola_vertex(
             xl, float(gaps[k - 1]), best_x, best_g, xr, float(gaps[k + 1])

@@ -1006,13 +1006,14 @@ def fresh_python(*args):
 
 
 def test_importing_the_package_and_cli_loads_no_scipy():
-    proc = fresh_python(
-        "-c",
-        "import sys, loopmag, loopmag.cli; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    for modules in ("loopmag, loopmag.cli", "loopmag.spectrum"):
+        proc = fresh_python(
+            "-c",
+            "import sys, %s; " % modules
+            + "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", modules
 
 
 def test_fit_command_runs_in_a_fresh_process(tmp_path):
@@ -1021,3 +1022,19 @@ def test_fit_command_runs_in_a_fresh_process(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == run("fit", "--data", str(data), "--spec", str(spec)).output
     assert abs(json.loads(proc.stdout)["theta_assignment_rad"][0] - math.pi) < 1e-12
+
+
+@pytest.mark.parametrize("command", ["gauge", "fieldmap", "fit"])
+def test_json_nested_too_deep_exits_2_with_one_error_line(tmp_path, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    (tmp_path / "c1.csv").write_text(UNIFORM_FIELD_CSV)
+    data, _ = write_fit_inputs(tmp_path)
+    args = {
+        "gauge": ["--config", str(deep)],
+        "fieldmap": ["--mode-file", "c1=%s" % (tmp_path / "c1.csv"), "--config", str(deep)],
+        "fit": ["--data", str(data), "--spec", str(deep)],
+    }[command]
+    proc = fresh_python("-m", "loopmag.cli", command, *args)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: %s: JSON nesting is too deep\n" % deep

@@ -265,6 +265,23 @@ def test_coupling_strength_validation():
     assert DEFAULT_CONSTANTS.spin_density == pytest.approx(4.22e23)
 
 
+@pytest.mark.parametrize(
+    "eta, omega_ghz, message",
+    [
+        (math.inf, 4.524, "eta must be finite"),
+        (0.1, math.inf, "omega_ghz must be finite"),
+        (math.nan, 4.524, "eta must be >= 0"),
+        (-math.inf, 4.524, "eta must be >= 0"),
+        (0.1, math.nan, "omega_ghz must be > 0"),
+        (math.inf, math.nan, "omega_ghz must be > 0"),
+    ],
+)
+def test_coupling_strength_rejects_infinite_inputs_after_the_sign_checks(eta, omega_ghz, message):
+    with pytest.raises(ValueError) as error:
+        coupling_strength(eta, omega_ghz)
+    assert str(error.value) == message
+
+
 # ====== synthetic circulation patterns ======
 
 

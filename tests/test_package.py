@@ -36,3 +36,12 @@ def test_no_module_imports_another_modules_underscore_name():
             if isinstance(node, ast.ImportFrom) and node.level > 0:
                 private = [alias.name for alias in node.names if alias.name.startswith("_")]
                 assert not private, "%s imports %s from .%s" % (path.name, private, node.module)
+
+
+def test_only_the_package_init_assigns_all():
+    for path in sorted(SRC_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        stored = {node.id for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        assert "__all__" not in stored, "%s assigns __all__" % path.name

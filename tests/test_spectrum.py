@@ -447,6 +447,24 @@ def test_min_gap_validates_window_and_branches():
         min_gap(result, 2, 2, (4.5, 6.5))
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_min_gap_refinement_reaches_a_fine_scan_of_its_bracket(name):
+    system = system_from_document(PRESETS[name]["system"])
+    spec = PRESETS[name]["magnon_grid"]
+    grid = np.linspace(spec["start_ghz"], spec["stop_ghz"], spec["points"])
+    result = sweep(system, grid)
+    for a in range(result.branches.shape[1] - 1):
+        gaps = np.abs(result.branches[:, a + 1] - result.branches[:, a])
+        k = int(np.argmin(gaps))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+        rows = branch_frequencies(system, np.linspace(lo, hi, round((hi - lo) / 1e-5) + 1))
+        scan_mhz = float(np.abs(rows[:, a + 1] - rows[:, a]).min()) * 1e3
+        report = min_gap(result, a, a + 1, (grid[0], grid[-1]), system=system)
+        assert report.min_gap_mhz <= scan_mhz + 1e-6, (a, report, scan_mhz)
+        assert report.min_gap_mhz <= gaps[k] * 1e3, (a, report)
+        assert lo <= report.omega_m_at_min <= hi
+
+
 # ====== resonant_gap ======
 
 
