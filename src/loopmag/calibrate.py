@@ -27,6 +27,8 @@ from .model import (MAX_FREQUENCY_GHZ, MAX_RATE_MHZ, CouplingEdge, SchemaError, 
 from .spectrum import branch_frequencies  # noqa: F401
 
 DEFAULT_SIGMA_GHZ = 0.0025
+# 1 Hz: keeps ((peak - branch) / sigma)**2 finite for every accepted frequency
+MIN_SIGMA_GHZ = 1e-9
 DEFAULT_FREQUENCY_BOUNDS_GHZ = (0.1, 50.0)
 DEFAULT_COUPLING_BOUNDS_GHZ = (0.0, 2.0)
 DEFAULT_THETA_BOUNDS = (-2.0 * math.pi, 2.0 * math.pi)
@@ -65,6 +67,8 @@ class PeakDataset:
                 raise ValueError("record %d: frequencies must be <= %g GHz" % (k, MAX_FREQUENCY_GHZ))
             if not r.sigma > 0:
                 raise ValueError("record %d: sigma must be > 0 GHz" % k)
+            if r.sigma < MIN_SIGMA_GHZ:
+                raise ValueError("record %d: sigma must be >= %g GHz" % (k, MIN_SIGMA_GHZ))
 
     @cached_property
     def _columns(self):
@@ -168,6 +172,8 @@ class FitSpec:
                 raise ValueError(
                     "bounds for %r must be within +-%g GHz" % (name, MAX_RATE_MHZ * 1e-3)
                 )
+            if name.startswith("omega_c:") and lo <= 0:
+                raise ValueError("bounds for %r must be > 0 GHz" % name)
             self.bounds[name] = (lo, hi)
 
     def parameter_names(self) -> tuple:

@@ -84,97 +84,67 @@ def build_graph(system: SystemModel) -> CouplingGraph:
     )
 
 
-class _SpanningForest:
-    """Depth-first spanning forest with chords in discovery order."""
+def _forest(graph: CouplingGraph):
+    """Depth-first spanning forest, one traversal per component from its smallest photon.
 
-    def __init__(self, graph: CouplingGraph):
-        self.graph = graph
-        self.parent: dict[str, str | None] = {}
-        self.parent_edge: dict[str, int] = {}
-        self.chords: list[int] = []
-        # each vertex's gauge rotation, set where the traversal first reaches it
-        self.rotation: dict[str, float] = {}
-        seen_chords = set()
-        visited = set()
-        # one traversal per component, rooted at its smallest photon label
-        for root in sorted(graph.photons):
-            if root in visited:
-                continue
-            self.parent[root] = None
-            self.rotation[root] = 0.0
-            visited.add(root)
-            stack = [(root, iter(graph.adjacency[root]))]
-            while stack:
-                vertex, neighbours = stack[-1]
-                advanced = False
-                for other, idx in neighbours:
-                    if idx == self.parent_edge.get(vertex):
-                        continue
-                    if other in visited:
-                        if idx not in seen_chords:
-                            seen_chords.add(idx)
-                            self.chords.append(idx)
-                        continue
-                    visited.add(other)
-                    self.parent[other] = vertex
-                    self.parent_edge[other] = idx
-                    phase = graph.edges[idx].phase
-                    if other == graph.edges[idx].magnon:
-                        self.rotation[other] = phase + self.rotation[vertex]
-                    else:
-                        self.rotation[other] = self.rotation[vertex] - phase
-                    stack.append((other, iter(graph.adjacency[other])))
-                    advanced = True
-                    break
-                if not advanced:
-                    stack.pop()
-
-    def path_to_ancestor(self, vertex: str, ancestor: str) -> list[tuple[str, int]]:
-        steps = []
-        while vertex != ancestor:
-            steps.append((vertex, self.parent_edge[vertex]))
-            vertex = self.parent[vertex]
-        return steps
-
-    def ancestors(self, vertex: str) -> list[str]:
-        chain = [vertex]
-        while self.parent[vertex] is not None:
-            vertex = self.parent[vertex]
-            chain.append(vertex)
-        return chain
+    Returns each vertex's tree parent (None at a root), the index of its tree
+    edge (via), its gauge rotation, set where the traversal first reaches it,
+    and the chord edge indices in discovery order (dict keys).
+    """
+    parent, via, rotation, chords = {}, {}, {}, {}
+    for root in sorted(graph.photons):
+        if root in parent:
+            continue
+        parent[root] = None
+        rotation[root] = 0.0
+        stack = [(root, iter(graph.adjacency[root]))]
+        while stack:
+            vertex, neighbours = stack[-1]
+            other, idx = next(neighbours, (None, None))
+            if other is None:
+                stack.pop()
+            elif other not in parent:
+                parent[other] = vertex
+                via[other] = idx
+                edge = graph.edges[idx]
+                if other == edge.magnon:
+                    rotation[other] = edge.phase + rotation[vertex]
+                else:
+                    rotation[other] = rotation[vertex] - edge.phase
+                stack.append((other, iter(graph.adjacency[other])))
+            elif idx != via.get(vertex):
+                chords.setdefault(idx)
+    return parent, via, rotation, chords
 
 
-def _chord_cycle(forest: _SpanningForest, chord_idx: int) -> Cycle:
-    graph = forest.graph
-    chord = graph.edges[chord_idx]
-    on_photon_chain = set(forest.ancestors(chord.photon))
-    meet = chord.magnon
-    while meet not in on_photon_chain:
-        meet = forest.parent[meet]
-    # walk: photon -> magnon over the chord, then tree path magnon -> photon
-    vertices = [chord.photon, chord.magnon]
-    edges = [(chord_idx, +1)]
-    for vertex, edge_idx in forest.path_to_ancestor(chord.magnon, meet):
-        # stepping vertex -> parent, so leaving a magnon means magnon -> photon
-        orient = -1 if vertex == graph.edges[edge_idx].magnon else +1
-        edges.append((edge_idx, orient))
-        vertices.append(forest.parent[vertex])
-    up_from_photon = forest.path_to_ancestor(chord.photon, meet)
-    for vertex, edge_idx in reversed(up_from_photon):
-        parent = forest.parent[vertex]
-        orient = +1 if parent == graph.edges[edge_idx].photon else -1
-        edges.append((edge_idx, orient))
-        vertices.append(vertex)
-    # the walk closes on the chord photon, which already heads the list
-    assert vertices[-1] == chord.photon
-    vertices.pop()
-    return Cycle(vertices=tuple(vertices), edges=tuple(edges), chord=chord_idx)
+def _chord_cycle(graph: CouplingGraph, parent: dict, via: dict, idx: int) -> Cycle:
+    """The chord photon -> magnon, then the tree path from the magnon back."""
+    chord = graph.edges[idx]
+    chain, vertex = {}, chord.photon  # the photon's path to its root: vertex -> steps up
+    while vertex is not None:
+        chain[vertex] = len(chain)
+        vertex = parent[vertex]
+    vertices, edges = [chord.photon], [(idx, +1)]
+
+    def step(here: str, edge_idx: int) -> None:
+        vertices.append(here)
+        edges.append((edge_idx, +1 if here == graph.edges[edge_idx].photon else -1))
+
+    # up from the magnon until the walk meets the chain, then down it
+    here = chord.magnon
+    while here not in chain:
+        step(here, via[here])
+        here = parent[here]
+    for below in reversed(list(chain)[: chain[here]]):
+        step(here, via[below])
+        here = below
+    return Cycle(vertices=tuple(vertices), edges=tuple(edges), chord=idx)
 
 
 def cycle_basis(graph: CouplingGraph) -> tuple[Cycle, ...]:
     """Fundamental cycles of the coupling graph, one per chord edge."""
-    forest = _SpanningForest(graph)
-    return tuple(_chord_cycle(forest, idx) for idx in forest.chords)
+    parent, via, _, chords = _forest(graph)
+    return tuple(_chord_cycle(graph, parent, via, idx) for idx in chords)
 
 
 def loop_phase(cycle: Cycle, graph: CouplingGraph) -> float:
@@ -202,13 +172,13 @@ def reduce_system(system: SystemModel) -> GaugeReduction:
     their fundamental cycles.
     """
     graph = build_graph(system)
-    forest = _SpanningForest(graph)
-    vertex_phases = {v: fold_phase(forest.rotation[v]) for v in graph.vertices}
+    parent, via, rotation, chords = _forest(graph)
+    vertex_phases = {v: fold_phase(rotation[v]) for v in graph.vertices}
     applied = apply_vertex_phases(system, vertex_phases)
     reduced_edges = tuple((e.photon, e.magnon, e.phase) for e in applied.edges)
     physical = tuple(
         PhysicalPhase(theta=loop_phase(cycle, graph), cycle=cycle)
-        for cycle in (_chord_cycle(forest, idx) for idx in forest.chords)
+        for cycle in (_chord_cycle(graph, parent, via, idx) for idx in chords)
     )
     return GaugeReduction(
         vertex_phases=vertex_phases,

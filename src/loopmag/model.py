@@ -195,6 +195,8 @@ class HermitianMatrixGHz:
         n = len(self.labels)
         if entries.shape != (n, n):
             raise ValueError("entries must be square with one row per label")
+        if not np.isfinite(entries).all():
+            raise ValueError("entries must be finite")
         scale = max(float(np.linalg.norm(entries)), 1e-300)
         if np.linalg.norm(entries - entries.conj().T) > 1e-12 * scale:
             raise ValueError("matrix is not Hermitian to 1e-12 relative")

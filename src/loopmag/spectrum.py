@@ -53,6 +53,8 @@ def _as_matrix(matrix) -> np.ndarray:
     mat = np.asarray(matrix, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("expected a square matrix")
+    if not np.isfinite(mat).all():
+        raise ValueError("matrix entries must be finite")
     scale = max(np.linalg.norm(mat), 1e-300)
     if np.linalg.norm(mat - mat.conj().T) > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian within 1e-10 relative tolerance")

@@ -8,6 +8,7 @@ import pytest
 
 from loopmag.calibrate import (
     DEFAULT_SIGMA_GHZ,
+    MIN_SIGMA_GHZ,
     FitSpec,
     PeakDataset,
     PeakRecord,
@@ -323,6 +324,18 @@ def test_peak_record_validation():
             PeakDataset(records=(PeakRecord(*record),))
 
 
+def test_peak_dataset_rejects_sigma_below_one_hz_after_the_sign_check():
+    for sigma in (1e-300, 0.99e-9):
+        with pytest.raises(ValueError, match=r"^record 0: sigma must be >= 1e-09 GHz$"):
+            PeakDataset(records=(PeakRecord(5.0, 5.0, sigma),))
+    for sigma in (0.0, -1.0):
+        with pytest.raises(ValueError, match=r"^record 0: sigma must be > 0 GHz$"):
+            PeakDataset(records=(PeakRecord(5.0, 5.0, sigma),))
+    assert PeakDataset(records=((5.0, 5.0, MIN_SIGMA_GHZ),)).records[0].sigma == 1e-9
+    with pytest.raises(SchemaError, match=r"^record 1: sigma must be >= 1e-09 GHz$"):
+        dataset_from_csv("omega_m_ghz,omega_peak_ghz,sigma_ghz\n5.0,4.5,0.001\n5.1,4.6,1e-300\n")
+
+
 def test_dataset_from_csv_with_sigma_column():
     text = (
         "omega_m_ghz,omega_peak_ghz,sigma_ghz\n"
@@ -397,6 +410,21 @@ def test_fitspec_rejects_bad_bounds():
         two_tone_spec(bounds={"g:c1": (0, 1e7)})
     spec = two_tone_spec(bounds={"omega_c:c1": (0.1, 1e6), "g:c1": (0, 1e6)})
     assert spec.bounds == {"omega_c:c1": (0.1, 1e6), "g:c1": (0.0, 1e6)}
+
+
+def test_fitspec_rejects_a_frequency_lower_bound_at_or_below_zero_after_the_other_checks():
+    for pair in ((-5.0, 5.0), (0.0, 5.0)):
+        with pytest.raises(ValueError, match=r"^bounds for 'omega_c:c1' must be > 0 GHz$"):
+            two_tone_spec(bounds={"omega_c:c1": pair})
+    with pytest.raises(ValueError, match=r"^bounds for 'omega_c:c1' must be finite$"):
+        two_tone_spec(bounds={"omega_c:c1": (-math.inf, 5.0)})
+    with pytest.raises(ValueError, match="^bounds for 'omega_c:c1': upper end -6 is below"):
+        two_tone_spec(bounds={"omega_c:c1": (-5.0, -6.0)})
+    with pytest.raises(ValueError, match=r"^bounds for 'omega_c:c1' must be <= 1e\+06 GHz$"):
+        two_tone_spec(bounds={"omega_c:c1": (-5.0, 1e7)})
+    assert two_tone_spec(bounds={"omega_c:c1": (1e-9, 5)}).bounds == {"omega_c:c1": (1e-9, 5.0)}
+    # the lower-bound floor is for frequencies only: a coupling may still be negative
+    assert two_tone_spec(bounds={"g:c1": (-0.2, 0.2)}).bounds == {"g:c1": (-0.2, 0.2)}
 
 
 def test_parameter_names_order_frequencies_then_couplings():

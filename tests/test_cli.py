@@ -794,6 +794,31 @@ def test_fit_initial_value_outside_its_bounds_exits_2(tmp_path):
     assert result.output == "error: initial value 5 for 'g:c1' is outside its bounds [0, 2]\n"
 
 
+def test_fit_frequency_bound_at_or_below_zero_exits_2_at_load(tmp_path):
+    data = tmp_path / "peaks.csv"
+    data.write_text("omega_m_ghz,omega_peak_ghz\n5.0,-1.0\n5.1,-1.0\n5.2,-1.1\n")
+    spec = tmp_path / "fitspec.json"
+    spec.write_text(json.dumps({
+        "preset": "cavity-pi-fit", "free_photon_frequencies": ["c1"],
+        "theta_hypotheses": [["pi"]], "initial": [0.5], "bounds": {"omega_c:c1": [-5, 5]},
+    }))
+    result = run("fit", "--data", str(data), "--spec", str(spec))
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: bounds for 'omega_c:c1' must be > 0 GHz\n"
+
+
+def test_fit_sigma_below_one_hz_exits_2_without_warnings(tmp_path):
+    _, spec = write_fit_inputs(tmp_path)
+    data = tmp_path / "peaks.csv"
+    data.write_text("omega_m_ghz,omega_peak_ghz,sigma_ghz\n5.0,4.5,1e-300\n5.1,4.6,1e-300\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run("fit", "--data", str(data), "--spec", str(spec))
+    assert [str(w.message) for w in caught] == []
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: record 0: sigma must be >= 1e-09 GHz\n"
+
+
 def test_fit_command_rejects_bad_spec(tmp_path):
     data, _ = write_fit_inputs(tmp_path)
     spec = tmp_path / "fitspec.json"

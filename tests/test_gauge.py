@@ -428,7 +428,7 @@ def test_reduction_preserves_spectrum():
             assert np.linalg.norm(h_red - u @ h @ u.conj().T) <= 1e-13 * scale
 
 
-def test_disconnected_components_reduced_per_component():
+def two_component_device():
     modes = (
         ModeSpec("c1", "photon", 4.0),
         ModeSpec("c2", "photon", 5.0),
@@ -449,8 +449,11 @@ def test_disconnected_components_reduced_per_component():
         CouplingEdge("c4", "m3", 50.0, 0.5),
         CouplingEdge("c4", "m4", 50.0, 0.7),
     )
-    system = SystemModel(modes, edges, frozenset({"m1", "m2", "m3", "m4"}))
-    red = reduce_system(system)
+    return SystemModel(modes, edges, frozenset({"m1", "m2", "m3", "m4"}))
+
+
+def test_disconnected_components_reduced_per_component():
+    red = reduce_system(two_component_device())
     assert len(red.physical_phases) == 2
     first, second = red.physical_phases
     assert set(first.cycle.vertices) == {"c1", "c2", "m1", "m2"}
@@ -473,3 +476,176 @@ def test_reduction_document_shape():
     assert set(entry) == {"theta_rad", "cycle"}
     assert entry["cycle"] == list(red.physical_phases[0].cycle.vertices)
     assert doc["vertex_phases"]["c1"] == red.vertex_phases["c1"]
+
+
+# ====== the previous spanning forest, kept as an oracle ======
+
+
+class OracleSpanningForest:
+    """The class-based forest gauge.py used before _forest, less its annotations and comments."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.parent = {}
+        self.parent_edge = {}
+        self.chords = []
+        self.rotation = {}
+        seen_chords = set()
+        visited = set()
+        for root in sorted(graph.photons):
+            if root in visited:
+                continue
+            self.parent[root] = None
+            self.rotation[root] = 0.0
+            visited.add(root)
+            stack = [(root, iter(graph.adjacency[root]))]
+            while stack:
+                vertex, neighbours = stack[-1]
+                advanced = False
+                for other, idx in neighbours:
+                    if idx == self.parent_edge.get(vertex):
+                        continue
+                    if other in visited:
+                        if idx not in seen_chords:
+                            seen_chords.add(idx)
+                            self.chords.append(idx)
+                        continue
+                    visited.add(other)
+                    self.parent[other] = vertex
+                    self.parent_edge[other] = idx
+                    phase = graph.edges[idx].phase
+                    if other == graph.edges[idx].magnon:
+                        self.rotation[other] = phase + self.rotation[vertex]
+                    else:
+                        self.rotation[other] = self.rotation[vertex] - phase
+                    stack.append((other, iter(graph.adjacency[other])))
+                    advanced = True
+                    break
+                if not advanced:
+                    stack.pop()
+
+    def path_to_ancestor(self, vertex, ancestor):
+        steps = []
+        while vertex != ancestor:
+            steps.append((vertex, self.parent_edge[vertex]))
+            vertex = self.parent[vertex]
+        return steps
+
+    def ancestors(self, vertex):
+        chain = [vertex]
+        while self.parent[vertex] is not None:
+            vertex = self.parent[vertex]
+            chain.append(vertex)
+        return chain
+
+
+def oracle_chord_cycle(forest, chord_idx):
+    graph = forest.graph
+    chord = graph.edges[chord_idx]
+    on_photon_chain = set(forest.ancestors(chord.photon))
+    meet = chord.magnon
+    while meet not in on_photon_chain:
+        meet = forest.parent[meet]
+    vertices = [chord.photon, chord.magnon]
+    edges = [(chord_idx, +1)]
+    for vertex, edge_idx in forest.path_to_ancestor(chord.magnon, meet):
+        orient = -1 if vertex == graph.edges[edge_idx].magnon else +1
+        edges.append((edge_idx, orient))
+        vertices.append(forest.parent[vertex])
+    up_from_photon = forest.path_to_ancestor(chord.photon, meet)
+    for vertex, edge_idx in reversed(up_from_photon):
+        parent = forest.parent[vertex]
+        orient = +1 if parent == graph.edges[edge_idx].photon else -1
+        edges.append((edge_idx, orient))
+        vertices.append(vertex)
+    assert vertices[-1] == chord.photon
+    vertices.pop()
+    return Cycle(vertices=tuple(vertices), edges=tuple(edges), chord=chord_idx)
+
+
+def reduction_bits(vertex_phases, reduced_edges, physical):
+    """A reduction as plain tuples with every float as its hex form, so -0.0 != 0.0."""
+    return (
+        tuple((v, phase.hex()) for v, phase in vertex_phases.items()),
+        tuple((p, m, phase.hex()) for p, m, phase in reduced_edges),
+        tuple((theta.hex(), cycle) for theta, cycle in physical),
+    )
+
+
+def assert_matches_the_oracle(system):
+    graph = build_graph(system)
+    forest = OracleSpanningForest(graph)
+    cycles = tuple(oracle_chord_cycle(forest, idx) for idx in forest.chords)
+    assert cycle_basis(graph) == cycles
+    vertex_phases = {v: fold_phase(forest.rotation[v]) for v in graph.vertices}
+    applied = apply_vertex_phases(system, vertex_phases)
+    want = reduction_bits(
+        vertex_phases,
+        [(e.photon, e.magnon, e.phase) for e in applied.edges],
+        [(loop_phase(cycle, graph), cycle) for cycle in cycles],
+    )
+    red = reduce_system(system)
+    got = reduction_bits(
+        red.vertex_phases, red.reduced_edges, [(p.theta, p.cycle) for p in red.physical_phases]
+    )
+    assert got == want
+    return len(cycles)
+
+
+def shuffled_device(rng):
+    """1-6 photons and 1-6 magnons, edge density 0.1-1, modes and edges in shuffled order."""
+    n_p, n_m = (int(n) for n in rng.integers(1, 7, size=2))
+    density = float(rng.uniform(0.1, 1.0))
+    modes = [ModeSpec(f"c{i}", "photon", 5.0) for i in range(n_p)]
+    modes += [ModeSpec(f"m{i}", "magnon", 5.0) for i in range(n_m)]
+    edges = [
+        CouplingEdge(f"c{p}", f"m{m}", 50.0, float(rng.uniform(-PI, PI)))
+        for p in range(n_p)
+        for m in range(n_m)
+        if rng.uniform() < density
+    ]
+    rng.shuffle(modes)
+    rng.shuffle(edges)
+    return SystemModel(tuple(modes), tuple(edges), frozenset(f"m{m}" for m in range(n_m)))
+
+
+def complete_device(rng, n):
+    modes = [ModeSpec(f"c{i}", "photon", 5.0) for i in range(n)]
+    modes += [ModeSpec(f"m{i}", "magnon", 5.0) for i in range(n)]
+    edges = [
+        CouplingEdge(f"c{p}", f"m{m}", 50.0, float(rng.uniform(-PI, PI)))
+        for p in range(n)
+        for m in range(n)
+    ]
+    return SystemModel(tuple(modes), tuple(edges), frozenset(f"m{m}" for m in range(n)))
+
+
+def ladder_device(rng, rungs):
+    """Two rails of alternating photons and magnons joined by rungs: a deep forest."""
+    kind = {}
+    for i in range(rungs):
+        kind[f"a{i}"], kind[f"b{i}"] = ("photon", "magnon") if i % 2 == 0 else ("magnon", "photon")
+    pairs = [(f"a{i}", f"b{i}") for i in range(rungs)]
+    pairs += [(f"{rail}{i}", f"{rail}{i + 1}") for rail in "ab" for i in range(rungs - 1)]
+    edges = [
+        CouplingEdge(*sorted(pair, key=lambda v: kind[v] != "photon"), 50.0,
+                     float(rng.uniform(-PI, PI)))
+        for pair in pairs
+    ]
+    modes = [ModeSpec(label, k, 5.0) for label, k in kind.items()]
+    magnons = frozenset(label for label, k in kind.items() if k == "magnon")
+    return SystemModel(tuple(modes), tuple(edges), magnons)
+
+
+def test_reduction_matches_the_previous_forest_bit_for_bit_on_random_devices():
+    rng = np.random.default_rng(15)
+    loops = [assert_matches_the_oracle(shuffled_device(rng)) for _ in range(2000)]
+    # trees and forests, and up to the 25 loops of a complete 6 x 6 graph
+    assert loops.count(0) > 1000 and sum(loops) > 4000 and max(loops) == 25
+
+
+def test_reduction_matches_the_previous_forest_bit_for_bit_on_large_and_split_devices():
+    rng = np.random.default_rng(16)
+    assert assert_matches_the_oracle(complete_device(rng, 12)) == 144 - 24 + 1
+    assert assert_matches_the_oracle(two_component_device()) == 2
+    assert assert_matches_the_oracle(ladder_device(rng, 800)) == 799

@@ -3,6 +3,7 @@
 import math
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,17 @@ def test_hermitian_matrix_rejects_asymmetric():
     bad = np.array([[1.0, 0.5], [0.0, 2.0]], dtype=complex)
     with pytest.raises(ValueError):
         HermitianMatrixGHz(("a", "b"), bad)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0, math.inf)])
+def test_hermitian_matrix_rejects_non_finite_entries_before_the_norms(value):
+    entries = np.array([[1.0, 0.5], [0.5, value]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^entries must be finite$"):
+            HermitianMatrixGHz(("a", "b"), entries)
+        with pytest.raises(ValueError, match="^entries must be finite$"):
+            HermitianMatrixGHz(("a",), [[value]])
 
 
 # ====== build_hamiltonian ======

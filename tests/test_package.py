@@ -45,3 +45,11 @@ def test_only_the_package_init_assigns_all():
         stored = {node.id for node in ast.walk(ast.parse(path.read_text()))
                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
         assert "__all__" not in stored, "%s assigns __all__" % path.name
+
+
+def test_no_module_relies_on_an_assert_statement():
+    # python -O strips assert statements, so a check the package needs must raise
+    for path in sorted(SRC_DIR.glob("*.py")):
+        asserts = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.Assert)]
+        assert not asserts, "%s has assert statements on lines %s" % (path.name, asserts)

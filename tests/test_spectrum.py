@@ -1,6 +1,7 @@
 """Tests for the eigensolver, sweeps, gap extraction, and dark-mode metrics."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,16 @@ def test_rejects_non_hermitian():
     bad = np.array([[1.0, 0.5], [0.2, 1.0]], dtype=complex)
     with pytest.raises(ValueError):
         eig_hermitian(bad)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(math.nan, 0)])
+def test_rejects_non_finite_entries_before_the_norms(value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            eig_hermitian(np.array([[value]]))
+        with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+            eig_hermitian(np.array([[1.0, value], [value, 2.0]], dtype=complex))
 
 
 def test_accepts_model_matrix_wrapper():
