@@ -29,7 +29,7 @@ from .calibrate import dataset_from_csv, fit, fit_spec_from_document
 from .fieldmap import coupling_table, field_table_from_csv, regions_from_document
 from .gauge import reduce_system, reduction_to_document
 from .model import (MAX_FREQUENCY_GHZ, RWA_LIMIT, SchemaError, SystemModel, check_rwa,
-                    edges_to_document, number, string, system_from_document)
+                    check_stack, edges_to_document, number, string, system_from_document)
 from .spectrum import sweep, sweep_to_csv
 from .transmission import map_to_csv, ports_from_document, s21_map
 
@@ -311,6 +311,7 @@ def cmd_spectrum(preset_name, config_path, grid_start_ghz, grid_stop_ghz, grid_p
     if single_sphere:
         system = _single_sphere(system)
     grid = np.linspace(*_grid(config, "magnon_grid", grid_start_ghz, grid_stop_ghz, grid_points))
+    check_stack(grid.size, len(system.modes), "magnon_grid.points")
     _warn_rwa(system)
     return lambda: sweep_to_csv(sweep(system, grid))
 
@@ -335,6 +336,8 @@ def cmd_s21(preset_name, config_path, probe_start_ghz, probe_stop_ghz, probe_poi
     magnon = _grid(config, "magnon_grid", magnon_start_ghz, magnon_stop_ghz, magnon_points)
     if probe[2] * magnon[2] > MAX_MAP_POINTS:
         raise SchemaError("probe_grid.points * magnon_grid.points must be <= %d" % MAX_MAP_POINTS)
+    for key, grid in (("probe_grid", probe), ("magnon_grid", magnon)):
+        check_stack(grid[2], len(system.modes), key + ".points")
     probe, magnon = np.linspace(*probe), np.linspace(*magnon)
     _warn_rwa(system)
 
@@ -387,6 +390,8 @@ def cmd_fit(data_path, spec_path):
     document = _load_json(spec_path)
     system = _fit_system(document)
     spec, initial, max_iterations = fit_spec_from_document(document, system)
+    unique = len({record.omega_m for record in dataset.records})
+    check_stack(unique, len(system.modes), "--data: unique omega_m_ghz values")
     _warn_rwa(system)
 
     def compute():

@@ -87,64 +87,57 @@ def build_graph(system: SystemModel) -> CouplingGraph:
 def _forest(graph: CouplingGraph):
     """Depth-first spanning forest, one traversal per component from its smallest photon.
 
-    Returns each vertex's tree parent (None at a root), the index of its tree
-    edge (via), its gauge rotation, set where the traversal first reaches it,
-    and the chord edge indices in discovery order (dict keys).
+    Returns each vertex's gauge rotation, set where the traversal first
+    reaches it, and the fundamental cycles in chord discovery order.  A chord
+    is first met at its deeper end, while the other end is still on the
+    traversal path, so its tree path is the tail of that path.
     """
-    parent, via, rotation, chords = {}, {}, {}, {}
+    depth, via, rotation, cycles = {}, {}, {}, []
     for root in sorted(graph.photons):
-        if root in parent:
+        if root in depth:
             continue
-        parent[root] = None
+        depth[root] = 0
         rotation[root] = 0.0
-        stack = [(root, iter(graph.adjacency[root]))]
+        path, stack = [root], [iter(graph.adjacency[root])]
         while stack:
-            vertex, neighbours = stack[-1]
-            other, idx = next(neighbours, (None, None))
+            vertex = path[-1]
+            other, idx = next(stack[-1], (None, None))
             if other is None:
+                path.pop()
                 stack.pop()
-            elif other not in parent:
-                parent[other] = vertex
+            elif other not in depth:
+                depth[other] = len(path)
                 via[other] = idx
                 edge = graph.edges[idx]
                 if other == edge.magnon:
                     rotation[other] = edge.phase + rotation[vertex]
                 else:
                     rotation[other] = rotation[vertex] - edge.phase
-                stack.append((other, iter(graph.adjacency[other])))
-            elif idx != via.get(vertex):
-                chords.setdefault(idx)
-    return parent, via, rotation, chords
+                path.append(other)
+                stack.append(iter(graph.adjacency[other]))
+            elif depth[other] < depth[vertex] and idx != via[vertex]:
+                cycles.append(_chord_cycle(graph, via, idx, path[depth[other]:]))
+    return rotation, tuple(cycles)
 
 
-def _chord_cycle(graph: CouplingGraph, parent: dict, via: dict, idx: int) -> Cycle:
-    """The chord photon -> magnon, then the tree path from the magnon back."""
-    chord = graph.edges[idx]
-    chain, vertex = {}, chord.photon  # the photon's path to its root: vertex -> steps up
-    while vertex is not None:
-        chain[vertex] = len(chain)
-        vertex = parent[vertex]
-    vertices, edges = [chord.photon], [(idx, +1)]
+def _chord_cycle(graph: CouplingGraph, via: dict, idx: int, path: list) -> Cycle:
+    """The chord photon -> magnon, then the tree path from the magnon back.
 
-    def step(here: str, edge_idx: int) -> None:
-        vertices.append(here)
+    path runs down the traversal from the chord's shallower end to its deeper
+    end; each step along it takes the deeper vertex's tree edge.
+    """
+    down = path[-1] == graph.edges[idx].photon
+    walk = path if down else path[::-1]
+    edges = [(idx, +1)]
+    for here, there in zip(walk, walk[1:]):
+        edge_idx = via[there if down else here]
         edges.append((edge_idx, +1 if here == graph.edges[edge_idx].photon else -1))
-
-    # up from the magnon until the walk meets the chain, then down it
-    here = chord.magnon
-    while here not in chain:
-        step(here, via[here])
-        here = parent[here]
-    for below in reversed(list(chain)[: chain[here]]):
-        step(here, via[below])
-        here = below
-    return Cycle(vertices=tuple(vertices), edges=tuple(edges), chord=idx)
+    return Cycle(vertices=(walk[-1], *walk[:-1]), edges=tuple(edges), chord=idx)
 
 
 def cycle_basis(graph: CouplingGraph) -> tuple[Cycle, ...]:
     """Fundamental cycles of the coupling graph, one per chord edge."""
-    parent, via, _, chords = _forest(graph)
-    return tuple(_chord_cycle(graph, parent, via, idx) for idx in chords)
+    return _forest(graph)[1]
 
 
 def loop_phase(cycle: Cycle, graph: CouplingGraph) -> float:
@@ -172,14 +165,11 @@ def reduce_system(system: SystemModel) -> GaugeReduction:
     their fundamental cycles.
     """
     graph = build_graph(system)
-    parent, via, rotation, chords = _forest(graph)
+    rotation, cycles = _forest(graph)
     vertex_phases = {v: fold_phase(rotation[v]) for v in graph.vertices}
     applied = apply_vertex_phases(system, vertex_phases)
     reduced_edges = tuple((e.photon, e.magnon, e.phase) for e in applied.edges)
-    physical = tuple(
-        PhysicalPhase(theta=loop_phase(cycle, graph), cycle=cycle)
-        for cycle in (_chord_cycle(graph, parent, via, idx) for idx in chords)
-    )
+    physical = tuple(PhysicalPhase(theta=loop_phase(cycle, graph), cycle=cycle) for cycle in cycles)
     return GaugeReduction(
         vertex_phases=vertex_phases,
         reduced_edges=reduced_edges,

@@ -26,6 +26,10 @@ MAX_RATE_MHZ = MAX_FREQUENCY_GHZ * 1e3
 # The rotating-wave approximation behind the Hamiltonian holds while every
 # coupling stays below this fraction of its photon frequency.
 RWA_LIMIT = 0.10
+# Ceiling on the complex entries of one stack of matrices, one n x n matrix
+# per grid point: 2**24 entries are 256 MiB, so no accepted grid and device
+# can ask for a stack that exhausts memory.
+MAX_STACK_ENTRIES = 1 << 24
 
 PHASE_STRINGS = {
     "pi/2": math.pi / 2.0,
@@ -245,12 +249,20 @@ def build_hamiltonian(system: SystemModel, omega_m: float) -> HermitianMatrixGHz
     return HermitianMatrixGHz(tuple(index), h)
 
 
+def check_stack(points: int, n: int, where: str) -> None:
+    """Raise ValueError when points n x n matrices exceed MAX_STACK_ENTRIES entries."""
+    if points * n * n > MAX_STACK_ENTRIES:
+        raise ValueError("%s * modes^2 must be <= %d" % (where, MAX_STACK_ENTRIES))
+
+
 def hamiltonians(system: SystemModel, omega_m_grid: np.ndarray) -> np.ndarray:
     """Hamiltonians over a magnon grid, shape (N, n, n), rows in system.modes order.
 
     Built once at the first grid point, then the swept diagonal is overwritten,
     so each slice equals build_hamiltonian at its grid point bit for bit.
+    Raises ValueError before allocating a stack beyond MAX_STACK_ENTRIES.
     """
+    check_stack(len(omega_m_grid), len(system.modes), "len(omega_m_grid)")
     base = build_hamiltonian(system, float(omega_m_grid[0])).entries
     mats = np.broadcast_to(base, (len(omega_m_grid), *base.shape)).copy()
     for k, mode in enumerate(system.modes):
@@ -267,10 +279,10 @@ class RwaCheck(NamedTuple):
 
 def check_rwa(system: SystemModel) -> list:
     """Coupling-to-frequency ratio per edge; ok when strength/omega_photon < RWA_LIMIT."""
+    frequency = {m.label: m.frequency for m in system.modes}
     out = []
     for e in system.edges:
-        omega = system.mode(e.photon).frequency
-        ratio = (e.strength * 1e-3) / omega
+        ratio = (e.strength * 1e-3) / frequency[e.photon]
         out.append(RwaCheck(e, ratio, ratio < RWA_LIMIT))
     return out
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (CELL_BYTES, MAX_RATE_MHZ, SchemaError, SystemModel, build_hamiltonian,
-                    cells_text, csv_rows, frequency_axis, g9_cells, hamiltonians, number)
+                    cells_text, check_stack, csv_rows, frequency_axis, g9_cells, hamiltonians,
+                    number)
 from .spectrum import parabola_vertex
 
 DEFAULT_PHOTON_LOSS_MHZ = 5.0
@@ -193,12 +194,14 @@ def s21_map(system: SystemModel, ports, omega_grid, omega_m_grid) -> Transmissio
     S21(omega) = sum_k (d2 . r_k) (R^-1 d1)_k / (lambda_k - i omega).
     A point whose eigenvector matrix R has a condition number above
     RESIDUE_COND_LIMIT, or none, is solved per probe frequency instead, as
-    s21_at does.  Ports whose photons the device decouples give |S21| at
-    rounding level; a value that rounds to exactly zero is reported at
-    S21_FLOOR, not -inf.
+    s21_at does, on a stack of one matrix per probe frequency; each grid must
+    keep its stack within MAX_STACK_ENTRIES.  Ports whose photons the device
+    decouples give |S21| at rounding level; a value that rounds to exactly
+    zero is reported at S21_FLOOR, not -inf.
     """
     omega = frequency_axis(omega_grid, "omega_grid")
     omega_m = frequency_axis(omega_m_grid, "omega_m_grid")
+    check_stack(omega.size, len(system.modes), "len(omega_grid)")
     port1, port2 = _ordered_ports(ports)
     gamma, d1, d2, defaults = _loss_model(system, port1, port2)
     damped = 1j * hamiltonians(system, omega_m) + np.diag(gamma) / 2.0

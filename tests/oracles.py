@@ -82,8 +82,9 @@ def char_poly_eigenvalues(h, scan_points=1201, rel_tol=1e-13, max_refine=6):
         h: (n, n) complex Hermitian array.
         scan_points: initial dense-scan resolution over the Gershgorin interval.
         rel_tol: bisection stops when bracket width < rel_tol * max(1, scale).
-        max_refine: scan resolution is quadrupled up to this many times if
-            fewer than n sign changes are found.
+        max_refine: scan resolution is quadrupled up to this many times while
+            fewer than n sign changes are found and each round finds more
+            than the one before.
 
     Returns:
         (n,) float array of eigenvalues, ascending.
@@ -111,7 +112,7 @@ def char_poly_eigenvalues(h, scan_points=1201, rel_tol=1e-13, max_refine=6):
     lo -= pad
     hi += pad
 
-    points = int(scan_points)
+    points, found = int(scan_points), -1
     for _ in range(max_refine + 1):
         xs = np.linspace(lo, hi, points)
         vals = char_poly_at(h, xs)
@@ -121,10 +122,12 @@ def char_poly_eigenvalues(h, scan_points=1201, rel_tol=1e-13, max_refine=6):
             vals = char_poly_at(h, xs)
         signs = np.sign(vals)
         flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
-        if flips.shape[0] == n:
+        # give up once a finer scan brackets no new root: the rest sit in a cluster
+        if flips.shape[0] == n or flips.shape[0] <= found:
             break
+        found = flips.shape[0]
         points *= 4
-    else:
+    if flips.shape[0] != n:
         raise OracleError(
             "bracketed %d roots, expected %d (degenerate spectrum?)"
             % (flips.shape[0], n)

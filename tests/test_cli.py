@@ -18,6 +18,7 @@ from loopmag.calibrate import dataset_from_csv, fit_spec_from_document
 from loopmag.cli import PRESETS, main
 from loopmag.fieldmap import field_table_from_csv, regions_from_document
 from loopmag.model import (
+    MAX_STACK_ENTRIES,
     CouplingEdge,
     ModeSpec,
     SchemaError,
@@ -263,6 +264,9 @@ def test_spectrum_non_string_label_exits_2(tmp_path, section, key, bad, message)
         ("stop_ghz", math.inf, "magnon_grid.stop_ghz: expected a finite number"),
         ("points", 121.0, "magnon_grid.points: expected an integer"),
         ("points", "121", "magnon_grid.points: expected an integer"),
+        ("start_ghz", 0.0, "magnon_grid.start_ghz must be > 0"),
+        ("stop_ghz", 4.0, "magnon_grid: stop_ghz must exceed start_ghz"),
+        ("points", 0, "magnon_grid.points must be >= 1"),
     ],
 )
 def test_spectrum_malformed_grid_setting_exits_2(tmp_path, key, bad, message):
@@ -323,6 +327,51 @@ def test_grids_at_their_caps_are_accepted(monkeypatch, command, args, sizes):
     result = run(*args, "--preset", "cavity-pi-fit")
     assert (result.exit_code, result.output) == (1, "error: stopped before solving\n")
     assert seen == sizes
+
+
+def chain_document(pairs=32):
+    """A chain of 2 * pairs modes, photon c0 - magnon m0 - photon c1 - ..., all at 5 GHz."""
+    modes = [{"label": "%s%d" % (prefix, k), "kind": kind, "frequency_ghz": 5.0}
+             for k in range(pairs) for prefix, kind in (("c", "photon"), ("m", "magnon"))]
+    edges = [{"photon": "c%d" % k, "magnon": "m%d" % j, "g_mhz": 50.0, "phase_rad": 0}
+             for k in range(pairs) for j in (k - 1, k) if j >= 0]
+    return {"modes": modes, "edges": edges, "sweep": ["m%d" % k for k in range(pairs)]}
+
+
+@pytest.mark.parametrize(
+    "command, args, where",
+    [
+        ("sweep", ("spectrum", "--config", "{config}", "--grid-points", "{points}"),
+         "magnon_grid.points"),
+        ("s21_map", ("s21", "--config", "{config}", "--probe-points", "{points}"),
+         "probe_grid.points"),
+        ("s21_map", ("s21", "--config", "{config}", "--magnon-points", "{points}"),
+         "magnon_grid.points"),
+        ("fit", ("fit", "--data", "{data}", "--spec", "{spec}"),
+         "--data: unique omega_m_ghz values"),
+    ],
+)
+def test_matrix_stacks_beyond_the_budget_exit_2_before_any_is_built(
+        tmp_path, monkeypatch, command, args, where):
+    system = chain_document()
+    budget = MAX_STACK_ENTRIES // len(system["modes"]) ** 2  # 4096 grid points of 64 modes
+    grid = {"start_ghz": 4.0, "stop_ghz": 6.0, "points": 1}
+    files = {name: tmp_path / name for name in ("config", "spec", "data")}
+    files["config"].write_text(json.dumps({"system": system, "magnon_grid": grid, "probe_grid": grid}))
+    files["spec"].write_text(json.dumps({"system": system, "free_photon_frequencies": ["c0"],
+                                         "theta_hypotheses": [[]], "initial": [5.0]}))
+
+    def no_stack(*arguments):
+        raise RuntimeError("stopped before building a stack")
+
+    monkeypatch.setattr(loopmag.cli, command, no_stack)
+    for points, expected in ((budget, (1, "error: stopped before building a stack\n")),
+                             (budget + 1, (2, "error: %s * modes^2 must be <= %d\n"
+                                           % (where, MAX_STACK_ENTRIES)))):
+        files["data"].write_text("omega_m_ghz,omega_peak_ghz\n"
+                                 + "".join("%d,5\n" % (k + 1) for k in range(points)))
+        result = run(*(arg.format(points=points, **files) for arg in args))
+        assert (result.exit_code, result.stdout, result.stderr) == (expected[0], "", expected[1])
 
 
 @pytest.mark.parametrize(
@@ -419,6 +468,7 @@ def test_s21_infinite_port_rate_exits_2(tmp_path):
         ({"1": None, "2": {"c2": "5"}}, "ports.2.c2: expected a number"),
         ({"1": {"c1": True}, "2": None}, "ports.1.c1: expected a number"),
         ({"1": 5.0, "2": None}, "ports.1: expected null or a label->rate object"),
+        ({"1": None}, "ports: expected an object with exactly the keys '1' and '2'"),
     ],
 )
 def test_s21_malformed_ports_exit_2(tmp_path, ports, message):
@@ -650,6 +700,7 @@ def test_fieldmap_degenerate_phase_is_computation_failure(tmp_path):
          "mode_frequencies_ghz.c1 must be <= 1e+06"),
         (lambda c: c["mode_frequencies_ghz"].update(c1=1e7),
          "mode_frequencies_ghz.c1 must be <= 1e+06"),
+        (lambda c: c["mode_frequencies_ghz"].pop("c1"), "no frequency given for mode 'c1'"),
     ],
 )
 def test_fieldmap_malformed_config_exits_2(tmp_path, edit, message):
@@ -1063,3 +1114,37 @@ def test_json_nested_too_deep_exits_2_with_one_error_line(tmp_path, command):
     proc = fresh_python("-m", "loopmag.cli", command, *args)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: %s: JSON nesting is too deep\n" % deep
+
+
+@pytest.mark.parametrize(
+    "args, document, message",
+    [
+        (("gauge",), {}, "give exactly one of --preset or --config"),
+        (("gauge", "--config", "{config}"), [], "{config}: expected a JSON object at top level"),
+        (("gauge", "--config", "{config}"), {}, "config: missing required key 'system'"),
+        (("gauge", "--config", "{config}"), {"system": {"modes": [], "edges": [], "sweep": "m1"}},
+         "sweep: expected a list"),
+        (("spectrum", "--single-sphere", "--config", "{config}"),
+         {"system": {"modes": [{"label": "c1", "kind": "photon", "frequency_ghz": 4.5}],
+                     "edges": [], "sweep": []}},
+         "--single-sphere requires at least one magnon mode"),
+        (("spectrum", "--config", "{config}"), {"system": PRESETS["cavity-pi-fit"]["system"]},
+         "magnon_grid.start_ghz: missing (set it in the config or by flag)"),
+        (("fieldmap", "--mode-file", "c1", "--config", "{config}"), FIELDMAP_CONFIG,
+         "--mode-file 'c1': expected label=path.csv"),
+        (("fieldmap", "--mode-file", "c1={csv}", "--mode-file", "c1={csv}", "--config", "{config}"),
+         FIELDMAP_CONFIG, "--mode-file: duplicate label 'c1'"),
+        (("fit", "--data", "{data}", "--spec", "{config}"), {},
+         "fit spec: give exactly one of 'preset' or 'system'"),
+        (("fit", "--data", "{data}", "--spec", "{config}"), {"preset": "nope"},
+         "fit spec: unknown preset 'nope'"),
+    ],
+)
+def test_malformed_inputs_exit_2_with_one_error_line(tmp_path, args, document, message):
+    files = {"config": tmp_path / "config.json", "csv": tmp_path / "c1.csv",
+             "data": write_fit_inputs(tmp_path)[0]}
+    files["config"].write_text(json.dumps(document))
+    files["csv"].write_text(UNIFORM_FIELD_CSV)
+    result = run(*(arg.format(**files) for arg in args))
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: %s\n" % message.format(**files)

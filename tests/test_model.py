@@ -10,12 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from loopmag.calibrate import FitSpec, PeakDataset, residual
 from loopmag.model import (
     CELL_BYTES,
     CSV_BLOCK_VALUES,
     CouplingEdge,
     MAX_FREQUENCY_GHZ,
     MAX_RATE_MHZ,
+    MAX_STACK_ENTRIES,
+    RWA_LIMIT,
     HermitianMatrixGHz,
     ModeSpec,
     SchemaError,
@@ -28,12 +31,14 @@ from loopmag.model import (
     fold_phase,
     frequency_axis,
     g9_cells,
+    hamiltonians,
     parse_phase,
     read_numeric_csv,
     system_from_document,
     system_to_document,
 )
-from loopmag.transmission import S21_FLOOR
+from loopmag.spectrum import branch_frequencies, sweep
+from loopmag.transmission import S21_FLOOR, PortSpec, s21_map
 from oracles import OracleError, char_poly_eigenvalues
 
 PI = math.pi
@@ -431,6 +436,68 @@ def test_rwa_table_values():
     strong = check_rwa(single_pair_system(g_mhz=500.0, omega_c=4.5))
     assert strong[0].ratio == pytest.approx(0.5 / 4.5, rel=1e-12)
     assert not strong[0].ok
+
+
+def test_rwa_ratios_need_no_mode_lookup_per_edge(monkeypatch):
+    rng = np.random.default_rng(16)
+    systems = [random_system(rng) for _ in range(60)]
+    ratios = [[(e.strength * 1e-3) / s.mode(e.photon).frequency for e in s.edges] for s in systems]
+
+    def no_lookup(self, label):
+        raise AssertionError("a linear scan of the modes")
+
+    monkeypatch.setattr(SystemModel, "mode", no_lookup)
+    for system, want in zip(systems, ratios):
+        checks = check_rwa(system)
+        assert [check.edge for check in checks] == list(system.edges)
+        assert [check.ratio for check in checks] == want
+        assert [check.ok for check in checks] == [ratio < RWA_LIMIT for ratio in want]
+    assert sum(map(len, ratios)) > 100
+
+
+# ====== the stack budget ======
+
+
+def chain_system(pairs=32):
+    """A chain of 2 * pairs modes, photon c0 - magnon m0 - photon c1 - ..."""
+    modes = [ModeSpec("%s%d" % (prefix, k), kind, 5.0)
+             for k in range(pairs) for prefix, kind in (("c", "photon"), ("m", "magnon"))]
+    edges = [CouplingEdge("c%d" % k, "m%d" % j, 50.0, 0.0)
+             for k in range(pairs) for j in (k - 1, k) if j >= 0]
+    return SystemModel(tuple(modes), tuple(edges), frozenset("m%d" % k for k in range(pairs)))
+
+
+def test_stacks_beyond_the_budget_raise_before_they_are_allocated(monkeypatch):
+    system = chain_system()
+    budget = MAX_STACK_ENTRIES // len(system.modes) ** 2  # 4096 grid points of 64 modes
+    ports = (PortSpec(1), PortSpec(2))
+    fit_spec = FitSpec(base_system=system, free_photon_frequencies=("c0",))
+
+    def grid(points):
+        return np.linspace(4.0, 6.0, points)
+
+    def no_stack(*args, **kwargs):
+        raise AssertionError("a stack was allocated")
+
+    monkeypatch.setattr(np, "broadcast_to", no_stack)
+    with pytest.raises(AssertionError, match="allocated"):
+        hamiltonians(system, grid(budget))
+    message = "len(omega_m_grid) * modes^2 must be <= %d" % MAX_STACK_ENTRIES
+    over = grid(budget + 1)
+    calls = [
+        lambda: hamiltonians(system, over),
+        lambda: sweep(system, over),
+        lambda: branch_frequencies(system, over),
+        lambda: s21_map(system, ports, grid(1), over),
+        lambda: residual(fit_spec, [5.0], [], PeakDataset([(w, 5.0) for w in over])),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as error:
+            call()
+        assert str(error.value) == message
+    with pytest.raises(ValueError) as error:
+        s21_map(system, ports, over, grid(1))
+    assert str(error.value) == "len(omega_grid) * modes^2 must be <= %d" % MAX_STACK_ENTRIES
 
 
 # ====== apply_vertex_phases ======

@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 import types
 
 import loopmag
@@ -53,3 +54,17 @@ def test_no_module_relies_on_an_assert_statement():
         asserts = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
                    if isinstance(node, ast.Assert)]
         assert not asserts, "%s has assert statements on lines %s" % (path.name, asserts)
+
+
+def test_every_cli_schema_error_message_is_asserted_by_a_cli_test():
+    # the longest text between %-specifiers of each literal must appear in the CLI tests
+    tested = pathlib.Path(__file__).with_name("test_cli.py").read_text()
+    untested = []
+    for node in ast.walk(ast.parse((SRC_DIR / "cli.py").read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SchemaError":
+            for literal in ast.walk(node):
+                if isinstance(literal, ast.Constant) and isinstance(literal.value, str):
+                    parts = re.split(r"%[-#0 +]*\d*(?:\.\d+)?[a-z%]", literal.value)
+                    if max((part.strip() for part in parts), key=len) not in tested:
+                        untested.append((literal.lineno, literal.value))
+    assert not untested, "cli.py SchemaError messages no CLI test asserts: %s" % untested
