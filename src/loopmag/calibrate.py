@@ -8,9 +8,9 @@ phases are not fitted continuously by default; they enter as a list of
 discrete hypotheses, each optimized separately and compared by residual.
 
 Every parameter in the fit vector is in GHz, coupling strengths included;
-edge strengths are converted to MHz only when a trial system is built.  The
-residual matches each record to its nearest model branch, which keeps the
-objective well defined when a dataset misses dark or weakly visible peaks.
+the objective writes them as MHz edges into a copy of the template's stack
+of Hamiltonians.  The residual matches each record to its nearest branch,
+so it stays well defined when a dataset misses dark or weakly visible peaks.
 """
 
 import math

@@ -31,10 +31,9 @@ from .gauge import reduce_system, reduction_to_document
 from .model import (MAX_FREQUENCY_GHZ, RWA_LIMIT, SchemaError, SystemModel, check_rwa,
                     check_stack, edges_to_document, number, string, system_from_document)
 from .spectrum import sweep, sweep_to_csv
-from .transmission import map_to_csv, ports_from_document, s21_map
+from .transmission import check_map, map_to_csv, ports_from_document, s21_map
 
 MAX_GRID_POINTS = 100_000  # points of any one grid
-MAX_MAP_POINTS = 1_000_000  # probe x magnon points of one s21 map
 
 PRESETS = {
     "cavity-pi-table1": {
@@ -334,10 +333,7 @@ def cmd_s21(preset_name, config_path, probe_start_ghz, probe_stop_ghz, probe_poi
     ports = ports_from_document(config.get("ports"), system)
     probe = _grid(config, "probe_grid", probe_start_ghz, probe_stop_ghz, probe_points)
     magnon = _grid(config, "magnon_grid", magnon_start_ghz, magnon_stop_ghz, magnon_points)
-    if probe[2] * magnon[2] > MAX_MAP_POINTS:
-        raise SchemaError("probe_grid.points * magnon_grid.points must be <= %d" % MAX_MAP_POINTS)
-    for key, grid in (("probe_grid", probe), ("magnon_grid", magnon)):
-        check_stack(grid[2], len(system.modes), key + ".points")
+    check_map(probe[2], magnon[2], len(system.modes), ("probe_grid.points", "magnon_grid.points"))
     probe, magnon = np.linspace(*probe), np.linspace(*magnon)
     _warn_rwa(system)
 

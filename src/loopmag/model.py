@@ -404,8 +404,9 @@ def system_from_document(doc: dict) -> SystemModel:
         photon = string(require(e, "photon", where), where + ".photon")
         magnon = string(require(e, "magnon", where), where + ".magnon")
         g = number(require(e, "g_mhz", where), where + ".g_mhz")
+        phase = require(e, "phase_rad", where)
         try:
-            phase = parse_phase(require(e, "phase_rad", where))
+            phase = parse_phase(phase)
         except SchemaError as err:
             raise SchemaError("%s.%s" % (where, err)) from None
         try:

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (CELL_BYTES, MAX_RATE_MHZ, SchemaError, SystemModel, build_hamiltonian,
-                    cells_text, check_stack, csv_rows, frequency_axis, g9_cells, hamiltonians,
-                    number)
+from .model import (CELL_BYTES, CSV_BLOCK_VALUES, MAX_RATE_MHZ, SchemaError, SystemModel,
+                    build_hamiltonian, cells_text, check_stack, csv_rows, frequency_axis,
+                    g9_cells, hamiltonians, number)
 from .spectrum import parabola_vertex
 
 DEFAULT_PHOTON_LOSS_MHZ = 5.0
@@ -28,6 +28,7 @@ S21_FLOOR = np.finfo(np.float64).tiny  # about -6153 dB
 RESIDUE_COND_LIMIT = 1e3
 # complex entries per temporary (probe, magnon) block of s21_map: 512 KiB
 BLOCK_ENTRIES = 1 << 15
+MAX_MAP_POINTS = 1_000_000  # probe x magnon points of one s21_map
 
 
 @dataclass(frozen=True)
@@ -182,6 +183,14 @@ def s21_at(system: SystemModel, ports, omega: float, omega_m: float) -> complex:
     return complex(d2 @ np.linalg.solve(m, d1))
 
 
+def check_map(probe_points, magnon_points, n, names=("len(omega_grid)", "len(omega_m_grid)")):
+    """Raise ValueError past MAX_MAP_POINTS, then past the probe or the magnon stack budget."""
+    if probe_points * magnon_points > MAX_MAP_POINTS:
+        raise ValueError("%s * %s must be <= %d" % (*names, MAX_MAP_POINTS))
+    for points, name in zip((probe_points, magnon_points), names):
+        check_stack(points, n, name)
+
+
 def _decibels(s21: np.ndarray) -> np.ndarray:
     return 20.0 * np.log10(np.maximum(np.abs(s21), S21_FLOOR))
 
@@ -194,14 +203,14 @@ def s21_map(system: SystemModel, ports, omega_grid, omega_m_grid) -> Transmissio
     S21(omega) = sum_k (d2 . r_k) (R^-1 d1)_k / (lambda_k - i omega).
     A point whose eigenvector matrix R has a condition number above
     RESIDUE_COND_LIMIT, or none, is solved per probe frequency instead, as
-    s21_at does, on a stack of one matrix per probe frequency; each grid must
-    keep its stack within MAX_STACK_ENTRIES.  Ports whose photons the device
+    s21_at does, on a stack of one matrix per probe frequency; check_map
+    bounds the map and both stacks first.  Ports whose photons the device
     decouples give |S21| at rounding level; a value that rounds to exactly
     zero is reported at S21_FLOOR, not -inf.
     """
     omega = frequency_axis(omega_grid, "omega_grid")
     omega_m = frequency_axis(omega_m_grid, "omega_m_grid")
-    check_stack(omega.size, len(system.modes), "len(omega_grid)")
+    check_map(omega.size, omega_m.size, len(system.modes))
     port1, port2 = _ordered_ports(ports)
     gamma, d1, d2, defaults = _loss_model(system, port1, port2)
     damped = 1j * hamiltonians(system, omega_m) + np.diag(gamma) / 2.0
@@ -260,6 +269,8 @@ def extract_peaks(tmap: TransmissionMap, omega_m_index: int, prominence_floor_db
     """
     if not 0 <= omega_m_index < tmap.omega_m_grid.size:
         raise ValueError("omega_m_index %d out of range" % omega_m_index)
+    if not math.isfinite(prominence_floor_db):
+        raise ValueError("prominence_floor_db must be finite")
     column = tmap.magnitude_db[:, omega_m_index]
     mean = float(column.mean())
     indices = _local_maxima(column, mean + prominence_floor_db)
@@ -288,7 +299,7 @@ def map_to_csv(tmap: TransmissionMap) -> str:
     row = np.dtype([("omega", omega.dtype), ("omega_m", omega_m.dtype),
                     ("s21_db", "V%d" % CELL_BYTES)])
     texts = ["omega_ghz,omega_m_ghz,s21_db\n"]
-    width = max(1, BLOCK_ENTRIES // omega.size)
+    width = max(1, CSV_BLOCK_VALUES // omega.size)
     for start in range(0, omega_m.size, width):
         block = slice(start, start + width)
         rows = np.empty((omega_m[block].size, omega.size), row)
@@ -310,5 +321,7 @@ def line_cut_csv(tmap: TransmissionMap, omega_m_index: int, offset_db: float = 0
     """Two-column CSV of one map column, with an optional presentation offset."""
     if not 0 <= omega_m_index < tmap.omega_m_grid.size:
         raise ValueError("omega_m_index %d out of range" % omega_m_index)
+    if not math.isfinite(offset_db):
+        raise ValueError("offset_db must be finite")
     column = tmap.magnitude_db[:, omega_m_index] + offset_db
     return "omega_ghz,s21_db\n" + csv_rows(np.column_stack([tmap.omega_grid, column]))

@@ -1138,6 +1138,10 @@ def test_json_nested_too_deep_exits_2_with_one_error_line(tmp_path, command):
          "fit spec: give exactly one of 'preset' or 'system'"),
         (("fit", "--data", "{data}", "--spec", "{config}"), {"preset": "nope"},
          "fit spec: unknown preset 'nope'"),
+        (("gauge", "--config", "{config}"),
+         {"system": {**PRESETS["cavity-pi-fit"]["system"],
+                     "edges": [{"photon": "c1", "magnon": "m1", "g_mhz": 81.0}]}},
+         "edges[0].phase_rad: missing required key"),
     ],
 )
 def test_malformed_inputs_exit_2_with_one_error_line(tmp_path, args, document, message):

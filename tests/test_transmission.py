@@ -12,8 +12,10 @@ from scipy.signal import find_peaks
 
 from loopmag.cli import PRESETS
 from loopmag.model import (
+    CSV_BLOCK_VALUES,
     MAX_FREQUENCY_GHZ,
     MAX_RATE_MHZ,
+    MAX_STACK_ENTRIES,
     CouplingEdge,
     ModeSpec,
     SystemModel,
@@ -24,15 +26,16 @@ from loopmag.model import (
 )
 from loopmag.spectrum import eig_hermitian
 from loopmag.transmission import (
-    BLOCK_ENTRIES,
     DEFAULT_MAGNON_LOSS_MHZ,
     DEFAULT_PHOTON_LOSS_MHZ,
+    MAX_MAP_POINTS,
     RESIDUE_COND_LIMIT,
     S21_FLOOR,
     PortSpec,
     TransmissionMap,
     _local_maxima,
     _loss_model,
+    check_map,
     extract_peaks,
     line_cut_csv,
     map_to_csv,
@@ -306,6 +309,44 @@ def test_non_finite_grids_are_rejected(bad):
         TransmissionMap(np.array([1.0]), np.array(bad), np.zeros((1, len(bad))))
 
 
+def test_maps_beyond_the_ceiling_raise_before_anything_is_allocated(monkeypatch):
+    system, ports = fit_device(), (PortSpec(1), PortSpec(2))
+    grids = {points: np.linspace(4.2, 6.6, points) for points in (1000, 1001, 1_000_000)}
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("an array was allocated")
+
+    # hamiltonians' stack comes from np.broadcast_to, the map from np.empty
+    monkeypatch.setattr(np, "broadcast_to", no_allocation)
+    monkeypatch.setattr(np, "empty", no_allocation)
+    with pytest.raises(AssertionError, match="allocated"):
+        s21_map(system, ports, grids[1000], grids[1000])  # exactly MAX_MAP_POINTS
+    message = "len(omega_grid) * len(omega_m_grid) must be <= %d" % MAX_MAP_POINTS
+    for probe, magnon in ((1000, 1001), (1001, 1000), (1_000_000, 1_000_000)):
+        with pytest.raises(ValueError) as error:
+            s21_map(system, ports, grids[probe], grids[magnon])
+        assert str(error.value) == message
+
+
+@pytest.mark.parametrize("names", [None, ("probe", "magnon")])
+def test_check_map_reports_the_map_then_the_probe_then_the_magnon_stack(names):
+    probe, magnon = names or ("len(omega_grid)", "len(omega_m_grid)")
+    args = () if names is None else (names,)
+    n = 200  # 40 000 entries per matrix: 420 of them exceed MAX_STACK_ENTRIES
+    cases = [
+        # all three over, then both stacks over, then the magnon stack alone
+        ((2000, 1000), "%s * %s must be <= %d" % (probe, magnon, MAX_MAP_POINTS)),
+        ((1000, 1000), "%s * modes^2 must be <= %d" % (probe, MAX_STACK_ENTRIES)),
+        ((1, 1000), "%s * modes^2 must be <= %d" % (magnon, MAX_STACK_ENTRIES)),
+    ]
+    for (probes, magnons), message in cases:
+        with pytest.raises(ValueError) as error:
+            check_map(probes, magnons, n, *args)
+        assert str(error.value) == message
+    check_map(1, 1, n, *args)
+    check_map(MAX_MAP_POINTS, 1, 4, *args)
+
+
 def test_s21_at_rejects_an_infinite_magnon_frequency():
     with pytest.raises(ValueError, match="^omega_m must be finite$"):
         s21_at(fit_device(), (PortSpec(1), PortSpec(2)), 5.0, math.inf)
@@ -537,6 +578,21 @@ def test_line_cut_csv_and_offset_flag():
         line_cut_csv(tmap, 5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_offsets_and_prominence_floors_are_rejected(bad):
+    tmap = TransmissionMap(np.array([4.9, 5.0, 5.1]), np.array([1.0]),
+                           np.array([[-30.0], [-10.0], [-30.0]]))
+    with pytest.raises(ValueError, match="^offset_db must be finite$"):
+        line_cut_csv(tmap, 0, bad)
+    with pytest.raises(ValueError, match="^prominence_floor_db must be finite$"):
+        extract_peaks(tmap, 0, prominence_floor_db=bad)
+    # the index is checked first
+    with pytest.raises(ValueError, match="^omega_m_index 1 out of range$"):
+        line_cut_csv(tmap, 1, bad)
+    with pytest.raises(ValueError, match="^omega_m_index 1 out of range$"):
+        extract_peaks(tmap, 1, prominence_floor_db=bad)
+
+
 @pytest.mark.parametrize("offset", [0.0, 45.0, -3.25, 7])
 def test_line_cut_csv_equals_per_row_formatting(offset):
     omega = np.linspace(4.2, 6.6, 241)
@@ -573,7 +629,7 @@ def test_map_csv_equals_the_template_writer_on_a_preset_at_bench_size():
 @pytest.mark.parametrize(
     "probes, columns",
     # one column per block; blocks of 32 columns that 70 does not fill
-    [(BLOCK_ENTRIES + 5, 3), (1000, 70)],
+    [(CSV_BLOCK_VALUES + 5, 3), (1000, 70)],
 )
 def test_map_csv_equals_the_template_writer_across_blocks(probes, columns):
     rng = np.random.default_rng(probes)
