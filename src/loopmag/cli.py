@@ -15,12 +15,21 @@ a computation failure.
 
 All outputs are deterministic byte-for-byte.  The transmission sidecar can
 carry a wall-clock timestamp, but only behind --timestamp.
+
+Importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is already
+set, before numpy loads: every device matrix is at most a few modes wide, so
+more BLAS threads only spin-wait, about 70 ms per process.  To run with N
+threads anyway: OPENBLAS_NUM_THREADS=N loopmag ...
 """
 
 import datetime
 import functools
 import json
+import os
 import pathlib
+
+# matrices here are a few modes wide, so BLAS threads only spin-wait (~70 ms a process)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 import numpy as np

@@ -1100,6 +1100,60 @@ def test_fit_command_runs_in_a_fresh_process(tmp_path):
     assert abs(json.loads(proc.stdout)["theta_assignment_rad"][0] - math.pi) < 1e-12
 
 
+# ====== BLAS threads ======
+
+# Runs the command in argv as `python -m loopmag.cli` would (none: no loopmag),
+# then imports what `fit` imports and prints the pool size of every OpenBLAS
+# in the process to stderr, each library found in /proc/self/maps.
+POOLS_AFTER = """
+import ctypes, runpy, sys
+
+if len(sys.argv) > 1:
+    try:
+        runpy.run_module("loopmag.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exit_:
+        if exit_.code:
+            raise
+import numpy
+from scipy.optimize import minimize
+
+def pool_size(path):
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        if hasattr(lib, name):
+            return getattr(lib, name)()
+    return None
+
+with open("/proc/self/maps") as maps:
+    paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+print({path: pool_size(path) for path in paths}, file=sys.stderr)
+"""
+
+
+def openblas_pools(threads, *argv):
+    """Pool size per OpenBLAS library in a fresh process, with OPENBLAS_NUM_THREADS=threads."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC_DIR)
+    if threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = threads
+    proc = subprocess.run([sys.executable, "-c", POOLS_AFTER, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    pools = ast.literal_eval(proc.stderr.splitlines()[-1])
+    if not pools:
+        pytest.skip("numpy and scipy load no OpenBLAS here")
+    return pools
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/maps")
+def test_a_command_starts_openblas_with_one_thread_unless_the_user_sets_it():
+    gauge = ("gauge", "--preset", "cavity-pi-table1")
+    assert set(openblas_pools(None, *gauge).values()) == {1}
+    # numpy's and scipy's own libraries both take a set value as it is
+    assert openblas_pools("2", *gauge) == openblas_pools("2")
+
+
 @pytest.mark.parametrize("command", ["gauge", "fieldmap", "fit"])
 def test_json_nested_too_deep_exits_2_with_one_error_line(tmp_path, command):
     deep = tmp_path / "deep.json"

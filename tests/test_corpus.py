@@ -8,6 +8,10 @@ round-trips exactly, so an equal hash means `==` on every value.
 """
 
 import hashlib
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +42,8 @@ PEAKS_SHA256 = {
     "cavity-pi-fit": "381533a96571605292c51f0313a148514c1e49af3b80244eaf319b39f47ea144",
     "cavity-pi0-table2": "88b70b5de7ee60dd5d489b9df4a947480e6be8830ef848c6102e5cf453eba190",
 }
+
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 FIELD_HEADER = "x_m,y_m,z_m,hx_re,hx_im,hy_re,hy_im,hz_re,hz_im"
 
@@ -127,3 +133,16 @@ def test_peaks_on_every_map_column_match_the_recorded_hash(preset):
     peaks = [extract_peaks(tmap, j) for j in range(tmap.omega_m_grid.size)]
     assert sum(map(len, peaks)) > 0
     assert sha256(repr(peaks)) == PEAKS_SHA256[preset]
+
+
+@pytest.mark.parametrize("name", ["s21 cavity-pi0-table2", "fit"])
+def test_stdout_is_the_same_bytes_whatever_the_blas_thread_count(name, inputs):
+    # a fresh command starts OpenBLAS with one thread unless OPENBLAS_NUM_THREADS is set
+    argv = [sys.executable, "-m", "loopmag.cli", *corpus_args(name, inputs)]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(SRC_DIR)
+    outputs = [subprocess.run(argv, env=dict(env, **threads), capture_output=True,
+                              timeout=120, check=True).stdout
+               for threads in ({}, {"OPENBLAS_NUM_THREADS": "2"})]
+    in_process = CliRunner().invoke(main, corpus_args(name, inputs), catch_exceptions=False)
+    assert outputs == [in_process.stdout_bytes] * 2

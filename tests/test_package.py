@@ -1,9 +1,15 @@
 """Package-level contracts: the exported names and the module boundaries."""
 
 import ast
+import importlib
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import types
+
+import pytest
 
 import loopmag
 
@@ -29,6 +35,37 @@ def test_all_is_the_sorted_exported_names_and_no_module():
     assert len(EXPORTED) == 60
     assert loopmag.__all__ == sorted(EXPORTED)
     assert not any(isinstance(getattr(loopmag, name), types.ModuleType) for name in loopmag.__all__)
+
+
+def test_importing_the_package_loads_no_numpy_and_no_submodule():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, loopmag; print(sorted(m for m in sys.modules"
+         " if m.split('.')[0] == 'numpy' or m.startswith('loopmag.')))"],
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR.parent)),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_every_exported_name_is_the_object_its_module_defines():
+    defined = {}
+    for path in sorted(SRC_DIR.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                defined.setdefault(name, set()).add(path.stem)
+    for name in loopmag.__all__:
+        (module,) = defined[name]
+        assert getattr(loopmag, name) is getattr(importlib.import_module("loopmag." + module), name)
+    assert set(loopmag.__all__) <= set(dir(loopmag))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        loopmag.no_such_name
 
 
 def test_no_module_imports_another_modules_underscore_name():
