@@ -38,7 +38,8 @@ from .calibrate import dataset_from_csv, fit, fit_spec_from_document
 from .fieldmap import coupling_table, field_table_from_csv, regions_from_document
 from .gauge import reduce_system, reduction_to_document
 from .model import (MAX_FREQUENCY_GHZ, RWA_LIMIT, SchemaError, SystemModel, check_rwa,
-                    check_stack, edges_to_document, number, string, system_from_document)
+                    check_stack, edges_to_document, frequency_axis, number, string,
+                    system_from_document)
 from .spectrum import sweep, sweep_to_csv
 from .transmission import check_map, map_to_csv, ports_from_document, s21_map
 
@@ -115,9 +116,16 @@ def _json_text(document: dict) -> str:
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
+def _read_text(path) -> str:
+    try:
+        return pathlib.Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as error:
+        raise SchemaError("%s: not UTF-8 text at byte %d" % (path, error.start)) from None
+
+
 def _load_json(path) -> dict:
     try:
-        document = json.loads(pathlib.Path(path).read_text())
+        document = json.loads(_read_text(path))
     except RecursionError:
         raise SchemaError("%s: JSON nesting is too deep" % path) from None
     if not isinstance(document, dict):
@@ -192,7 +200,7 @@ def _mode_fields(mode_files, frequencies) -> dict:
             raise SchemaError("--mode-file: duplicate label %r" % label)
         if label not in frequencies:
             raise SchemaError("no frequency given for mode %r" % label)
-        text = pathlib.Path(path).read_text()
+        text = _read_text(path)
         try:
             mode_fields[label] = field_table_from_csv(text)
         except ValueError as error:
@@ -318,7 +326,8 @@ def cmd_spectrum(preset_name, config_path, grid_start_ghz, grid_stop_ghz, grid_p
     config, system = _device(preset_name, config_path)
     if single_sphere:
         system = _single_sphere(system)
-    grid = np.linspace(*_grid(config, "magnon_grid", grid_start_ghz, grid_stop_ghz, grid_points))
+    grid = _grid(config, "magnon_grid", grid_start_ghz, grid_stop_ghz, grid_points)
+    grid = frequency_axis(np.linspace(*grid), "magnon_grid")
     check_stack(grid.size, len(system.modes), "magnon_grid.points")
     _warn_rwa(system)
     return lambda: sweep_to_csv(sweep(system, grid))
@@ -343,7 +352,8 @@ def cmd_s21(preset_name, config_path, probe_start_ghz, probe_stop_ghz, probe_poi
     probe = _grid(config, "probe_grid", probe_start_ghz, probe_stop_ghz, probe_points)
     magnon = _grid(config, "magnon_grid", magnon_start_ghz, magnon_stop_ghz, magnon_points)
     check_map(probe[2], magnon[2], len(system.modes), ("probe_grid.points", "magnon_grid.points"))
-    probe, magnon = np.linspace(*probe), np.linspace(*magnon)
+    probe = frequency_axis(np.linspace(*probe), "probe_grid")
+    magnon = frequency_axis(np.linspace(*magnon), "magnon_grid")
     _warn_rwa(system)
 
     def compute():
@@ -391,7 +401,7 @@ def cmd_fieldmap(mode_files, config_path):
 @_runs
 def cmd_fit(data_path, spec_path):
     """Fit free device parameters to measured peaks under loop-phase hypotheses."""
-    dataset = dataset_from_csv(pathlib.Path(data_path).read_text())
+    dataset = dataset_from_csv(_read_text(data_path))
     document = _load_json(spec_path)
     system = _fit_system(document)
     spec, initial, max_iterations = fit_spec_from_document(document, system)

@@ -467,8 +467,8 @@ def read_numeric_csv(text: str, headers) -> tuple:
 
 # bytes per g9_cells cell: a text of at most 23 characters, NUL-padded, then an end byte
 CELL_BYTES = 24
-# float64 values per block of csv_rows, which bounds its temporaries to a few MB
-CSV_BLOCK_VALUES = 1 << 15
+# values per block of csv_rows, long_csv_rows and s21_map's residue sum: temporaries of a few MB
+BLOCK_VALUES = 1 << 15
 _POW10 = np.array([10.0**k for k in range(13)])  # exact
 _POW10_INT = np.array([10**k for k in range(9)], dtype=np.uint32)
 
@@ -574,9 +574,32 @@ def csv_rows(table) -> str:
     table = np.asarray(table, dtype=np.float64)
     ends = np.full(table.shape[1], ord(","), np.uint8)
     ends[-1] = ord("\n")
-    step = max(1, CSV_BLOCK_VALUES // table.shape[1])
+    step = max(1, BLOCK_VALUES // table.shape[1])
     return "".join(cells_text(g9_cells(table[k:k + step], ends))
                    for k in range(0, len(table), step))
+
+
+def long_csv_rows(header: str, rows_axis, columns_axis, table) -> str:
+    """header, then the CSV lines 'rows_axis[i],columns_axis[j],table[i, j]', grouped by j."""
+    rows, columns = _axis_cells(rows_axis), _axis_cells(columns_axis)
+    # one row of bytes per CSV line: each axis text padded to its longest, then the value cell
+    line = np.dtype([("r", rows.dtype), ("c", columns.dtype), ("v", "V%d" % CELL_BYTES)])
+    texts = [header]
+    width = max(1, BLOCK_VALUES // rows.size)
+    for start in range(0, columns.size, width):
+        block = slice(start, start + width)
+        lines = np.empty((columns[block].size, rows.size), line)
+        lines["r"] = rows
+        lines["c"] = columns[block, None]
+        lines["v"] = g9_cells(table[:, block].T, ord("\n")).view(line["v"])[..., 0]
+        texts.append(cells_text(lines))
+    return "".join(texts)
+
+
+def _axis_cells(axis: np.ndarray) -> np.ndarray:
+    """'%.9g,' % v of each axis value, as bytes NUL-padded to the longest."""
+    return np.array([text + "," for text in cells_text(g9_cells(axis, ord("\n"))).splitlines()],
+                    dtype="S")
 
 
 def frequency_axis(values, name: str) -> np.ndarray:

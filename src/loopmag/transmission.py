@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (CELL_BYTES, CSV_BLOCK_VALUES, MAX_RATE_MHZ, SchemaError, SystemModel,
-                    build_hamiltonian, cells_text, check_stack, csv_rows, frequency_axis,
-                    g9_cells, hamiltonians, number)
+from .model import (BLOCK_VALUES, MAX_RATE_MHZ, SchemaError, SystemModel, build_hamiltonian,
+                    check_stack, csv_rows, frequency_axis, hamiltonians, long_csv_rows, number)
 from .spectrum import parabola_vertex
 
 DEFAULT_PHOTON_LOSS_MHZ = 5.0
@@ -26,8 +25,6 @@ S21_FLOOR = np.finfo(np.float64).tiny  # about -6153 dB
 # about 1e-13 relative here.  Near an exceptional point (coalescing
 # eigenvectors) cond(R) runs to 1e6 and more, and the per-point solve is used.
 RESIDUE_COND_LIMIT = 1e3
-# complex entries per temporary (probe, magnon) block of s21_map: 512 KiB
-BLOCK_ENTRIES = 1 << 15
 MAX_MAP_POINTS = 1_000_000  # probe x magnon points of one s21_map
 
 
@@ -175,12 +172,15 @@ def s21_at(system: SystemModel, ports, omega: float, omega_m: float) -> complex:
     """Complex S21 at a single probe frequency and magnon frequency (GHz)."""
     if not math.isfinite(omega):
         raise ValueError("omega must be finite")
-    port1, port2 = _ordered_ports(ports)
-    gamma, d1, d2, _ = _loss_model(system, port1, port2)
-    h = build_hamiltonian(system, omega_m).entries
-    n = h.shape[0]
-    m = 1j * (h - omega * np.eye(n)) + np.diag(gamma) / 2.0
-    return complex(d2 @ np.linalg.solve(m, d1))
+    gamma, d1, d2, _ = _loss_model(system, *_ordered_ports(ports))
+    damped = 1j * build_hamiltonian(system, omega_m).entries + np.diag(gamma) / 2.0
+    return complex(_solved(damped, np.array([omega]), d1, d2)[0])
+
+
+def _solved(damped, omega, d1, d2) -> np.ndarray:
+    """S21 = d2 . (damped - i omega I)^-1 d1 at each probe frequency, by one stacked solve."""
+    n = damped.shape[-1]
+    return np.linalg.solve(damped - 1j * omega[:, None, None] * np.eye(n), d1[:, None])[..., 0] @ d2
 
 
 def check_map(probe_points, magnon_points, n, names=("len(omega_grid)", "len(omega_m_grid)")):
@@ -211,8 +211,7 @@ def s21_map(system: SystemModel, ports, omega_grid, omega_m_grid) -> Transmissio
     omega = frequency_axis(omega_grid, "omega_grid")
     omega_m = frequency_axis(omega_m_grid, "omega_m_grid")
     check_map(omega.size, omega_m.size, len(system.modes))
-    port1, port2 = _ordered_ports(ports)
-    gamma, d1, d2, defaults = _loss_model(system, port1, port2)
+    gamma, d1, d2, defaults = _loss_model(system, *_ordered_ports(ports))
     damped = 1j * hamiltonians(system, omega_m) + np.diag(gamma) / 2.0
     lam, r = np.linalg.eig(damped)
     cond = np.linalg.cond(r)
@@ -223,19 +222,15 @@ def s21_map(system: SystemModel, ports, omega_grid, omega_m_grid) -> Transmissio
     residues[diagonal] = (d2[:, None] * r[diagonal]).sum(axis=1) * left
     mags = np.empty((omega.size, omega_m.size))
     probe = 1j * omega[:, None]
-    width = max(1, BLOCK_ENTRIES // omega.size)
+    width = max(1, BLOCK_VALUES // omega.size)
     for start in range(0, omega_m.size, width):
         block = slice(start, start + width)
         s21 = np.zeros((omega.size, lam[block].shape[0]), dtype=np.complex128)
         for k in range(lam.shape[1]):
             s21 += residues[block, k] / (lam[block, k] - probe)
         mags[:, block] = _decibels(s21)
-    fallback = np.flatnonzero(~diagonal)
-    if fallback.size:
-        eye_probe = probe[..., None] * np.eye(len(system.modes))
-        for j in fallback:
-            x = np.linalg.solve(damped[j] - eye_probe, d1[:, None])[..., 0]
-            mags[:, j] = _decibels(x @ d2)
+    for j in np.flatnonzero(~diagonal):
+        mags[:, j] = _decibels(_solved(damped[j], omega, d1, d2))
     return TransmissionMap(omega, omega_m, mags, defaults)
 
 
@@ -293,28 +288,8 @@ def extract_peaks(tmap: TransmissionMap, omega_m_index: int, prominence_floor_db
 
 def map_to_csv(tmap: TransmissionMap) -> str:
     """Long-form CSV (omega_ghz, omega_m_ghz, s21_db), grouped by omega_m."""
-    omega = _axis_cells(tmap.omega_grid)
-    omega_m = _axis_cells(tmap.omega_m_grid)
-    # one row of bytes per CSV line: each axis text padded to its longest, then the value cell
-    row = np.dtype([("omega", omega.dtype), ("omega_m", omega_m.dtype),
-                    ("s21_db", "V%d" % CELL_BYTES)])
-    texts = ["omega_ghz,omega_m_ghz,s21_db\n"]
-    width = max(1, CSV_BLOCK_VALUES // omega.size)
-    for start in range(0, omega_m.size, width):
-        block = slice(start, start + width)
-        rows = np.empty((omega_m[block].size, omega.size), row)
-        rows["omega"] = omega
-        rows["omega_m"] = omega_m[block, None]
-        cells = g9_cells(tmap.magnitude_db[:, block].T, ord("\n"))
-        rows["s21_db"] = cells.view(row["s21_db"])[..., 0]
-        texts.append(cells_text(rows))
-    return "".join(texts)
-
-
-def _axis_cells(axis: np.ndarray) -> np.ndarray:
-    """'%.9g,' % v of each axis value, as bytes NUL-padded to the longest."""
-    return np.array([text + "," for text in cells_text(g9_cells(axis, ord("\n"))).splitlines()],
-                    dtype="S")
+    return long_csv_rows("omega_ghz,omega_m_ghz,s21_db\n", tmap.omega_grid, tmap.omega_m_grid,
+                         tmap.magnitude_db)
 
 
 def line_cut_csv(tmap: TransmissionMap, omega_m_index: int, offset_db: float = 0.0) -> str:

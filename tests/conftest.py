@@ -1,11 +1,13 @@
-"""Pytest hooks: print one summary line per acceptance criterion."""
+"""Pytest hooks: print the package's line count and one summary line per acceptance criterion."""
 
+import pathlib
 import re
 
 _CRITERIA = {}
 _RESULTS = {}
 
 _NAME = re.compile(r"test_acceptance_(\d+)_")
+_PACKAGE_DIR = pathlib.Path(__file__).resolve().parent.parent / "src" / "loopmag"
 
 
 def pytest_collection_modifyitems(config, items):
@@ -38,6 +40,8 @@ def pytest_runtest_logreport(report):
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    lines = sum(path.read_bytes().count(b"\n") for path in _PACKAGE_DIR.glob("*.py"))
+    terminalreporter.write_line("src/loopmag: %d lines" % lines)
     if not _RESULTS:
         return
     terminalreporter.section("acceptance criteria")

@@ -394,6 +394,24 @@ def test_grids_beyond_the_frequency_ceiling_exit_2_without_warnings(args, messag
 
 
 @pytest.mark.parametrize(
+    "args, key",
+    [
+        (("spectrum", "--grid-start-ghz", "5", "--grid-stop-ghz", "5.000000000000001",
+          "--grid-points", "100"), "magnon_grid"),
+        (("s21", "--probe-start-ghz", "5", "--probe-stop-ghz", "5.000000000000001",
+          "--probe-points", "100"), "probe_grid"),
+        (("s21", "--magnon-start-ghz", "5", "--magnon-stop-ghz", "5.000000000000001",
+          "--magnon-points", "100"), "magnon_grid"),
+    ],
+)
+def test_grids_finer_than_float64_spacing_exit_2(args, key):
+    # linspace repeats values between start and stop one ulp apart
+    result = run(*args, "--preset", "cavity-pi-fit")
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        2, "", "error: %s must be strictly increasing\n" % key)
+
+
+@pytest.mark.parametrize(
     "edit, message",
     [
         (lambda config: config["magnon_grid"].update(stop_ghz=1e300),
@@ -1168,6 +1186,29 @@ def test_json_nested_too_deep_exits_2_with_one_error_line(tmp_path, command):
     proc = fresh_python("-m", "loopmag.cli", command, *args)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "error: %s: JSON nesting is too deep\n" % deep
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("gauge", "--config"), ("fieldmap", "--config"), ("fieldmap", "--mode-file"),
+     ("fit", "--spec"), ("fit", "--data")],
+)
+def test_an_input_file_that_is_not_utf8_exits_2_naming_the_file(tmp_path, command, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"{\xff}")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(FIELDMAP_CONFIG))
+    (tmp_path / "c1.csv").write_text(UNIFORM_FIELD_CSV)
+    data, spec = write_fit_inputs(tmp_path)
+    files = {"gauge": {"--config": config},
+             "fieldmap": {"--mode-file": tmp_path / "c1.csv", "--config": config},
+             "fit": {"--data": data, "--spec": spec}}[command]
+    files[flag] = bad
+    args = [arg for option, path in files.items()
+            for arg in (option, "c1=%s" % path if option == "--mode-file" else str(path))]
+    result = run(command, *args)
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        2, "", "error: %s: not UTF-8 text at byte 1\n" % bad)
 
 
 @pytest.mark.parametrize(

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from loopmag.calibrate import FitSpec, PeakDataset, residual
 from loopmag.model import (
+    BLOCK_VALUES,
     CELL_BYTES,
-    CSV_BLOCK_VALUES,
     CouplingEdge,
     MAX_FREQUENCY_GHZ,
     MAX_RATE_MHZ,
@@ -401,7 +401,7 @@ def test_g9_cells_keep_the_shape_and_end_bytes():
 
 def test_csv_rows_equal_a_row_template_across_blocks():
     rng = np.random.default_rng(5)
-    rows = CSV_BLOCK_VALUES // 3 * 2 + 7  # two full blocks and a partial one
+    rows = BLOCK_VALUES // 3 * 2 + 7  # two full blocks and a partial one
     table = rng.normal(0.0, 1.0, (rows, 3)) * 10.0 ** rng.integers(-7, 11, (rows, 3))
     table[:5] = [[0.0, -0.0, 1e-5], [S21_FLOOR, 1e300, -1e-4], [0.5, 1e9 - 0.5, 123456789.5],
                  [1.0, 2.0, 3.0], [-1e-12, 5e-324, 99999999.95]]

@@ -76,6 +76,22 @@ def test_no_module_imports_another_modules_underscore_name():
                 assert not private, "%s imports %s from .%s" % (path.name, private, node.module)
 
 
+def test_only_model_names_the_csv_cell_layout():
+    # names, attributes, imported aliases and definitions alike
+    for path in sorted(SRC_DIR.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        named = {getattr(node, field, None) for node in ast.walk(ast.parse(path.read_text()))
+                 for field in ("id", "attr", "name")}
+        assert not named & {"CELL_BYTES", "cells_text", "g9_cells"}, path.name
+
+
+def test_one_block_constant_remains():
+    for path in sorted(SRC_DIR.glob("*.py")):
+        text = path.read_text()
+        assert "BLOCK_ENTRIES" not in text and "CSV_BLOCK_VALUES" not in text, path.name
+
+
 def test_only_the_package_init_assigns_all():
     for path in sorted(SRC_DIR.glob("*.py")):
         if path.name == "__init__.py":

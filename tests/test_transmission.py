@@ -12,7 +12,7 @@ from scipy.signal import find_peaks
 
 from loopmag.cli import PRESETS
 from loopmag.model import (
-    CSV_BLOCK_VALUES,
+    BLOCK_VALUES,
     MAX_FREQUENCY_GHZ,
     MAX_RATE_MHZ,
     MAX_STACK_ENTRIES,
@@ -447,6 +447,15 @@ def test_exceptional_point_column_falls_back_to_the_solve_bit_for_bit():
     assert np.abs(tmap.magnitude_db - solved).max() <= MAP_TOLERANCE_DB
 
 
+def test_s21_at_equals_the_exceptional_point_column_bit_for_bit():
+    system, ports = exceptional_point_device()
+    omega = np.linspace(4.95, 5.05, 1601)
+    tmap = s21_map(system, ports, omega, np.array([4.99, 5.0, 5.01]))
+    s21 = np.array([s21_at(system, ports, w, 5.0) for w in omega.tolist()])
+    assert np.array_equal(20.0 * np.log10(np.maximum(np.abs(s21), S21_FLOOR)),
+                          tmap.magnitude_db[:, 1])
+
+
 @st.composite
 def random_devices(draw):
     """2-5 modes, at least one photon and one magnon, random couplings and
@@ -629,7 +638,7 @@ def test_map_csv_equals_the_template_writer_on_a_preset_at_bench_size():
 @pytest.mark.parametrize(
     "probes, columns",
     # one column per block; blocks of 32 columns that 70 does not fill
-    [(CSV_BLOCK_VALUES + 5, 3), (1000, 70)],
+    [(BLOCK_VALUES + 5, 3), (1000, 70)],
 )
 def test_map_csv_equals_the_template_writer_across_blocks(probes, columns):
     rng = np.random.default_rng(probes)
