@@ -14,6 +14,7 @@ so it stays well defined when a dataset misses dark or weakly visible peaks.
 """
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -301,24 +302,84 @@ def _bounds_for(spec: FitSpec, names) -> list:
     return pairs
 
 
-def _simplex(objective, x0, bounds, max_iterations):
-    # Convergence is judged on simplex diameter alone (fatol is inert), with
-    # one restart from the best point when the iteration cap is hit first.
-    # Imported here so that only fitting pays for loading scipy.
-    from scipy.optimize import minimize
+_Descent = NamedTuple("_Descent", [("x", np.ndarray), ("fun", float), ("nit", int),
+                                   ("nfev", int), ("success", bool)])
 
-    scale = max(1.0, float(np.max(np.abs(x0))))
-    options = {
-        "maxiter": max_iterations,
-        "maxfev": 10**7,
-        "xatol": 1e-6 * scale,
-        "fatol": math.inf,
-    }
-    result = minimize(objective, x0, method="Nelder-Mead", bounds=bounds, options=options)
+
+class _Capped(Exception):
+    """The evaluation cap is reached; no evaluation is made past it."""
+
+
+def _nelder_mead(objective, x0, lower, upper, max_iterations, xatol, max_evaluations):
+    """scipy 1.17.1's bounded Nelder-Mead (_minimize_neldermead) step for step, on
+    the path _simplex uses: default coefficients and initial simplex, and fatol=inf,
+    which is inert while every objective value is finite."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    nfev = 0
+
+    def f(x):
+        nonlocal nfev
+        if nfev >= max_evaluations:
+            raise _Capped
+        nfev += 1
+        return objective(x)
+
+    x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    sim[1:][np.diag_indices(n)] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    # vertices past the upper bound are reflected into the box, then clipped
+    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
+    fsim = np.full(n + 1, np.inf)
+    with suppress(_Capped):
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    for _ in range(2):  # as scipy does: argsort need not be stable
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    nit = 1
+    while nfev < max_evaluations and nit < max_iterations:
+        with suppress(_Capped):
+            if np.max(np.abs(sim[1:] - sim[0])) <= xatol:
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = np.clip((1 + rho) * xbar - rho * sim[-1], lower, upper)
+            fxr = f(xr)
+            if fxr < fsim[0]:  # expand
+                xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lower, upper)
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:  # contract: outside the simplex if xr beats the worst vertex, else inside
+                outside = fxr < fsim[-1]
+                xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1] if outside
+                             else (1 - psi) * xbar + psi * sim[-1], lower, upper)
+                fxc = f(xc)
+                if fxc <= fxr if outside else fxc < fsim[-1]:  # scipy's two tie rules
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink toward the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), lower, upper)
+                        fsim[j] = f(sim[j])
+            nit += 1
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    success = nfev < max_evaluations and nit < max_iterations
+    return _Descent(sim[0], np.min(fsim), nit, nfev, success)
+
+
+def _simplex(objective, x0, bounds, max_iterations):
+    # Bounded Nelder-Mead judged on simplex diameter alone, with one restart
+    # from the best point when the iteration cap is hit first.  Without a free
+    # parameter there is nothing to descend: the residual is taken as it is.
+    if not len(x0):
+        return _Descent(x0, objective(x0), 0, 1, True)
+    lower, upper = (np.array(ends, dtype=float) for ends in zip(*bounds))
+    xatol = 1e-6 * max(1.0, float(np.max(np.abs(x0))))
+    result = _nelder_mead(objective, x0, lower, upper, max_iterations, xatol, 10**7)
     if not result.success:
-        result = minimize(
-            objective, result.x, method="Nelder-Mead", bounds=bounds, options=options
-        )
+        result = _nelder_mead(objective, result.x, lower, upper, max_iterations, xatol, 10**7)
     return result
 
 

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from loopmag import calibrate
 from loopmag.calibrate import (
+    AMBIGUITY_RATIO,
     DEFAULT_SIGMA_GHZ,
     MIN_SIGMA_GHZ,
     FitSpec,
@@ -14,6 +16,7 @@ from loopmag.calibrate import (
     PeakRecord,
     dataset_from_csv,
     fit,
+    _nelder_mead,
     _residual_of_table,
     residual,
 )
@@ -579,3 +582,101 @@ def test_continuous_theta_requires_single_seed():
         two_tone_spec(
             theta_hypotheses=((2.0,), (0.0,)), continuous_theta=True
         )
+
+
+# ====== fits with no free parameter ======
+
+
+def ambiguous_by_rule(residuals, data):
+    ordered = sorted(residuals)
+    eps = 1e-12 * len(data.records)
+    return (ordered[1] + eps) / (ordered[0] + eps) < AMBIGUITY_RATIO
+
+
+@pytest.mark.parametrize("hypotheses", [((math.pi,), (0.0,)), ((math.pi,), (math.pi,))])
+def test_fit_with_no_free_parameter_reports_each_residual_without_a_simplex(
+        monkeypatch, hypotheses):
+    def no_simplex(*args):
+        raise AssertionError("no simplex runs without a free parameter")
+
+    monkeypatch.setattr(calibrate, "_nelder_mead", no_simplex)
+    spec = two_tone_spec(free_photon_frequencies=(), free_couplings=(),
+                         theta_hypotheses=hypotheses)
+    data = branch_records(two_tone_template(), ANTICROSSING_GRID)
+    result = fit(spec, data, ())
+    residuals = [residual(spec, (), h, data) for h in hypotheses]
+    assert [h.theta_assignment for h in result.per_hypothesis] == list(hypotheses)
+    assert [h.residual for h in result.per_hypothesis] == residuals
+    assert all(h.converged and h.params == {} for h in result.per_hypothesis)
+    assert (result.params, result.residual, result.converged) == ({}, min(residuals), True)
+    assert result.ambiguous == ambiguous_by_rule(residuals, data)
+    assert result.ambiguous == (hypotheses[0] == hypotheses[1])
+
+
+# ====== the bounded simplex against scipy's ======
+
+
+def scipy_nelder_mead(objective, x0, lower, upper, max_iterations, xatol, max_evaluations):
+    """The oracle: scipy.optimize.minimize on the options the port stands for."""
+    from scipy.optimize import minimize
+
+    options = {"maxiter": max_iterations, "maxfev": max_evaluations, "xatol": xatol,
+               "fatol": math.inf}
+    return minimize(objective, x0, method="Nelder-Mead", bounds=list(zip(lower, upper)),
+                    options=options)
+
+
+def simplex_problem(seed):
+    """A seeded bounded objective in 1-5 dimensions with its start and caps.
+
+    Starts cycle through the interior, the lower bound, the upper bound and
+    the origin clipped into the box (the zero-coordinate step); minima may lie
+    outside the box, and every third objective is rounded so that ties test
+    both contraction rules and the reordering.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 6))
+    lower = rng.uniform(-3.0, 1.0, n)
+    upper = lower + rng.uniform(0.5, 4.0, n)
+    centre = rng.uniform(lower - 0.5, upper + 0.5)
+    weights = rng.uniform(0.1, 5.0, n)
+    x0 = (rng.uniform(lower, upper), lower.copy(), upper.copy(),
+          np.clip(np.zeros(n), lower, upper))[seed % 4]
+
+    def objective(x):
+        value = float(np.sum(weights * (x - centre) ** 2) + 0.3 * math.sin(3.0 * x[0]))
+        return round(value, 1) if seed % 3 == 0 else value
+
+    max_iterations = int(rng.choice([1, 2, 5, 17, 60, 5000]))
+    max_evaluations = int(rng.choice([1, 3, 7, 25, 10**7]))
+    xatol = float(rng.choice([1e-6, 1e-3]))
+    return objective, x0, lower, upper, max_iterations, xatol, max_evaluations
+
+
+def test_nelder_mead_takes_scipys_steps_on_seeded_bounded_objectives():
+    statuses = []
+    for seed in range(1200):
+        problem = simplex_problem(seed)
+        want = scipy_nelder_mead(*problem)
+        got = _nelder_mead(*problem)
+        assert got.x.tobytes() == want.x.tobytes(), seed
+        assert (got.fun, got.nit, got.nfev, got.success) == (
+            want.fun, want.nit, want.nfev, want.success), seed
+        statuses.append(want.status)
+    # converged runs, evaluation-capped runs and iteration-capped runs all occur
+    assert min(statuses.count(status) for status in (0, 1, 2)) >= 100
+
+
+@pytest.mark.parametrize("max_iterations", [5000, 40])
+def test_fit_equals_the_fit_on_scipys_simplex(monkeypatch, max_iterations):
+    # the acceptance-11 device, clean and noisy
+    initial = (4.52, 6.195, 0.078, 0.118)
+    for noise in (None, 0.001):
+        data = branch_records(two_tone_template(), ANTICROSSING_GRID, noise=noise,
+                              rng=np.random.default_rng(5150))
+        ours = fit(two_tone_spec(), data, initial, max_iterations)
+        with monkeypatch.context() as patch:
+            patch.setattr(calibrate, "_nelder_mead", scipy_nelder_mead)
+            theirs = fit(two_tone_spec(), data, initial, max_iterations)
+        assert repr(ours) == repr(theirs)
+        assert ours.converged == (max_iterations == 5000)

@@ -14,7 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 import loopmag.cli
-from loopmag.calibrate import dataset_from_csv, fit_spec_from_document
+from loopmag.calibrate import AMBIGUITY_RATIO, dataset_from_csv, fit_spec_from_document, residual
 from loopmag.cli import PRESETS, main
 from loopmag.fieldmap import field_table_from_csv, regions_from_document
 from loopmag.model import (
@@ -833,6 +833,28 @@ def test_fit_command_recovers_truth(tmp_path):
     assert len(report["per_hypothesis"]) == 2
 
 
+def test_fit_with_no_free_parameter_reports_each_hypothesis_residual(tmp_path):
+    data, spec = write_fit_inputs(tmp_path)
+    document = {"preset": "cavity-pi-fit", "theta_hypotheses": [["pi"], ["0"]], "initial": []}
+    spec.write_text(json.dumps(document))
+    result = run("fit", "--data", str(data), "--spec", str(spec))
+    assert result.exit_code == 0, result.output
+    report = json.loads(result.stdout)
+    dataset = dataset_from_csv(data.read_text())
+    fit_spec, initial, _ = fit_spec_from_document(document, preset_system("cavity-pi-fit"))
+    residuals = [residual(fit_spec, initial, h, dataset) for h in fit_spec.theta_hypotheses]
+    assert initial == ()
+    assert [h["theta_assignment_rad"] for h in report["per_hypothesis"]] == [[math.pi], [0.0]]
+    assert [h["residual"] for h in report["per_hypothesis"]] == residuals
+    assert all(h["converged"] is True and h["params"] == {} for h in report["per_hypothesis"])
+    assert (report["residual"], report["converged"], report["params"]) == (
+        min(residuals), True, {})
+    eps = 1e-12 * len(dataset.records)
+    low, high = sorted(residuals)
+    assert report["ambiguous"] is ((high + eps) / (low + eps) < AMBIGUITY_RATIO)
+    assert report["ambiguous"] is False  # the anticrossing peaks pick the loop phase pi
+
+
 def test_fit_command_is_deterministic(tmp_path):
     data, spec = write_fit_inputs(tmp_path)
     first = run("fit", "--data", str(data), "--spec", str(spec))
@@ -1099,15 +1121,33 @@ def fresh_python(*args):
     )
 
 
-def test_importing_the_package_and_cli_loads_no_scipy():
+SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+# Runs the command in argv as `python -m loopmag.cli` would, then prints the
+# scipy modules the process loaded to stderr.
+SCIPY_AFTER = """
+import runpy, sys
+
+try:
+    runpy.run_module("loopmag.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exit_:
+    if exit_.code:
+        raise
+print(%s, file=sys.stderr)
+""" % SCIPY_MODULES
+
+
+def test_importing_the_package_and_cli_loads_no_scipy(tmp_path):
     for modules in ("loopmag, loopmag.cli", "loopmag.spectrum"):
-        proc = fresh_python(
-            "-c",
-            "import sys, %s; " % modules
-            + "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))",
-        )
+        proc = fresh_python("-c", "import sys, %s; print(%s)" % (modules, SCIPY_MODULES))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n", modules
+    # a whole fit, simplex included
+    data, spec = write_fit_inputs(tmp_path)
+    proc = fresh_python("-c", SCIPY_AFTER, "fit", "--data", str(data), "--spec", str(spec))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["converged"] is True
+    assert proc.stderr.splitlines()[-1] == "[]"
 
 
 def test_fit_command_runs_in_a_fresh_process(tmp_path):

@@ -109,6 +109,27 @@ def test_no_module_relies_on_an_assert_statement():
         assert not asserts, "%s has assert statements on lines %s" % (path.name, asserts)
 
 
+def test_the_only_scipy_import_is_the_one_inside_min_gap():
+    # fit descends on calibrate's own simplex, so no command loads scipy; only
+    # min_gap's exact refinement imports it, when it is called
+    found = []
+    for path in sorted(SRC_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = {}
+        for node in ast.walk(tree):
+            for child in ast.iter_child_nodes(node):  # the innermost enclosing function
+                scope[child] = node.name if isinstance(node, ast.FunctionDef) else scope.get(node)
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+                found.append((path.stem, scope.get(node), node.lineno))
+    assert [(module, function) for module, function, _ in found] == [("spectrum", "min_gap")], found
+
+
 def test_every_cli_schema_error_message_is_asserted_by_a_cli_test():
     # the longest text between %-specifiers of each literal must appear in the CLI tests
     tested = pathlib.Path(__file__).with_name("test_cli.py").read_text()
