@@ -23,7 +23,8 @@ import numpy as np
 
 from .gauge import reduce_system
 from .model import (MAX_FREQUENCY_GHZ, MAX_RATE_MHZ, CouplingEdge, SchemaError, SystemModel,
-                    hamiltonians, number, parse_phase, read_numeric_csv, string, write_coupling)
+                    anchored, hamiltonians, number, parse_phase, read_numeric_csv, string,
+                    write_coupling)
 # unused here; kept because perfbench's tracer test patches and calls this binding
 from .spectrum import branch_frequencies  # noqa: F401
 
@@ -33,6 +34,9 @@ MIN_SIGMA_GHZ = 1e-9
 DEFAULT_FREQUENCY_BOUNDS_GHZ = (0.1, 50.0)
 DEFAULT_COUPLING_BOUNDS_GHZ = (0.0, 2.0)
 DEFAULT_THETA_BOUNDS = (-2.0 * math.pi, 2.0 * math.pi)
+# the bounds of a search-vector entry without its own, by the kind before its ':'
+_DEFAULT_BOUNDS = {"omega_c": DEFAULT_FREQUENCY_BOUNDS_GHZ, "g": DEFAULT_COUPLING_BOUNDS_GHZ,
+                   "theta": DEFAULT_THETA_BOUNDS}
 MAX_SIMPLEX_ITERATIONS = 5000
 AMBIGUITY_RATIO = 1.05
 
@@ -85,10 +89,8 @@ def dataset_from_csv(text: str) -> PeakDataset:
     The sigma_ghz column is optional; missing uncertainties get the default.
     """
     _, data = read_numeric_csv(text, (_CSV_HEADER_NO_SIGMA, _CSV_HEADER))
-    try:
+    with anchored(""):
         return PeakDataset(records=data.tolist())
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
 
 
 # ====== fit specification ======
@@ -103,11 +105,11 @@ class FitSpec:
     the fit: each hypothesis assigns the loop phases outright, in the order
     the gauge reduction reports them, and tree edges are held at zero phase.
 
-    bounds maps parameter names ('omega_c:<label>', 'g:<label>', and
-    'theta:<k>' in continuous mode) to finite (lower, upper) pairs; free
-    parameters without an entry get wide defaults.  With continuous_theta the
-    single entry of theta_hypotheses seeds the optimizer and the loop phases
-    join the parameter vector.
+    bounds maps names of the search vector ('omega_c:<label>', 'g:<label>',
+    and 'theta:<k>' only in continuous mode) to finite (lower, upper) pairs;
+    the rest get wide defaults.  With continuous_theta the single entry of
+    theta_hypotheses seeds the optimizer, the loop phases join the search
+    vector, and the seed is checked against its bounds like initial values.
     """
 
     base_system: SystemModel
@@ -152,8 +154,7 @@ class FitSpec:
             raise ValueError(
                 "continuous loop-phase mode takes exactly one seed assignment"
             )
-        valid = set(self.parameter_names())
-        valid.update("theta:%d" % k for k in range(n_loops))
+        valid = set(_search_names(self))
         for name, pair in self.bounds.items():
             if name not in valid:
                 raise ValueError("bound %r is not a parameter of this fit" % name)
@@ -288,18 +289,27 @@ def residual(spec: FitSpec, params, theta_assignment, data: PeakDataset) -> floa
 # ====== simplex descent ======
 
 
-def _bounds_for(spec: FitSpec, names) -> list:
-    pairs = []
-    for name in names:
-        if name in spec.bounds:
-            pairs.append(spec.bounds[name])
-        elif name.startswith("omega_c:"):
-            pairs.append(DEFAULT_FREQUENCY_BOUNDS_GHZ)
-        elif name.startswith("g:"):
-            pairs.append(DEFAULT_COUPLING_BOUNDS_GHZ)
-        else:
-            pairs.append(DEFAULT_THETA_BOUNDS)
-    return pairs
+def _search_names(spec: FitSpec) -> tuple:
+    """parameter_names(), then 'theta:<k>' per loop in continuous mode: the simplex's vector."""
+    n_thetas = len(spec.theta_hypotheses[0]) if spec.continuous_theta else 0
+    return spec.parameter_names() + tuple("theta:%d" % k for k in range(n_thetas))
+
+
+def _start(spec: FitSpec, initial) -> tuple:
+    """The simplex's start vector and its box of (lower, upper) pairs: the free
+    parameters of initial, then the seed loop phases in continuous mode, each
+    checked against its bounds."""
+    values = _checked_params(spec, initial)
+    if spec.continuous_theta:
+        values += spec.theta_hypotheses[0]
+    box = []
+    for name, value in zip(_search_names(spec), values):
+        lo, hi = spec.bounds.get(name, _DEFAULT_BOUNDS[name.partition(":")[0]])
+        if not lo <= value <= hi:
+            raise ValueError("initial value %g for %r is outside its bounds [%g, %g]"
+                             % (value, name, lo, hi))
+        box.append((lo, hi))
+    return np.array(values), box
 
 
 _Descent = NamedTuple("_Descent", [("x", np.ndarray), ("fun", float), ("nit", int),
@@ -383,19 +393,6 @@ def _simplex(objective, x0, bounds, max_iterations):
     return result
 
 
-def _initial_values(spec: FitSpec, initial) -> tuple:
-    """The free parameters of initial as floats, each checked against its bounds."""
-    values = _checked_params(spec, initial)
-    names = spec.parameter_names()
-    for name, value, (lo, hi) in zip(names, values, _bounds_for(spec, names)):
-        if not lo <= value <= hi:
-            raise ValueError(
-                "initial value %g for %r is outside its bounds [%g, %g]"
-                % (value, name, lo, hi)
-            )
-    return values
-
-
 def fit(
     spec: FitSpec,
     data: PeakDataset,
@@ -409,23 +406,17 @@ def fit(
     is reported through converged=False with the best point found so far.
     """
     names = spec.parameter_names()
-    values = _initial_values(spec, initial)
-    bounds = _bounds_for(spec, names)
-    if spec.continuous_theta:
-        bounds += _bounds_for(spec, ["theta:%d" % k for k in range(len(spec.theta_hypotheses[0]))])
-
+    x0, box = _start(spec, initial)
     objective = _objective(spec, data)
     n_params = len(names)
     outcomes = []
     for hypothesis in spec.theta_hypotheses:
-        # continuous mode: the loop phases join the parameter vector
-        x0 = values + hypothesis if spec.continuous_theta else values
-
+        # continuous mode: the loop phases are the tail of the search vector
         def trial(x, hypothesis=hypothesis):
             thetas = x[n_params:] if spec.continuous_theta else hypothesis
             return objective(x[:n_params], thetas)
 
-        best = _simplex(trial, np.array(x0), bounds, max_iterations)
+        best = _simplex(trial, x0, box, max_iterations)
         thetas = best.x[n_params:] if spec.continuous_theta else hypothesis
         outcomes.append(
             HypothesisFit(
@@ -476,10 +467,8 @@ def fit_spec_from_document(document: dict, system: SystemModel) -> tuple:
     for k, hypothesis in enumerate(_spec_list(document, "theta_hypotheses", "loop-phase lists")):
         if not isinstance(hypothesis, list):
             raise SchemaError("fit spec.theta_hypotheses[%d]: expected a list of loop phases" % k)
-        try:
+        with anchored("fit spec.theta_hypotheses[%d]: " % k):
             hypotheses.append(tuple(parse_phase(value) for value in hypothesis))
-        except SchemaError as error:
-            raise SchemaError("fit spec.theta_hypotheses[%d]: %s" % (k, error)) from None
     bounds_doc = document.get("bounds", {})
     if not isinstance(bounds_doc, dict):
         raise SchemaError("fit spec.bounds: expected an object of [lower, upper] pairs")
@@ -507,7 +496,7 @@ def fit_spec_from_document(document: dict, system: SystemModel) -> tuple:
             "fit spec: 'initial' must hold %d value(s), got %d"
             % (len(spec.parameter_names()), len(initial))
         )
-    initial = _initial_values(spec, initial)
+    _start(spec, initial)
     max_iterations = document.get("max_iterations", MAX_SIMPLEX_ITERATIONS)
     if type(max_iterations) is not int or max_iterations < 1:  # not isinstance: bool is an int
         raise SchemaError("fit spec.max_iterations: expected a positive integer")

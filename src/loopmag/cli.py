@@ -37,8 +37,8 @@ import numpy as np
 from .calibrate import dataset_from_csv, fit, fit_spec_from_document
 from .fieldmap import coupling_table, field_table_from_csv, regions_from_document
 from .gauge import reduce_system, reduction_to_document
-from .model import (MAX_FREQUENCY_GHZ, RWA_LIMIT, SchemaError, SystemModel, check_rwa,
-                    check_stack, edges_to_document, frequency_axis, number, string,
+from .model import (MAX_FREQUENCY_GHZ, RWA_LIMIT, SchemaError, SystemModel, anchored,
+                    check_rwa, check_stack, edges_to_document, frequency_axis, number, string,
                     system_from_document)
 from .spectrum import sweep, sweep_to_csv
 from .transmission import check_map, map_to_csv, ports_from_document, s21_map
@@ -201,10 +201,8 @@ def _mode_fields(mode_files, frequencies) -> dict:
         if label not in frequencies:
             raise SchemaError("no frequency given for mode %r" % label)
         text = _read_text(path)
-        try:
+        with anchored("--mode-file %s: " % label):
             mode_fields[label] = field_table_from_csv(text)
-        except ValueError as error:
-            raise SchemaError("--mode-file %s: %s" % (label, error)) from None
     return mode_fields
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import (MAX_FREQUENCY_GHZ, TWO_PI, CouplingEdge, SchemaError, fold_phase, number,
-                    read_numeric_csv, require, string)
+from .model import (MAX_FREQUENCY_GHZ, MAX_RATE_MHZ, TWO_PI, CouplingEdge, SchemaError, anchored,
+                    fold_phase, number, read_numeric_csv, require, string)
 
 _DEGENERACY_FLOOR_FACTOR = 1e-12
 # Ceiling on every sample coordinate, sphere center coordinate and radius, in
@@ -230,6 +230,7 @@ def coupling_strength(
     Values of eta above one are accepted: the argument is a plain scale
     factor here, and calibrated devices can sit beyond the overlap bound of
     filling_factor when the sphere volume underestimates the active volume.
+    A rate above MAX_RATE_MHZ, which no CouplingEdge takes, raises ValueError.
     """
     if not eta >= 0:
         raise ValueError("eta must be >= 0")
@@ -254,7 +255,10 @@ def coupling_strength(
             * constants.spin_density
         )
     )
-    return g_hz * 1e-6
+    g_mhz = g_hz * 1e-6
+    if not g_mhz <= MAX_RATE_MHZ:  # also catches inf from finite inputs
+        raise ValueError("coupling strength must be <= %g MHz" % MAX_RATE_MHZ)
+    return g_mhz
 
 
 def coupling_table(
@@ -272,6 +276,9 @@ def coupling_table(
     labels = [r.label for r in regions]
     if len(set(labels)) != len(labels):
         raise ValueError("region labels must be unique")
+    for label in labels:
+        if label in mode_fields:
+            raise ValueError("region %r: label is also a photon mode" % label)
     edges = []
     for mode_label, samples in mode_fields.items():
         if mode_label not in frequencies:
@@ -328,10 +335,8 @@ def regions_from_document(config: dict) -> tuple:
         label = string(require(region, "label", where), where + ".label")
         if label in (r.label for r in regions):
             raise SchemaError("%s.label: duplicate region label %r" % (where, label))
-        try:
+        with anchored(where + ": "):
             regions.append(SphereRegion(center, radius, label))
-        except ValueError as error:
-            raise SchemaError("%s: %s" % (where, error)) from None
     if not isinstance(config["mode_frequencies_ghz"], dict):
         raise SchemaError("mode_frequencies_ghz: expected a label->GHz object")
     frequencies = {}
@@ -341,4 +346,8 @@ def regions_from_document(config: dict) -> tuple:
             raise SchemaError("mode_frequencies_ghz.%s must be > 0" % label)
         if frequencies[label] > MAX_FREQUENCY_GHZ:
             raise SchemaError("mode_frequencies_ghz.%s must be <= %g" % (label, MAX_FREQUENCY_GHZ))
+    for k, region in enumerate(regions):
+        if region.label in frequencies:
+            raise SchemaError("regions[%d].label: %r is a photon label of mode_frequencies_ghz"
+                              % (k, region.label))
     return regions, frequencies

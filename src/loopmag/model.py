@@ -6,6 +6,7 @@ is H / hbar expressed in GHz linear frequency.  The matrix entry
 <photon|H|magnon> carries g * exp(-i*phase).
 """
 
+import contextlib
 import functools
 import math
 import sys
@@ -367,6 +368,15 @@ def string(value, where: str) -> str:
     return value
 
 
+@contextlib.contextmanager
+def anchored(prefix: str):
+    """Re-raise a ValueError from the block as a SchemaError of prefix + its message."""
+    try:
+        yield
+    except ValueError as error:
+        raise SchemaError(prefix + str(error)) from None
+
+
 def system_from_document(doc: dict) -> SystemModel:
     """Parse and validate a SystemModel JSON document.
 
@@ -394,32 +404,24 @@ def system_from_document(doc: dict) -> SystemModel:
         external = number(
             m.get("external_loss_mhz"), where + ".external_loss_mhz", allow_none=True
         )
-        try:
+        with anchored(where + ": "):
             modes.append(ModeSpec(label, kind, freq, intrinsic, external))
-        except ValueError as err:
-            raise SchemaError("%s: %s" % (where, err)) from None
     edges = []
     for i, e in enumerate(edges_doc):
         where = "edges[%d]" % i
         photon = string(require(e, "photon", where), where + ".photon")
         magnon = string(require(e, "magnon", where), where + ".magnon")
         g = number(require(e, "g_mhz", where), where + ".g_mhz")
-        phase = require(e, "phase_rad", where)
-        try:
+        phase = require(e, "phase_rad", where)  # outside: require names the path itself
+        with anchored(where + "."):
             phase = parse_phase(phase)
-        except SchemaError as err:
-            raise SchemaError("%s.%s" % (where, err)) from None
-        try:
+        with anchored(where + ": "):
             edges.append(CouplingEdge(photon, magnon, g, phase))
-        except ValueError as err:
-            raise SchemaError("%s: %s" % (where, err)) from None
     for i, label in enumerate(sweep_doc):
         if not isinstance(label, str):
             raise SchemaError("sweep[%d]: expected a mode label" % i)
-    try:
+    with anchored(""):
         return SystemModel(tuple(modes), tuple(edges), frozenset(sweep_doc))
-    except ValueError as err:
-        raise SchemaError(str(err)) from None
 
 
 # ====== numeric CSV exports and frequency axes ======

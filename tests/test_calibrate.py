@@ -584,6 +584,42 @@ def test_continuous_theta_requires_single_seed():
         )
 
 
+def test_a_loop_phase_bound_keeps_the_continuous_fit_inside_its_box():
+    data = branch_records(two_tone_template(), ANTICROSSING_GRID)
+    initial = (4.52, 6.195, 0.078, 0.118)
+    free = fit(two_tone_spec(theta_hypotheses=((2.0,),), continuous_theta=True), data, initial)
+    spec = two_tone_spec(theta_hypotheses=((2.0,),), continuous_theta=True,
+                         bounds={"theta:0": (1.5, 2.5)})
+    result = fit(spec, data, initial)
+    assert spec.bounds == {"theta:0": (1.5, 2.5)}
+    # the truth, pi, lies above the box: the descent ends at its upper end
+    assert 2.49 < result.theta_assignment[0] <= 2.5
+    assert result.residual > free.residual
+
+
+@pytest.mark.parametrize(
+    "seed, bounds, message",
+    [
+        (7.0, {}, r"^initial value 7 for 'theta:0' is outside its bounds \[-6.28319, 6.28319\]$"),
+        (2.0, {"theta:0": (2.5, 3.0)},
+         r"^initial value 2 for 'theta:0' is outside its bounds \[2.5, 3\]$"),
+    ],
+)
+def test_a_loop_phase_seed_outside_its_bounds_is_rejected(seed, bounds, message):
+    spec = two_tone_spec(theta_hypotheses=((seed,),), continuous_theta=True, bounds=bounds)
+    data = branch_records(two_tone_template(), ANTICROSSING_GRID)
+    with pytest.raises(ValueError, match=message):
+        fit(spec, data, (4.52, 6.195, 0.078, 0.118))
+
+
+def test_a_loop_phase_bound_is_not_a_parameter_of_a_discrete_fit():
+    with pytest.raises(ValueError, match=r"^bound 'theta:0' is not a parameter of this fit$"):
+        two_tone_spec(bounds={"theta:0": (0.0, 1.0)})
+    with pytest.raises(ValueError, match=r"^bound 'theta:1' is not a parameter of this fit$"):
+        two_tone_spec(theta_hypotheses=((2.0,),), continuous_theta=True,
+                      bounds={"theta:1": (0.0, 1.0)})
+
+
 # ====== fits with no free parameter ======
 
 

@@ -671,7 +671,25 @@ def test_fieldmap_bad_csv_exits_2(tmp_path):
         "fieldmap", "--mode-file", "c1=%s" % mode_file, "--config", str(config)
     )
     assert result.exit_code == 2
-    assert "header" in result.output
+    assert result.output == (
+        "error: --mode-file c1: line 1: unrecognized header; expected "
+        "'x_m,y_m,z_m,hx_re,hx_im,hy_re,hy_im,hz_re,hz_im' or "
+        "'x_m,y_m,z_m,hx_re,hx_im,hy_re,hy_im,hz_re,hz_im,weight_m3'\n")
+
+
+def test_fieldmap_unweighted_export_in_a_flat_box_exits_2(tmp_path):
+    (tmp_path / "c1.csv").write_text(
+        "x_m,y_m,z_m,hx_re,hx_im,hy_re,hy_im,hz_re,hz_im\n"
+        "0,0,0,1,0,0,0,0,0\n"
+        "0.1,0.1,0,1,0,0,0,0,0\n"
+    )
+    (tmp_path / "regions.json").write_text(json.dumps(FIELDMAP_CONFIG))
+    result = run("fieldmap", "--mode-file", "c1=%s" % (tmp_path / "c1.csv"),
+                 "--config", str(tmp_path / "regions.json"))
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == (
+        "error: --mode-file c1: "
+        "degenerate bounding box: cannot infer uniform weights, provide a weight_m3 column\n")
 
 
 def test_fieldmap_degenerate_phase_is_computation_failure(tmp_path):
@@ -719,6 +737,11 @@ def test_fieldmap_degenerate_phase_is_computation_failure(tmp_path):
         (lambda c: c["mode_frequencies_ghz"].update(c1=1e7),
          "mode_frequencies_ghz.c1 must be <= 1e+06"),
         (lambda c: c["mode_frequencies_ghz"].pop("c1"), "no frequency given for mode 'c1'"),
+        (lambda c: c.pop("regions"),
+         "config: 'regions' and 'mode_frequencies_ghz' are both required"),
+        # a region labelled like a photon would make the edge (c1, c1)
+        (lambda c: c["regions"][0].update(label="c1"),
+         "regions[0].label: 'c1' is a photon label of mode_frequencies_ghz"),
     ],
 )
 def test_fieldmap_malformed_config_exits_2(tmp_path, edit, message):
@@ -915,20 +938,60 @@ def test_fit_command_rejects_bad_spec(tmp_path):
     spec = tmp_path / "fitspec.json"
     spec.write_text(json.dumps({"preset": "cavity-pi-fit", "initial": []}))
     result = run("fit", "--data", str(data), "--spec", str(spec))
-    assert result.exit_code == 2
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: fit spec: 'theta_hypotheses' and 'initial' are required\n"
+
+
+PEAK_HEADERS = "'omega_m_ghz,omega_peak_ghz' or 'omega_m_ghz,omega_peak_ghz,sigma_ghz'"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "CSV is empty; expected the header " + PEAK_HEADERS),
+        ("\n \nomega_m,peak\n5.0,4.5\n", "line 3: unrecognized header; expected " + PEAK_HEADERS),
+        ("omega_m_ghz,omega_peak_ghz\n\n", "CSV contains no data rows"),
+        ("omega_m_ghz,omega_peak_ghz\n5.0,4.5\n\n5.1,4.6,0.001\n",
+         "line 4: expected 2 columns, got 3"),
+        ("omega_m_ghz,omega_peak_ghz\n5.0,4.5\n5.1,x\n", "line 3: could not parse a numeric value"),
+    ],
+)
+def test_fit_malformed_peak_csv_exits_2_naming_its_line(tmp_path, text, message):
+    _, spec = write_fit_inputs(tmp_path)
+    data = tmp_path / "bad.csv"
+    data.write_text(text)
+    result = run("fit", "--data", str(data), "--spec", str(spec))
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: %s\n" % message
+
+
+def loop_phase_spec(**fields):
+    return {"preset": "cavity-pi-fit", "free_couplings": ["c1"], "theta_hypotheses": [["pi"]],
+            "initial": [0.08], **fields}
+
+
+def test_fit_loop_phase_bound_keeps_the_continuous_fit_inside_its_box(tmp_path):
+    data, spec = write_fit_inputs(tmp_path)
+    spec.write_text(json.dumps(loop_phase_spec(theta_hypotheses=[[2.0]], continuous_theta=True,
+                                               bounds={"theta:0": [1.5, 2.5]})))
+    result = run("fit", "--data", str(data), "--spec", str(spec))
+    assert result.exit_code == 0, result.output
+    assert 2.49 < json.loads(result.stdout)["theta_assignment_rad"][0] <= 2.5
 
 
 @pytest.mark.parametrize(
     "key, bad, message",
     [
-        ("theta_hypotheses", 5, "fit spec.theta_hypotheses: expected a list"),
-        ("theta_hypotheses", ["pi", "0"], "fit spec.theta_hypotheses[0]: expected a list"),
-        ("theta_hypotheses", [["x"], [0]], "fit spec.theta_hypotheses[0]: phase_rad: unknown"),
+        ("theta_hypotheses", 5, "fit spec.theta_hypotheses: expected a list of loop-phase lists"),
+        ("theta_hypotheses", ["pi", "0"],
+         "fit spec.theta_hypotheses[0]: expected a list of loop phases"),
+        ("theta_hypotheses", [["x"], [0]], "fit spec.theta_hypotheses[0]: "
+         "phase_rad: unknown phase string 'x' (allowed: -pi/2, 0, pi, pi/2)"),
         ("free_couplings", 5, "fit spec.free_couplings: expected a list of labels"),
         ("free_couplings", [["c1"]], "fit spec.free_couplings[0]: expected a string"),
         ("initial", 5, "fit spec.initial: expected a list of numbers"),
         ("initial", [4.52, "6.195", 0.078, 0.118], "fit spec.initial[1]: expected a number"),
-        ("bounds", [1, 2], "fit spec.bounds: expected an object"),
+        ("bounds", [1, 2], "fit spec.bounds: expected an object of [lower, upper] pairs"),
         ("bounds", {"g:c1": 0.1}, "fit spec.bounds.g:c1: expected a [lower, upper] pair"),
         ("bounds", {"g:c1": [0.0, None]}, "fit spec.bounds.g:c1[1]: expected a number"),
         ("preset", ["x"], "fit spec.preset: expected a string"),
@@ -944,7 +1007,7 @@ def test_fit_command_rejects_mistyped_spec_fields(tmp_path, key, bad, message):
     spec.write_text(json.dumps(document))
     result = run("fit", "--data", str(data), "--spec", str(spec))
     assert result.exit_code == 2
-    assert message in result.output
+    assert result.output == "error: %s\n" % message
 
 
 # ====== rotating-wave warnings ======
@@ -1277,6 +1340,24 @@ def test_an_input_file_that_is_not_utf8_exits_2_naming_the_file(tmp_path, comman
          {"system": {**PRESETS["cavity-pi-fit"]["system"],
                      "edges": [{"photon": "c1", "magnon": "m1", "g_mhz": 81.0}]}},
          "edges[0].phase_rad: missing required key"),
+        (("gauge", "--config", "{config}"),
+         {"system": {**PRESETS["cavity-pi-fit"]["system"],
+                     "edges": [{"photon": "c1", "magnon": "m1", "g_mhz": 81.0, "phase_rad": [1]}]}},
+         "edges[0].phase_rad: expected number or phase string, got [1]"),
+        (("gauge", "--config", "{config}"), {"system": {"modes": {}, "edges": [], "sweep": []}},
+         "modes: expected a list"),
+        (("gauge", "--config", "{config}"), {"system": {"modes": [], "edges": {}, "sweep": []}},
+         "edges: expected a list"),
+        (("fit", "--data", "{data}", "--spec", "{config}"),
+         loop_phase_spec(theta_hypotheses=[[7.0]], continuous_theta=True),
+         "initial value 7 for 'theta:0' is outside its bounds [-6.28319, 6.28319]"),
+        (("fit", "--data", "{data}", "--spec", "{config}"),
+         loop_phase_spec(theta_hypotheses=[[2.0]], continuous_theta=True,
+                         bounds={"theta:0": [2.5, 3.0]}),
+         "initial value 2 for 'theta:0' is outside its bounds [2.5, 3]"),
+        (("fit", "--data", "{data}", "--spec", "{config}"),
+         loop_phase_spec(bounds={"theta:0": [0, 1]}),
+         "bound 'theta:0' is not a parameter of this fit"),
     ],
 )
 def test_malformed_inputs_exit_2_with_one_error_line(tmp_path, args, document, message):

@@ -20,9 +20,11 @@ from loopmag.fieldmap import (
     field_table_from_csv,
     filling_factor,
     region_integrals,
+    regions_from_document,
 )
 from loopmag.gauge import reduce_system
-from loopmag.model import CouplingEdge, ModeSpec, SchemaError, SystemModel, fold_phase
+from loopmag.model import (MAX_RATE_MHZ, CouplingEdge, ModeSpec, SchemaError, SystemModel,
+                           fold_phase)
 from synthfields import circulating_field, pi_device_posts, sphere_grid
 
 PI = math.pi
@@ -282,6 +284,16 @@ def test_coupling_strength_rejects_infinite_inputs_after_the_sign_checks(eta, om
     assert str(error.value) == message
 
 
+def test_coupling_strength_beyond_the_rate_ceiling_is_rejected():
+    # eta at which the rate reaches the ceiling that every CouplingEdge enforces
+    ceiling_eta = MAX_RATE_MHZ / coupling_strength(1.0, 1.0)
+    below = coupling_strength(0.999 * ceiling_eta, 1.0)
+    assert CouplingEdge("c1", "m1", below, 0.0).strength == below
+    for eta in (1.001 * ceiling_eta, 1e300):  # 1e300 overflows the rate to inf
+        with pytest.raises(ValueError, match=r"^coupling strength must be <= 1e\+09 MHz$"):
+            coupling_strength(eta, 1.0)
+
+
 # ====== synthetic circulation patterns ======
 
 
@@ -346,6 +358,21 @@ def test_coupling_table_validation():
             [region, SphereRegion((0.0, 0.0, 0.0), R_SPHERE, "m1")],
             {"c1": 4.5},
         )
+    # a region labelled like a photon would make the edge (c1, c1)
+    with pytest.raises(ValueError, match=r"^region 'c1': label is also a photon mode$"):
+        coupling_table({"c1": table}, [SphereRegion((0.0, 0.0, 0.0), R_SPHERE, "c1")],
+                       {"c1": 4.5})
+
+
+def test_regions_loader_rejects_a_region_labelled_like_a_photon():
+    config = {"regions": [{"label": "m1", "center_m": [0, 0, 0], "radius_m": 1.0},
+                          {"label": "c2", "center_m": [1, 0, 0], "radius_m": 1.0}],
+              "mode_frequencies_ghz": {"c1": 4.5, "c2": 6.2}}
+    with pytest.raises(SchemaError) as error:
+        regions_from_document(config)
+    assert str(error.value) == "regions[1].label: 'c2' is a photon label of mode_frequencies_ghz"
+    config["regions"][1]["label"] = "m2"
+    assert [r.label for r in regions_from_document(config)[0]] == ["m1", "m2"]
 
 
 def parent_filling_factor_and_phase(table, region):

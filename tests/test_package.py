@@ -131,14 +131,32 @@ def test_the_only_scipy_import_is_the_one_inside_min_gap():
 
 
 def test_every_cli_schema_error_message_is_asserted_by_a_cli_test():
-    # the longest text between %-specifiers of each literal must appear in the CLI tests
+    # in every module, the longest text between %-specifiers of each literal of a
+    # SchemaError message or an anchored prefix must appear in the CLI tests
     tested = pathlib.Path(__file__).with_name("test_cli.py").read_text()
     untested = []
-    for node in ast.walk(ast.parse((SRC_DIR / "cli.py").read_text())):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SchemaError":
-            for literal in ast.walk(node):
-                if isinstance(literal, ast.Constant) and isinstance(literal.value, str):
-                    parts = re.split(r"%[-#0 +]*\d*(?:\.\d+)?[a-z%]", literal.value)
-                    if max((part.strip() for part in parts), key=len) not in tested:
-                        untested.append((literal.lineno, literal.value))
-    assert not untested, "cli.py SchemaError messages no CLI test asserts: %s" % untested
+    for path in sorted(SRC_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                    "SchemaError", "anchored"):
+                for literal in ast.walk(node):
+                    if isinstance(literal, ast.Constant) and isinstance(literal.value, str):
+                        parts = re.split(r"%[-#0 +]*\d*(?:\.\d+)?[a-z%]", literal.value)
+                        if max((part.strip() for part in parts), key=len) not in tested:
+                            untested.append((path.name, literal.lineno, literal.value))
+    assert not untested, "SchemaError messages no CLI test asserts: %s" % untested
+
+
+def test_only_model_anchored_reraises_a_value_errors_message_as_a_schema_error():
+    # an except clause that binds a ValueError and raises again, keeping its message
+    rewrites = []
+    for path in sorted(SRC_DIR.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            for handler in ast.walk(function):
+                if (isinstance(handler, ast.ExceptHandler) and handler.name is not None
+                        and getattr(handler.type, "id", None) in ("ValueError", "SchemaError")
+                        and any(isinstance(node, ast.Raise) for node in ast.walk(handler))):
+                    rewrites.append((path.name, function.name))
+    assert rewrites == [("model.py", "anchored")]
