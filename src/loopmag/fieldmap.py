@@ -230,7 +230,8 @@ def coupling_strength(
     Values of eta above one are accepted: the argument is a plain scale
     factor here, and calibrated devices can sit beyond the overlap bound of
     filling_factor when the sphere volume underestimates the active volume.
-    A rate above MAX_RATE_MHZ, which no CouplingEdge takes, raises ValueError.
+    A frequency above MAX_FREQUENCY_GHZ, or a rate above MAX_RATE_MHZ, which
+    no CouplingEdge takes, raises ValueError.
     """
     if not eta >= 0:
         raise ValueError("eta must be >= 0")
@@ -240,6 +241,8 @@ def coupling_strength(
         raise ValueError("eta must be finite")
     if not math.isfinite(omega_ghz):
         raise ValueError("omega_ghz must be finite")
+    if omega_ghz > MAX_FREQUENCY_GHZ:
+        raise ValueError("omega_ghz must be <= %g GHz" % MAX_FREQUENCY_GHZ)
     gamma_angular = TWO_PI * constants.gyromagnetic_ratio * 1e9
     moment = constants.unit_cell_moment * constants.bohr_magneton
     ratio = moment / (constants.lande_g * constants.bohr_magneton)

@@ -469,7 +469,9 @@ def read_numeric_csv(text: str, headers) -> tuple:
 
 # bytes per g9_cells cell: a text of at most 23 characters, NUL-padded, then an end byte
 CELL_BYTES = 24
-# values per block of csv_rows, long_csv_rows and s21_map's residue sum: temporaries of a few MB
+# values per block of csv_rows, long_csv_rows and s21_map's residue sum: temporaries of a few MB.
+# The CSV writers grow their text by +=, which CPython resizes in place (the local is its only
+# reference), so a CSV is held once plus one block, not as blocks and their join.
 BLOCK_VALUES = 1 << 15
 _POW10 = np.array([10.0**k for k in range(13)])  # exact
 _POW10_INT = np.array([10**k for k in range(9)], dtype=np.uint32)
@@ -577,8 +579,10 @@ def csv_rows(table) -> str:
     ends = np.full(table.shape[1], ord(","), np.uint8)
     ends[-1] = ord("\n")
     step = max(1, BLOCK_VALUES // table.shape[1])
-    return "".join(cells_text(g9_cells(table[k:k + step], ends))
-                   for k in range(0, len(table), step))
+    text = ""
+    for k in range(0, len(table), step):
+        text += cells_text(g9_cells(table[k:k + step], ends))
+    return text
 
 
 def long_csv_rows(header: str, rows_axis, columns_axis, table) -> str:
@@ -586,7 +590,7 @@ def long_csv_rows(header: str, rows_axis, columns_axis, table) -> str:
     rows, columns = _axis_cells(rows_axis), _axis_cells(columns_axis)
     # one row of bytes per CSV line: each axis text padded to its longest, then the value cell
     line = np.dtype([("r", rows.dtype), ("c", columns.dtype), ("v", "V%d" % CELL_BYTES)])
-    texts = [header]
+    text = header
     width = max(1, BLOCK_VALUES // rows.size)
     for start in range(0, columns.size, width):
         block = slice(start, start + width)
@@ -594,8 +598,8 @@ def long_csv_rows(header: str, rows_axis, columns_axis, table) -> str:
         lines["r"] = rows
         lines["c"] = columns[block, None]
         lines["v"] = g9_cells(table[:, block].T, ord("\n")).view(line["v"])[..., 0]
-        texts.append(cells_text(lines))
-    return "".join(texts)
+        text += cells_text(lines)
+    return text
 
 
 def _axis_cells(axis: np.ndarray) -> np.ndarray:

@@ -169,12 +169,15 @@ def _port_from_document(key: str, rates) -> PortSpec:
 
 
 def s21_at(system: SystemModel, ports, omega: float, omega_m: float) -> complex:
-    """Complex S21 at a single probe frequency and magnon frequency (GHz)."""
-    if not math.isfinite(omega):
-        raise ValueError("omega must be finite")
+    """Complex S21 at a single probe frequency and magnon frequency (GHz).
+
+    The probe is checked as s21_map checks its grid: finite, then within
+    +-MAX_FREQUENCY_GHZ.
+    """
+    probe = frequency_axis([omega], "omega")
     gamma, d1, d2, _ = _loss_model(system, *_ordered_ports(ports))
     damped = 1j * build_hamiltonian(system, omega_m).entries + np.diag(gamma) / 2.0
-    return complex(_solved(damped, np.array([omega]), d1, d2)[0])
+    return complex(_solved(damped, probe, d1, d2)[0])
 
 
 def _solved(damped, omega, d1, d2) -> np.ndarray:
@@ -245,19 +248,20 @@ def _local_maxima(values: np.ndarray, height: float) -> np.ndarray:
     The first and last runs never are.  These are scipy.signal.find_peaks'
     rules, so the indices match it.
     """
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(values)) + 1))
-    ends = np.append(starts[1:], values.size) - 1
-    rising = np.diff(values[starts]) > 0
-    runs = np.flatnonzero(rising[:-1] & ~rising[1:]) + 1
-    peaks = (starts[runs] + ends[runs]) // 2
+    step = np.diff(values)
+    moves = np.flatnonzero(step)
+    rising = step[moves] > 0
+    # a run rises into moves[k] + 1 and falls after moves[k + 1]
+    k = np.flatnonzero(rising[:-1] & ~rising[1:])
+    peaks = (moves[k] + 1 + moves[k + 1]) // 2
     return peaks[values[peaks] >= height]
 
 
 def extract_peaks(tmap: TransmissionMap, omega_m_index: int, prominence_floor_db: float = 3.0):
     """Refined local maxima of one map column, as (omega GHz, prominence dB).
 
-    A sample counts as a peak when it exceeds the column mean by the
-    prominence floor; its position and height are refined by a three point
+    A sample counts as a peak when it is at least the prominence floor above
+    the column mean; its position and height are refined by a three point
     parabola and the prominence is quoted relative to the column mean.
     A run of equal samples counts once, at its midpoint.  Boundary samples
     are never reported.
@@ -268,18 +272,17 @@ def extract_peaks(tmap: TransmissionMap, omega_m_index: int, prominence_floor_db
         raise ValueError("prominence_floor_db must be finite")
     column = tmap.magnitude_db[:, omega_m_index]
     mean = float(column.mean())
-    indices = _local_maxima(column, mean + prominence_floor_db)
     omega = tmap.omega_grid
     peaks = []
-    for i in indices:
-        xl, xr = omega[i - 1], omega[i + 1]
-        curvature, vertex, value = parabola_vertex(
-            xl, column[i - 1], omega[i], column[i], xr, column[i + 1]
-        )
+    # Python floats: the same IEEE arithmetic as numpy scalars, at a fraction of the cost
+    for i in _local_maxima(column, mean + prominence_floor_db).tolist():
+        xl, x0, xr = omega[i - 1:i + 2].tolist()
+        yl, y0, yr = column[i - 1:i + 2].tolist()
+        curvature, vertex, value = parabola_vertex(xl, yl, x0, y0, xr, yr)
         if curvature >= 0:
             # no maximum between the neighbours: keep the sample itself
-            vertex, value = omega[i], column[i]
-        peaks.append((float(min(max(vertex, xl), xr)), float(value - mean)))
+            vertex, value = x0, y0
+        peaks.append((min(max(vertex, xl), xr), value - mean))
     return peaks
 
 

@@ -23,8 +23,8 @@ from loopmag.fieldmap import (
     regions_from_document,
 )
 from loopmag.gauge import reduce_system
-from loopmag.model import (MAX_RATE_MHZ, CouplingEdge, ModeSpec, SchemaError, SystemModel,
-                           fold_phase)
+from loopmag.model import (MAX_FREQUENCY_GHZ, MAX_RATE_MHZ, CouplingEdge, ModeSpec, SchemaError,
+                           SystemModel, fold_phase)
 from synthfields import circulating_field, pi_device_posts, sphere_grid
 
 PI = math.pi
@@ -292,6 +292,33 @@ def test_coupling_strength_beyond_the_rate_ceiling_is_rejected():
     for eta in (1.001 * ceiling_eta, 1e300):  # 1e300 overflows the rate to inf
         with pytest.raises(ValueError, match=r"^coupling strength must be <= 1e\+09 MHz$"):
             coupling_strength(eta, 1.0)
+
+
+@pytest.mark.parametrize(
+    "eta, omega_ghz, message",
+    [
+        # a zero filling factor at a huge frequency is blamed on the frequency, not the rate
+        (0.0, 1e300, "omega_ghz must be <= 1e+06 GHz"),
+        (0.1, math.nextafter(MAX_FREQUENCY_GHZ, math.inf), "omega_ghz must be <= 1e+06 GHz"),
+        # the sign and finite checks still come first
+        (-1.0, 1e300, "eta must be >= 0"),
+        (0.1, -1e300, "omega_ghz must be > 0"),
+        (math.inf, 1e300, "eta must be finite"),
+        # and the rate ceiling last
+        (1e300, MAX_FREQUENCY_GHZ, "coupling strength must be <= 1e+09 MHz"),
+    ],
+)
+def test_coupling_strength_beyond_the_frequency_ceiling_is_rejected(eta, omega_ghz, message):
+    with pytest.raises(ValueError) as error:
+        coupling_strength(eta, omega_ghz)
+    assert str(error.value) == message
+
+
+def test_coupling_strength_at_the_frequency_ceiling_is_accepted():
+    assert coupling_strength(0.0, MAX_FREQUENCY_GHZ) == 0.0
+    assert coupling_strength(0.5, MAX_FREQUENCY_GHZ) == pytest.approx(
+        0.5 * coupling_strength(1.0, 1.0) * math.sqrt(MAX_FREQUENCY_GHZ), rel=1e-12
+    )
 
 
 # ====== synthetic circulation patterns ======

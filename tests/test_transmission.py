@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from loopmag.model import (
     SystemModel,
     apply_vertex_phases,
     build_hamiltonian,
+    csv_rows,
     hamiltonians,
     system_from_document,
 )
@@ -347,6 +349,17 @@ def test_check_map_reports_the_map_then_the_probe_then_the_magnon_stack(names):
     check_map(MAX_MAP_POINTS, 1, 4, *args)
 
 
+@pytest.mark.parametrize("probe", [1e7, -1e7, math.nextafter(MAX_FREQUENCY_GHZ, math.inf)])
+def test_s21_at_rejects_a_probe_past_the_frequency_ceiling_as_s21_map_does(probe):
+    system, ports = single_photon(), (PortSpec(1), PortSpec(2))
+    with pytest.raises(ValueError, match=r"^omega must be within \+-1e\+06 GHz$"):
+        s21_at(system, ports, probe, 1.0)
+    with pytest.raises(ValueError, match=r"^omega_grid must be within \+-1e\+06 GHz$"):
+        s21_map(system, ports, [probe], [1.0])
+    for edge in (-MAX_FREQUENCY_GHZ, MAX_FREQUENCY_GHZ):
+        assert math.isfinite(abs(s21_at(system, ports, edge, 1.0)))
+
+
 def test_s21_at_rejects_an_infinite_magnon_frequency():
     with pytest.raises(ValueError, match="^omega_m must be finite$"):
         s21_at(fit_device(), (PortSpec(1), PortSpec(2)), 5.0, math.inf)
@@ -660,6 +673,29 @@ def test_map_csv_equals_the_template_writer_on_python_formatted_values():
     assert map_to_csv(tmap).split("\n") == template_map_csv(tmap).split("\n")
 
 
+def traced_peak(write, *args):
+    """The text write(*args) returns and the tracemalloc peak of the call, in bytes."""
+    tracemalloc.start()
+    try:
+        text = write(*args)
+        return text, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_writers_hold_one_csv_plus_one_block():
+    # a list of blocks and their join would hold the CSV twice, a peak of 2x its length
+    rng = np.random.default_rng(24)
+    tmap = TransmissionMap(np.linspace(4.0, 7.0, 1601), np.linspace(5.0, 6.0, 601),
+                           rng.uniform(-80.0, 0.0, (1601, 601)))
+    for _ in range(2):
+        text, peak = traced_peak(map_to_csv, tmap)
+        assert peak < 1.3 * len(text), peak / len(text)
+    # csv_rows' block holds more temporaries, so a longer table keeps them under the margin
+    text, peak = traced_peak(csv_rows, np.vstack([tmap.magnitude_db] * 2))
+    assert peak < 1.3 * len(text), peak / len(text)
+
+
 # ====== peak extraction ======
 
 
@@ -720,6 +756,46 @@ def test_local_maxima_match_scipy_find_peaks_on_plateau_rich_arrays():
         for height in (-math.inf, 1.0, 2.0):
             expected, _ = find_peaks(values, height=height)
             assert np.array_equal(_local_maxima(values, height), expected), (values, height)
+
+
+def local_maxima_oracle_cases():
+    """Seeded arrays of length 1-400: plateau-free ones, then ones with a plateau at either end."""
+    rng = np.random.default_rng(24)
+    arrays = [rng.standard_normal(rng.integers(1, 401)) for _ in range(2000)]
+    for _ in range(500):
+        values = rng.standard_normal(rng.integers(12, 401))
+        head, tail = rng.integers(2, 6, 2)
+        # each end run sits above, below or level with the sample next to it
+        levels = [values.max() + 1.0, values.min() - 1.0]
+        values[:head] = rng.choice(levels + [values[head]])
+        values[-tail:] = rng.choice(levels + [values[-tail - 1]])
+        arrays.append(values)
+    return arrays
+
+
+def test_local_maxima_match_scipy_find_peaks_on_plateau_free_and_end_plateau_arrays():
+    arrays = local_maxima_oracle_cases()
+    assert all(np.all(np.diff(values) != 0) for values in arrays[:2000])
+    assert all(values[0] == values[1] and values[-2] == values[-1] for values in arrays[2000:])
+    for values in arrays:
+        for height in (-math.inf, float(np.median(values)), float(np.percentile(values, 90))):
+            expected, _ = find_peaks(values, height=height)
+            assert np.array_equal(_local_maxima(values, height), expected), (values, height)
+
+
+def test_extract_peaks_returns_plain_python_floats():
+    system = SystemModel(
+        modes=(ModeSpec("c", "photon", 5.0), ModeSpec("m", "magnon", 5.0)),
+        edges=(CouplingEdge("c", "m", 100.0, 0.0),),
+        magnon_sweep_target=frozenset(),
+    )
+    refined = s21_map(system, (PortSpec(1), PortSpec(2)), np.arange(4.7, 5.3001, 0.001), [5.0])
+    # a flat-topped peak keeps its sample, the other branch of the refinement
+    column = np.array([-40.0, -10.0, -10.0, -10.0, -40.0])
+    flat = TransmissionMap(4.0 + 0.1 * np.arange(column.size), np.array([1.0]), column[:, None])
+    peaks = extract_peaks(refined, 0) + extract_peaks(flat, 0, prominence_floor_db=0.0)
+    assert len(peaks) == 3
+    assert all(type(center) is float and type(prominence) is float for center, prominence in peaks)
 
 
 def test_plateau_peak_is_reported_at_its_midpoint():
