@@ -23,8 +23,8 @@ import numpy as np
 
 from .gauge import reduce_system
 from .model import (MAX_FREQUENCY_GHZ, MAX_RATE_MHZ, CouplingEdge, SchemaError, SystemModel,
-                    anchored, hamiltonians, number, parse_phase, read_numeric_csv, string,
-                    write_coupling)
+                    anchored, check_mode_frequency, hamiltonians, number, parse_phase,
+                    read_numeric_csv, string, write_coupling)
 # unused here; kept because perfbench's tracer test patches and calls this binding
 from .spectrum import branch_frequencies  # noqa: F401
 
@@ -139,6 +139,10 @@ class FitSpec:
                 if label in seen:
                     raise ValueError("duplicate free parameter %r" % label)
                 seen.add(label)
+        coupled = {e.photon for e in self.base_system.edges}
+        for label in self.free_couplings:
+            if label not in coupled:
+                raise ValueError("free coupling %r: the photon has no coupling edge" % label)
         n_loops = len(reduce_system(self.base_system).physical_phases)
         if not self.theta_hypotheses:
             raise ValueError("theta_hypotheses must contain at least one assignment")
@@ -247,9 +251,10 @@ def _residual_of_table(table: np.ndarray, data: PeakDataset) -> float:
 def _objective(spec: FitSpec, data: PeakDataset):
     """The residual as a function of (params, thetas), on Hamiltonians built once.
 
-    Each evaluation copies the stack, writes in the free photon frequencies and
-    every edge in gauge-reduced form (tree edges at zero phase, chords at their
-    loop phases) through CouplingEdge, so a negative strength is a pi shift.
+    Each evaluation copies the stack, writes in the free photon frequencies,
+    each checked as ModeSpec checks a mode's, and every edge in gauge-reduced
+    form (tree edges at zero phase, chords at their loop phases) through
+    CouplingEdge, so a negative strength is a pi shift.
     """
     base = spec.base_system
     reduction = reduce_system(base)
@@ -266,8 +271,7 @@ def _objective(spec: FitSpec, data: PeakDataset):
     def objective(params, thetas) -> float:
         mats = stack.copy()
         for label, i, value in zip(spec.free_photon_frequencies, free_rows, params):
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError("mode %r: frequency must be finite and > 0 GHz" % label)
+            check_mode_frequency(label, value)
             mats[:, i, i] = float(value)
         for p, m, edge, k, loop in edges:
             strength = float(params[k]) * 1e3 if k is not None else edge.strength
@@ -393,6 +397,11 @@ def _simplex(objective, x0, bounds, max_iterations):
     return result
 
 
+def _check_max_iterations(value) -> None:
+    if type(value) is not int or value < 1:  # not isinstance: bool is an int
+        raise ValueError("max_iterations: expected a positive integer")
+
+
 def fit(
     spec: FitSpec,
     data: PeakDataset,
@@ -401,10 +410,11 @@ def fit(
 ) -> FitResult:
     """Optimize every loop-phase hypothesis and keep the lowest residual.
 
-    initial holds the free parameters in parameter_names() order, GHz.  The
-    descent is deterministic; hitting the iteration cap (after one restart)
-    is reported through converged=False with the best point found so far.
+    initial holds the free parameters in parameter_names() order, GHz, and
+    max_iterations is a positive int.  The descent is deterministic; hitting the
+    cap (after one restart) is reported through converged=False with the best point.
     """
+    _check_max_iterations(max_iterations)
     names = spec.parameter_names()
     x0, box = _start(spec, initial)
     objective = _objective(spec, data)
@@ -498,6 +508,6 @@ def fit_spec_from_document(document: dict, system: SystemModel) -> tuple:
         )
     _start(spec, initial)
     max_iterations = document.get("max_iterations", MAX_SIMPLEX_ITERATIONS)
-    if type(max_iterations) is not int or max_iterations < 1:  # not isinstance: bool is an int
-        raise SchemaError("fit spec.max_iterations: expected a positive integer")
+    with anchored("fit spec."):
+        _check_max_iterations(max_iterations)
     return spec, initial, max_iterations

@@ -134,11 +134,11 @@ def _load_json(path) -> dict:
 
 
 def _device(preset_name, config_path):
-    """The config document of --preset or --config, and its validated system."""
+    """The config of --preset (its PRESETS entry, only read) or --config, and its system."""
     if (preset_name is None) == (config_path is None):
         raise SchemaError("give exactly one of --preset or --config")
     if preset_name is not None:
-        config = json.loads(json.dumps(PRESETS[preset_name]))
+        config = PRESETS[preset_name]
     else:
         config = _load_json(config_path)
         if "system" not in config:
@@ -146,8 +146,8 @@ def _device(preset_name, config_path):
     return config, system_from_document(config["system"])
 
 
-def _grid(config: dict, key: str, start, stop, points) -> tuple:
-    """A grid's checked (start, stop, points), flags overriding config, recorded in config."""
+def _grid(config: dict, key: str, start, stop, points) -> dict:
+    """A grid's checked {start_ghz, stop_ghz, points}, in np.linspace's order, flags over config."""
     settings = config.get(key) or {}
     if not isinstance(settings, dict):
         raise SchemaError("%s: expected an object" % key)
@@ -173,8 +173,7 @@ def _grid(config: dict, key: str, start, stop, points) -> tuple:
     for field, value in (("start_ghz", lo), ("stop_ghz", hi)):
         if value > MAX_FREQUENCY_GHZ:
             raise SchemaError("%s.%s must be <= %g" % (key, field, MAX_FREQUENCY_GHZ))
-    config[key] = {"start_ghz": lo, "stop_ghz": hi, "points": n}
-    return lo, hi, n
+    return {"start_ghz": lo, "stop_ghz": hi, "points": n}
 
 
 def _single_sphere(system: SystemModel) -> SystemModel:
@@ -325,7 +324,7 @@ def cmd_spectrum(preset_name, config_path, grid_start_ghz, grid_stop_ghz, grid_p
     if single_sphere:
         system = _single_sphere(system)
     grid = _grid(config, "magnon_grid", grid_start_ghz, grid_stop_ghz, grid_points)
-    grid = frequency_axis(np.linspace(*grid), "magnon_grid")
+    grid = frequency_axis(np.linspace(*grid.values()), "magnon_grid")
     check_stack(grid.size, len(system.modes), "magnon_grid.points")
     _warn_rwa(system)
     return lambda: sweep_to_csv(sweep(system, grid))
@@ -347,11 +346,12 @@ def cmd_s21(preset_name, config_path, probe_start_ghz, probe_stop_ghz, probe_poi
     """Compute a two-port transmission map over probe and magnon frequency."""
     config, system = _device(preset_name, config_path)
     ports = ports_from_document(config.get("ports"), system)
-    probe = _grid(config, "probe_grid", probe_start_ghz, probe_stop_ghz, probe_points)
-    magnon = _grid(config, "magnon_grid", magnon_start_ghz, magnon_stop_ghz, magnon_points)
-    check_map(probe[2], magnon[2], len(system.modes), ("probe_grid.points", "magnon_grid.points"))
-    probe = frequency_axis(np.linspace(*probe), "probe_grid")
-    magnon = frequency_axis(np.linspace(*magnon), "magnon_grid")
+    probe_grid = _grid(config, "probe_grid", probe_start_ghz, probe_stop_ghz, probe_points)
+    magnon_grid = _grid(config, "magnon_grid", magnon_start_ghz, magnon_stop_ghz, magnon_points)
+    check_map(probe_grid["points"], magnon_grid["points"], len(system.modes),
+              ("probe_grid.points", "magnon_grid.points"))
+    probe = frequency_axis(np.linspace(*probe_grid.values()), "probe_grid")
+    magnon = frequency_axis(np.linspace(*magnon_grid.values()), "magnon_grid")
     _warn_rwa(system)
 
     def compute():
@@ -359,8 +359,8 @@ def cmd_s21(preset_name, config_path, probe_start_ghz, probe_stop_ghz, probe_poi
         sidecar = {
             "preset": preset_name,
             "ports": config.get("ports"),
-            "probe_grid": config["probe_grid"],
-            "magnon_grid": config["magnon_grid"],
+            "probe_grid": probe_grid,
+            "magnon_grid": magnon_grid,
             "defaults_applied": list(tmap.defaults_applied),
         }
         if timestamp:

@@ -11,8 +11,6 @@ to a loop, magnon -> photon contributes -phase.  Loop phases are reported in
 (-pi, pi].
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 from .model import CouplingEdge, SystemModel, apply_vertex_phases, fold_phase

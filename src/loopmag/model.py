@@ -64,6 +64,14 @@ def parse_phase(value) -> float:
     raise SchemaError("phase_rad: expected number or phase string, got %r" % (value,))
 
 
+def check_mode_frequency(label: str, frequency: float) -> None:
+    """Raise ValueError unless a mode frequency is finite, > 0 and <= MAX_FREQUENCY_GHZ."""
+    if not (math.isfinite(frequency) and frequency > 0):
+        raise ValueError("mode %r: frequency must be finite and > 0 GHz" % label)
+    if frequency > MAX_FREQUENCY_GHZ:
+        raise ValueError("mode %r: frequency must be <= %g GHz" % (label, MAX_FREQUENCY_GHZ))
+
+
 @dataclass(frozen=True)
 class ModeSpec:
     """One bosonic mode.
@@ -85,12 +93,7 @@ class ModeSpec:
     def __post_init__(self):
         if self.kind not in ("photon", "magnon"):
             raise ValueError("mode %r: kind must be 'photon' or 'magnon'" % self.label)
-        if not (math.isfinite(self.frequency) and self.frequency > 0):
-            raise ValueError("mode %r: frequency must be finite and > 0 GHz" % self.label)
-        if self.frequency > MAX_FREQUENCY_GHZ:
-            raise ValueError(
-                "mode %r: frequency must be <= %g GHz" % (self.label, MAX_FREQUENCY_GHZ)
-            )
+        check_mode_frequency(self.label, self.frequency)
         for name in ("intrinsic_loss", "external_loss"):
             rate = getattr(self, name)
             if rate is not None and not (math.isfinite(rate) and rate >= 0):

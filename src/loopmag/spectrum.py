@@ -6,8 +6,6 @@ batched over sweep points.
 Units follow the model module: all frequencies in GHz, gaps reported in MHz.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +66,16 @@ def eig_hermitian(matrix):
     return vals, vecs
 
 
+def _eigh_over(system: SystemModel, omega_m_values) -> tuple:
+    """The checked grid, then eigh's eigenvalues and eigenvectors of the system on it: the one
+    eigensolve of sweep and branch_frequencies, so their branches agree bit for bit."""
+    grid = frequency_axis(omega_m_values, "omega_m_grid")
+    return grid, *np.linalg.eigh(hamiltonians(system, grid))
+
+
 def sweep(system: SystemModel, omega_m_values) -> SweepResult:
     """Eigendecompose the system at every grid point of a magnon sweep."""
-    grid = frequency_axis(omega_m_values, "omega_m_grid")
-    vals, vecs = np.linalg.eigh(hamiltonians(system, grid))
+    grid, vals, vecs = _eigh_over(system, omega_m_values)
     labels = tuple(m.label for m in system.modes)
     photon_rows = tuple(k for k, m in enumerate(system.modes) if m.kind == "photon")
     weights = (np.abs(vecs[:, photon_rows, :]) ** 2).sum(axis=1)
@@ -92,11 +96,7 @@ def sweep(system: SystemModel, omega_m_values) -> SweepResult:
 
 def branch_frequencies(system: SystemModel, omega_m_values) -> np.ndarray:
     """Sorted eigenvalues per grid point: the branches of sweep, bit for bit."""
-    grid = frequency_axis(omega_m_values, "omega_m_grid")
-    # eigenvalues of the same eigh call as sweep: eigvalsh differs from it in
-    # the last bits, and the two must agree bitwise
-    vals, _ = np.linalg.eigh(hamiltonians(system, grid))
-    return vals
+    return _eigh_over(system, omega_m_values)[1]
 
 
 def parabola_vertex(xl, yl, x0, y0, xr, yr):
@@ -147,6 +147,8 @@ def min_gap(
     inside = np.nonzero((grid >= lo - pad) & (grid <= hi + pad))[0]
     if inside.size == 0:
         raise ValueError("window contains no grid points")
+    if not np.isfinite(crossing_threshold_ghz):
+        raise ValueError("crossing_threshold_ghz must be finite")
     gaps = np.abs(result.branches[inside, branch_b] - result.branches[inside, branch_a])
     k = int(np.argmin(gaps))
     best_x, best_g = float(grid[inside[k]]), float(gaps[k])

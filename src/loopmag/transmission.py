@@ -240,6 +240,13 @@ def s21_map(system: SystemModel, ports, omega_grid, omega_m_grid) -> Transmissio
 # ====== peak extraction ======
 
 
+def _column(tmap: TransmissionMap, omega_m_index: int) -> np.ndarray:
+    """Column omega_m_index of the map, checked to be one of its columns."""
+    if not 0 <= omega_m_index < tmap.omega_m_grid.size:
+        raise ValueError("omega_m_index %d out of range" % omega_m_index)
+    return tmap.magnitude_db[:, omega_m_index]
+
+
 def _local_maxima(values: np.ndarray, height: float) -> np.ndarray:
     """Indices of the local maxima of values that are >= height.
 
@@ -266,11 +273,9 @@ def extract_peaks(tmap: TransmissionMap, omega_m_index: int, prominence_floor_db
     A run of equal samples counts once, at its midpoint.  Boundary samples
     are never reported.
     """
-    if not 0 <= omega_m_index < tmap.omega_m_grid.size:
-        raise ValueError("omega_m_index %d out of range" % omega_m_index)
+    column = _column(tmap, omega_m_index)
     if not math.isfinite(prominence_floor_db):
         raise ValueError("prominence_floor_db must be finite")
-    column = tmap.magnitude_db[:, omega_m_index]
     mean = float(column.mean())
     omega = tmap.omega_grid
     peaks = []
@@ -297,9 +302,7 @@ def map_to_csv(tmap: TransmissionMap) -> str:
 
 def line_cut_csv(tmap: TransmissionMap, omega_m_index: int, offset_db: float = 0.0) -> str:
     """Two-column CSV of one map column, with an optional presentation offset."""
-    if not 0 <= omega_m_index < tmap.omega_m_grid.size:
-        raise ValueError("omega_m_index %d out of range" % omega_m_index)
+    column = _column(tmap, omega_m_index)
     if not math.isfinite(offset_db):
         raise ValueError("offset_db must be finite")
-    column = tmap.magnitude_db[:, omega_m_index] + offset_db
-    return "omega_ghz,s21_db\n" + csv_rows(np.column_stack([tmap.omega_grid, column]))
+    return "omega_ghz,s21_db\n" + csv_rows(np.column_stack([tmap.omega_grid, column + offset_db]))

@@ -1,4 +1,5 @@
-"""Pytest hooks: print the package's line count and one summary line per acceptance criterion."""
+"""Pytest hooks: print the package's line count, in total and per module, and one summary
+line per acceptance criterion."""
 
 import pathlib
 import re
@@ -40,8 +41,11 @@ def pytest_runtest_logreport(report):
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    lines = sum(path.read_bytes().count(b"\n") for path in _PACKAGE_DIR.glob("*.py"))
-    terminalreporter.write_line("src/loopmag: %d lines" % lines)
+    lines = {path.name: path.read_bytes().count(b"\n")
+             for path in sorted(_PACKAGE_DIR.glob("*.py"))}
+    terminalreporter.write_line("src/loopmag: %d lines" % sum(lines.values()))
+    for name, count in lines.items():
+        terminalreporter.write_line("  %-15s %4d" % (name, count))
     if not _RESULTS:
         return
     terminalreporter.section("acceptance criteria")

@@ -252,6 +252,18 @@ def test_residual_rejects_a_non_positive_free_frequency():
             residual(spec, (bad, 6.19, 0.081, 0.120), (math.pi,), data)
 
 
+def test_residual_rejects_a_free_frequency_above_the_ceiling_as_modespec_does():
+    spec = two_tone_spec()
+    data = branch_records(two_tone_template(), (5.0,))
+    with pytest.raises(ValueError) as modespec:
+        ModeSpec("c1", "photon", 1e300)
+    with pytest.raises(ValueError) as objective:
+        residual(spec, (1e300, 6.19, 0.081, 0.120), (math.pi,), data)
+    message = "mode 'c1': frequency must be <= 1e+06 GHz"
+    assert str(objective.value) == str(modespec.value) == message
+    assert math.isfinite(residual(spec, (1e6, 6.19, 0.081, 0.120), (math.pi,), data))
+
+
 def test_residual_is_zero_on_exact_branch_data():
     system = two_tone_template()
     data = branch_records(system, ANTICROSSING_GRID)
@@ -430,6 +442,27 @@ def test_fitspec_rejects_a_frequency_lower_bound_at_or_below_zero_after_the_othe
     assert two_tone_spec(bounds={"g:c1": (-0.2, 0.2)}).bounds == {"g:c1": (-0.2, 0.2)}
 
 
+def edgeless_photon_template():
+    """Photons c1 at 4.5 and c2 at 6.0 GHz and a swept magnon m1; only c1-m1 is an edge."""
+    return SystemModel(
+        modes=(ModeSpec("c1", "photon", 4.5), ModeSpec("c2", "photon", 6.0),
+               ModeSpec("m1", "magnon", 5.0)),
+        edges=(CouplingEdge("c1", "m1", 50.0, 0.0),),
+        magnon_sweep_target=frozenset({"m1"}),
+    )
+
+
+def test_fitspec_rejects_a_free_coupling_on_a_photon_without_an_edge():
+    with pytest.raises(ValueError, match=r"^free coupling 'c2': the photon has no coupling edge$"):
+        FitSpec(edgeless_photon_template(), free_couplings=("c1", "c2"))
+    # the photon's frequency may still be free: it moves the photon's own bare branch
+    system = edgeless_photon_template()
+    result = fit(FitSpec(system, free_photon_frequencies=("c2",)),
+                 branch_records(system, (4.8, 5.2)), (5.9,))
+    assert result.converged
+    assert abs(result.params["omega_c:c2"] - 6.0) < 1e-4
+
+
 def test_parameter_names_order_frequencies_then_couplings():
     spec = two_tone_spec()
     assert spec.parameter_names() == ("omega_c:c1", "omega_c:c2", "g:c1", "g:c2")
@@ -535,6 +568,13 @@ def test_fit_reports_best_so_far_when_iteration_capped():
     assert math.isfinite(result.residual)
     start = residual(two_tone_spec(), initial, (math.pi,), data)
     assert result.residual <= start
+
+
+@pytest.mark.parametrize("bad", [0, -3, True, 2.5])
+def test_fit_rejects_a_max_iterations_that_is_not_a_positive_int(bad):
+    data = branch_records(two_tone_template(), (5.0,))
+    with pytest.raises(ValueError, match=r"^max_iterations: expected a positive integer$"):
+        fit(two_tone_spec(), data, TRUTH, max_iterations=bad)
 
 
 def test_fit_is_deterministic():

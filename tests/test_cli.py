@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import ast
+import copy
 import json
 import math
 import os
@@ -162,6 +163,16 @@ def test_spectrum_grid_flags_override_preset_grid():
     assert len(lines) == 12
     assert lines[1].startswith("5,")
     assert lines[-1].startswith("6,")
+
+
+def test_runs_with_grid_flags_leave_the_presets_as_they_were(tmp_path):
+    before = copy.deepcopy(PRESETS)
+    for flags in (("spectrum", "--grid-start-ghz", "5.0", "--grid-points", "11"),
+                  ("s21", "--probe-points", "31", "--magnon-points", "11")):
+        for name in sorted(PRESETS):
+            result = run(*flags, "--preset", name, "--out", str(tmp_path / "out"))
+            assert (result.exit_code, result.output) == (0, "")
+    assert PRESETS == before
 
 
 def test_spectrum_zero_coupling_run_keeps_branches_flat(tmp_path):
@@ -1008,6 +1019,34 @@ def test_fit_command_rejects_mistyped_spec_fields(tmp_path, key, bad, message):
     result = run("fit", "--data", str(data), "--spec", str(spec))
     assert result.exit_code == 2
     assert result.output == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("bad", [0, -3, True, 2.5])
+def test_fit_command_rejects_a_max_iterations_that_is_not_a_positive_integer(tmp_path, bad):
+    data, spec = write_fit_inputs(tmp_path)
+    spec.write_text(json.dumps(loop_phase_spec(max_iterations=bad)))
+    result = run("fit", "--data", str(data), "--spec", str(spec))
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: fit spec.max_iterations: expected a positive integer\n"
+
+
+def test_fit_command_rejects_a_free_coupling_on_a_photon_without_an_edge(tmp_path):
+    data, spec = write_fit_inputs(tmp_path)
+    system = {"modes": [{"label": "c1", "kind": "photon", "frequency_ghz": 4.5},
+                        {"label": "c2", "kind": "photon", "frequency_ghz": 6.0},
+                        {"label": "m1", "kind": "magnon", "frequency_ghz": 5.0}],
+              "edges": [{"photon": "c1", "magnon": "m1", "g_mhz": 50.0, "phase_rad": 0}],
+              "sweep": ["m1"]}
+    document = {"system": system, "theta_hypotheses": [[]], "initial": [0.05]}
+    spec.write_text(json.dumps({**document, "free_couplings": ["c2"]}))
+    result = run("fit", "--data", str(data), "--spec", str(spec))
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "error: free coupling 'c2': the photon has no coupling edge\n"
+    # a free frequency on that photon still fits
+    spec.write_text(json.dumps({**document, "free_photon_frequencies": ["c2"], "initial": [6.0]}))
+    result = run("fit", "--data", str(data), "--spec", str(spec))
+    assert result.exit_code == 0, result.output
+    assert list(json.loads(result.stdout)["params"]) == ["omega_c:c2"]
 
 
 # ====== rotating-wave warnings ======

@@ -8,6 +8,7 @@ round-trips exactly, so an equal hash means `==` on every value.
 """
 
 import hashlib
+import json
 import os
 import pathlib
 import subprocess
@@ -41,6 +42,15 @@ PEAKS_SHA256 = {
     "cavity-pi-table1": "c8ac6cf6842706518431b83b0cf82d4e0f65f40838666c58df8b85717fef81d2",
     "cavity-pi-fit": "381533a96571605292c51f0313a148514c1e49af3b80244eaf319b39f47ea144",
     "cavity-pi0-table2": "88b70b5de7ee60dd5d489b9df4a947480e6be8830ef848c6102e5cf453eba190",
+}
+
+# the <out>.json sidecar of s21 --out: on each preset, and on device.json (with a ports
+# block) run with grid flags
+SIDECAR_SHA256 = {
+    "s21 cavity-pi-table1": "9e7358e89003ace5c4ef6d1411074152cf43b08f90b6eeb16234fb6f13227c09",
+    "s21 cavity-pi-fit": "5e112637f057d56f2b5c1ef26058c9bea7d11fcdedd290ed933869301dd4c262",
+    "s21 cavity-pi0-table2": "e64cc9f2f58f7ac40e05b56f24ea45e408f5aa448e035e3ad397ec2cf0b2c0e4",
+    "s21 --config": "8f6faf2098fba3ef85ca050e79a74a6189ec78cb17fec0dfe1f1cce2b9ae37d7",
 }
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -103,6 +113,12 @@ def inputs(tmp_path_factory):
         ' "free_couplings": ["c1", "c2"], "theta_hypotheses": [["pi"], [0]],'
         ' "initial": [4.52, 6.195, 0.078, 0.118]}'
     )
+    (root / "device.json").write_text(json.dumps({
+        "system": PRESETS["cavity-pi-fit"]["system"],
+        "ports": {"1": {"c1": 5.0, "c2": 2.5}, "2": None},
+        "probe_grid": {"start_ghz": 4.2, "stop_ghz": 6.6, "points": 241},
+        "magnon_grid": {"start_ghz": 4, "stop_ghz": 7, "points": 121},
+    }))
     return root
 
 
@@ -113,6 +129,10 @@ def corpus_args(name: str, root) -> list:
                 "--mode-file", "c2=%s" % (root / "c2.csv")]
     if name == "fit":
         return ["fit", "--data", str(root / "peaks.csv"), "--spec", str(root / "fitspec.json")]
+    if name == "s21 --config":
+        # integer grid ends in the file, float ones from the flags
+        return ["s21", "--config", str(root / "device.json"), "--probe-points", "61",
+                "--magnon-start-ghz", "5", "--magnon-points", "21"]
     command, preset = name.split()
     return [command, "--preset", preset]
 
@@ -122,6 +142,15 @@ def test_stdout_matches_the_recorded_hash(name, inputs):
     result = CliRunner().invoke(main, corpus_args(name, inputs), catch_exceptions=False)
     assert result.exit_code == 0, result.output
     assert sha256(result.output) == STDOUT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(SIDECAR_SHA256))
+def test_s21_sidecar_matches_the_recorded_hash(name, inputs, tmp_path):
+    out = tmp_path / "map.csv"
+    result = CliRunner().invoke(main, [*corpus_args(name, inputs), "--out", str(out)],
+                                catch_exceptions=False)
+    assert (result.exit_code, result.output) == (0, "")
+    assert sha256((tmp_path / "map.csv.json").read_text()) == SIDECAR_SHA256[name]
 
 
 @pytest.mark.parametrize("preset", sorted(PEAKS_SHA256))

@@ -121,6 +121,22 @@ def test_field_sample_validation():
         SphereRegion((0.0, 0.0, 0.0), 0.0, "m1")
 
 
+def test_misshapen_samples_and_tables_are_rejected_with_their_messages():
+    for position, h in (((0.0, 0.0), (1.0, 0.0, 0.0)), ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0))):
+        with pytest.raises(ValueError, match="^position and h must have three components$"):
+            FieldSample(position, h, 1.0)
+    ones = np.ones((2, 3))
+    for positions in (np.ones((2, 2)), np.ones(3), np.ones((0, 3))):
+        with pytest.raises(ValueError, match=r"^positions must be a non-empty \(N, 3\) array$"):
+            FieldTable(positions, positions, np.ones(len(positions)))
+    with pytest.raises(ValueError, match="^h must match positions in shape$"):
+        FieldTable(ones, np.ones((2, 2)), [1.0, 1.0])
+    with pytest.raises(ValueError, match="^weights must be a length-N vector$"):
+        FieldTable(ones, ones, [1.0])
+    with pytest.raises(ValueError, match="^no field samples given$"):
+        region_integrals([], SphereRegion((0.0, 0.0, 0.0), R_SPHERE, "m1"))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_field_data_is_rejected(bad):
     table = sphere_table((0, 0, 0), (1.0, 0.0, 0.0), n=(2, 2, 2))

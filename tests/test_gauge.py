@@ -253,6 +253,15 @@ def test_loop_phase_rejects_open_cycle():
         loop_phase(broken, g)
 
 
+def test_loop_phase_rejects_a_walk_of_fewer_than_two_edges():
+    g = build_graph(pi_device())
+    (cycle,) = cycle_basis(g)
+    for n in (0, 1):
+        short = Cycle(vertices=cycle.vertices[:n], edges=cycle.edges[:n], chord=cycle.chord)
+        with pytest.raises(ValueError, match="^cycle is not a closed walk$"):
+            loop_phase(short, g)
+
+
 # ====== reduce ======
 
 

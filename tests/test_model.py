@@ -201,6 +201,12 @@ def test_hermitian_matrix_rejects_asymmetric():
         HermitianMatrixGHz(("a", "b"), bad)
 
 
+def test_hermitian_matrix_rejects_entries_that_are_not_one_square_row_per_label():
+    for labels, entries in ((("a", "b"), np.eye(3)), (("a", "b"), np.ones(2)), (("a",), [[1, 0]])):
+        with pytest.raises(ValueError, match="^entries must be square with one row per label$"):
+            HermitianMatrixGHz(labels, entries)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0, math.inf)])
 def test_hermitian_matrix_rejects_non_finite_entries_before_the_norms(value):
     entries = np.array([[1.0, 0.5], [0.5, value]], dtype=complex)

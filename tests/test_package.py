@@ -47,6 +47,16 @@ def test_importing_the_package_loads_no_numpy_and_no_submodule():
     assert proc.stdout == "[]\n"
 
 
+def test_a_submodule_resolves_through_the_package_getattr_in_a_fresh_process():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, loopmag; before = 'loopmag.gauge' in sys.modules;"
+         " gauge = loopmag.gauge; print(before, gauge is sys.modules['loopmag.gauge'])"],
+        env=dict(os.environ, PYTHONPATH=str(SRC_DIR.parent)),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False True\n"
+
+
 def test_every_exported_name_is_the_object_its_module_defines():
     defined = {}
     for path in sorted(SRC_DIR.glob("*.py")):

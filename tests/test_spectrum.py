@@ -170,6 +170,12 @@ def test_rejects_non_hermitian():
         eig_hermitian(bad)
 
 
+def test_rejects_a_matrix_that_is_not_square():
+    for bad in (np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="^expected a square matrix$"):
+            eig_hermitian(bad)
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(math.nan, 0)])
 def test_rejects_non_finite_entries_before_the_norms(value):
     with warnings.catch_warnings():
@@ -396,6 +402,14 @@ def test_branch_frequencies_matches_sweep():
     assert np.array_equal(freqs, result.branches)
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_branch_frequencies_matches_sweep_on_each_preset(name):
+    system = system_from_document(PRESETS[name]["system"])
+    spec = PRESETS[name]["magnon_grid"]
+    grid = np.linspace(spec["start_ghz"], spec["stop_ghz"], spec["points"])
+    assert np.array_equal(branch_frequencies(system, grid), sweep(system, grid).branches)
+
+
 # ====== min_gap ======
 
 
@@ -458,6 +472,26 @@ def test_min_gap_validates_window_and_branches():
         min_gap(result, 2, 2, (4.5, 6.5))
 
 
+def test_min_gap_rejects_an_empty_window():
+    result = sweep(fit_device(), np.linspace(4.5, 6.5, 21))
+    for window in ((5.5, 5.5), (6.0, 5.0)):
+        with pytest.raises(ValueError, match="^window is empty$"):
+            min_gap(result, 0, 1, window)
+
+
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+def test_min_gap_rejects_a_non_finite_threshold_after_the_branch_and_window_checks(threshold):
+    system = system_from_document(PRESETS["cavity-pi-fit"]["system"])
+    spec = PRESETS["cavity-pi-fit"]["magnon_grid"]
+    result = sweep(system, np.linspace(spec["start_ghz"], spec["stop_ghz"], spec["points"]))
+    with pytest.raises(ValueError, match="^crossing_threshold_ghz must be finite$"):
+        min_gap(result, 1, 2, (5.1, 5.6), crossing_threshold_ghz=threshold)
+    with pytest.raises(ValueError, match="^branch index 4 out of range$"):
+        min_gap(result, 1, 4, (5.1, 5.6), crossing_threshold_ghz=threshold)
+    with pytest.raises(ValueError, match="^window contains no grid points$"):
+        min_gap(result, 1, 2, (5.101, 5.102), crossing_threshold_ghz=threshold)
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_min_gap_refinement_reaches_a_fine_scan_of_its_bracket(name):
     system = system_from_document(PRESETS[name]["system"])
@@ -482,6 +516,12 @@ def test_min_gap_refinement_reaches_a_fine_scan_of_its_bracket(name):
 def test_resonant_gap_single_sphere():
     gap = resonant_gap(star_device(1), "c1")
     assert abs(gap - 240.0) < 240.0 * 1e-9
+
+
+def test_resonant_gap_needs_a_polariton_on_each_side_of_the_photon():
+    lone_photon = SystemModel(modes=(ModeSpec("c1", "photon", 5.0),), edges=())
+    with pytest.raises(ValueError, match="^no polariton pair straddles the photon frequency$"):
+        resonant_gap(lone_photon, "c1")
 
 
 def test_resonant_gap_sqrt_n_law():
