@@ -259,6 +259,15 @@ def check_stack(points: int, n: int, where: str) -> None:
         raise ValueError("%s * modes^2 must be <= %d" % (where, MAX_STACK_ENTRIES))
 
 
+def check_index(value, size: int, name: str, range_name: str) -> None:
+    """Raise ValueError unless value indexes a sequence of size: first unless it is
+    an integer (a numpy integer, not a bool), then unless 0 <= value < size."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError("%s: expected an integer, got %r" % (name, value))
+    if not 0 <= value < size:
+        raise ValueError("%s %d out of range" % (range_name, value))
+
+
 def hamiltonians(system: SystemModel, omega_m_grid: np.ndarray) -> np.ndarray:
     """Hamiltonians over a magnon grid, shape (N, n, n), rows in system.modes order.
 
@@ -436,6 +445,10 @@ def read_numeric_csv(text: str, headers) -> tuple:
     The first non-blank line must equal one of headers, and every data row
     must hold as many comma-separated finite numbers as that header names.
     Blank lines are skipped; every message names the line of the text.
+    numpy's C reader parses the body.  When it rejects the body, or reads
+    another width than the header's or a non-finite value, a loop that reads
+    each field with float runs instead: it alone decides what is accepted and
+    what each message says.
     """
     lines = text.splitlines()
     start = next((k for k, line in enumerate(lines) if line.strip()), None)
@@ -446,8 +459,19 @@ def read_numeric_csv(text: str, headers) -> tuple:
     if header not in headers:
         raise SchemaError("line %d: unrecognized header; expected %s" % (start + 1, expected))
     n_cols = header.count(",") + 1
+    # Both readers see the lines of splitlines.  loadtxt skips empty lines but
+    # rejects whitespace-only ones, warns when a body has no data (so it reads
+    # only a body with a non-blank line), and strips \x1f where float does not.
+    body = lines[start + 1:]
+    if "\x1f" not in text and any(map(str.strip, body)):
+        try:
+            data = np.loadtxt(body, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+        except ValueError:
+            data = None
+        if data is not None and data.shape[1] == n_cols and np.isfinite(data).all():
+            return header, data
     rows = []
-    for k, line in enumerate(lines[start + 1:], start=start + 2):
+    for k, line in enumerate(body, start=start + 2):
         if not line.strip():
             continue
         parts = line.split(",")
@@ -463,7 +487,7 @@ def read_numeric_csv(text: str, headers) -> tuple:
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         # float() takes nan and inf; count lines again to report the first such row
-        numbers = [k for k, line in enumerate(lines[start + 1:], start=start + 2) if line.strip()]
+        numbers = [k for k, line in enumerate(body, start=start + 2) if line.strip()]
         raise SchemaError("line %d: expected finite numbers" % numbers[np.argmin(finite)])
     return header, data
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (HermitianMatrixGHz, SystemModel, build_hamiltonian, csv_rows, frequency_axis,
-                    hamiltonians)
+from .model import (HermitianMatrixGHz, SystemModel, build_hamiltonian, check_index, csv_rows,
+                    frequency_axis, hamiltonians)
 
 # eigenvalues closer than this (GHz) form one degenerate cluster whose
 # photon weight is averaged, since the eigenbasis within it is arbitrary
@@ -131,10 +131,8 @@ def min_gap(
     scalar minimizer (scipy, imported only when system is given) on exact
     re-eigensolves, x tolerance 1e-6 GHz.
     """
-    n_branches = result.branches.shape[1]
-    for b in (branch_a, branch_b):
-        if not 0 <= b < n_branches:
-            raise ValueError(f"branch index {b} out of range")
+    for name, b in (("branch_a", branch_a), ("branch_b", branch_b)):
+        check_index(b, result.branches.shape[1], name, "branch index")
     if branch_a == branch_b:
         raise ValueError("branch indices must differ")
     lo, hi = float(window[0]), float(window[1])
@@ -213,8 +211,7 @@ def resonant_gap(system: SystemModel, photon_label: str) -> float:
 
 def dark_mode_metric(result: SweepResult, branch: int) -> float:
     """Minimum photon weight of one branch over the whole sweep."""
-    if not 0 <= branch < result.branches.shape[1]:
-        raise ValueError(f"branch index {branch} out of range")
+    check_index(branch, result.branches.shape[1], "branch", "branch index")
     return float(result.photon_weights[:, branch].min())
 
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (BLOCK_VALUES, MAX_RATE_MHZ, SchemaError, SystemModel, build_hamiltonian,
-                    check_stack, csv_rows, frequency_axis, hamiltonians, long_csv_rows, number)
+                    check_index, check_stack, csv_rows, frequency_axis, hamiltonians,
+                    long_csv_rows, number)
 from .spectrum import parabola_vertex
 
 DEFAULT_PHOTON_LOSS_MHZ = 5.0
@@ -242,8 +243,7 @@ def s21_map(system: SystemModel, ports, omega_grid, omega_m_grid) -> Transmissio
 
 def _column(tmap: TransmissionMap, omega_m_index: int) -> np.ndarray:
     """Column omega_m_index of the map, checked to be one of its columns."""
-    if not 0 <= omega_m_index < tmap.omega_m_grid.size:
-        raise ValueError("omega_m_index %d out of range" % omega_m_index)
+    check_index(omega_m_index, tmap.omega_m_grid.size, "omega_m_index", "omega_m_index")
     return tmap.magnitude_db[:, omega_m_index]
 
 

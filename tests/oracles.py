@@ -1,4 +1,4 @@
-"""Independent eigenvalue oracle used by the test suite.
+"""Independent oracles used by the test suite: an eigenvalue solver and a CSV reader.
 
 Finds the eigenvalues of a complex Hermitian matrix by sign-change bisection on
 the characteristic polynomial p(lambda) = det(H - lambda*I).  The determinant is
@@ -10,9 +10,16 @@ Limitations: only simple (non-degenerate) spectra are supported.  A repeated
 root gives no sign change, and the oracle raises OracleError instead of
 guessing.  Tests that involve exact degeneracies use closed-form expected
 values instead of this oracle.
+
+The CSV reader is model.read_numeric_csv as it was before numpy's C reader
+took over its body: every field through float, in a Python loop.  The
+package's reader must accept, reject, word its message and parse bits exactly
+as this one does.
 """
 
 import numpy as np
+
+from loopmag.model import SchemaError
 
 
 class OracleError(RuntimeError):
@@ -149,3 +156,41 @@ def char_poly_eigenvalues(h, scan_points=1201, rel_tol=1e-13, max_refine=6):
         b = np.where(~same | hit, mid, b)
         a = np.where(hit, mid, a)
     return np.sort(0.5 * (a + b))
+
+
+def read_numeric_csv(text: str, headers) -> tuple:
+    """The header line and the (rows, cols) float64 data of a numeric CSV export.
+
+    The first non-blank line must equal one of headers, and every data row
+    must hold as many comma-separated finite numbers as that header names.
+    Blank lines are skipped; every message names the line of the text.
+    """
+    lines = text.splitlines()
+    start = next((k for k, line in enumerate(lines) if line.strip()), None)
+    expected = " or ".join(map(repr, headers))
+    if start is None:
+        raise SchemaError("CSV is empty; expected the header %s" % expected)
+    header = lines[start].strip()
+    if header not in headers:
+        raise SchemaError("line %d: unrecognized header; expected %s" % (start + 1, expected))
+    n_cols = header.count(",") + 1
+    rows = []
+    for k, line in enumerate(lines[start + 1:], start=start + 2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != n_cols:
+            raise SchemaError("line %d: expected %d columns, got %d" % (k, n_cols, len(parts)))
+        try:
+            rows.append(list(map(float, parts)))
+        except ValueError:
+            raise SchemaError("line %d: could not parse a numeric value" % k) from None
+    if not rows:
+        raise SchemaError("CSV contains no data rows")
+    data = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        # float() takes nan and inf; count lines again to report the first such row
+        numbers = [k for k, line in enumerate(lines[start + 1:], start=start + 2) if line.strip()]
+        raise SchemaError("line %d: expected finite numbers" % numbers[np.argmin(finite)])
+    return header, data

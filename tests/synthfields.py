@@ -67,3 +67,28 @@ def pi_device_posts(a):
     mode1 = [(a, 0.0, 1.0, r_reg), (-a, 0.0, -1.0, r_reg)]
     mode2 = [(0.0, 0.0, 1.0, r_reg)]
     return mode1, mode2
+
+
+def pi_device_exports(n):
+    """Weighted field exports of both pi-device modes over two spheres of n**3
+    samples each, every value written with repr, and the fieldmap config that
+    places the two spheres: at n = 24, the size of a benchmark's exports."""
+    a = 0.01
+    radius = 0.2 * a
+    centers = {"m1": (a / 2, 0.0, 0.0), "m2": (-a / 2, 0.0, 0.0)}
+    grids = [sphere_grid(center, radius, n, n, n) for center in centers.values()]
+    positions = np.concatenate([g[0] for g in grids])
+    weights = np.concatenate([g[1] for g in grids])
+    texts = {}
+    for mode, posts in zip(("c1", "c2"), pi_device_posts(a)):
+        h = circulating_field(positions, posts)
+        rows = ["x_m,y_m,z_m,hx_re,hx_im,hy_re,hy_im,hz_re,hz_im,weight_m3"]
+        rows += ["%r,%r,%r,%r,0.0,%r,0.0,%r,0.0,%r" % tuple(map(float, row))
+                 for row in np.column_stack([positions, h, weights])]
+        texts[mode] = "\n".join(rows) + "\n"
+    config = {
+        "regions": [{"label": label, "center_m": list(center), "radius_m": radius}
+                    for label, center in centers.items()],
+        "mode_frequencies_ghz": {"c1": 4.524, "c2": 6.378},
+    }
+    return texts, config

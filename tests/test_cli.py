@@ -28,6 +28,7 @@ from loopmag.model import (
 )
 from loopmag.spectrum import branch_frequencies, sweep, sweep_to_csv
 from loopmag.transmission import PortSpec, map_to_csv, ports_from_document, s21_map
+from synthfields import pi_device_exports
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -1221,6 +1222,54 @@ def fresh_python(*args):
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+# Runs the command in argv and prints its exit code and its own peak RSS in kB.
+# On Linux a child's ru_maxrss starts at the high-water mark of the process that
+# spawned it, so the spawner is this small python -S process, not pytest.
+PEAK_RSS_OF = """
+import resource, subprocess, sys
+code = subprocess.call(sys.argv[1:], stdout=subprocess.DEVNULL)
+print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def own_peak_rss_mb(*argv):
+    """A fresh `loopmag <argv>` process's own peak RSS in MiB; it must exit 0."""
+    proc = fresh_python("-S", "-c", PEAK_RSS_OF, sys.executable, "-m", "loopmag.cli", *argv)
+    code, kib = proc.stdout.split()
+    assert code == "0", proc.stderr
+    return int(kib) / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB and set at exec on Linux")
+def test_fieldmap_holds_under_three_times_its_exports_above_gauge(tmp_path):
+    # the float loop held about 4.2x the exports above gauge's peak, numpy's reader 2.3x
+    texts, config = pi_device_exports(24)
+    argv = ["fieldmap", "--config", str(tmp_path / "regions.json")]
+    (tmp_path / "regions.json").write_text(json.dumps(config))
+    for mode, text in texts.items():
+        (tmp_path / ("%s.csv" % mode)).write_text(text)
+        argv += ["--mode-file", "%s=%s" % (mode, tmp_path / ("%s.csv" % mode))]
+    gauge = own_peak_rss_mb("gauge", "--preset", "cavity-pi-table1")
+    fieldmap = own_peak_rss_mb(*argv)
+    exports_mib = sum(map(len, texts.values())) / 2**20
+    assert fieldmap < gauge + 3 * exports_mib, ((fieldmap - gauge) / exports_mib, gauge)
+
+
+def test_blank_csv_bodies_exit_2_with_one_line_and_no_warning(tmp_path):
+    # numpy's reader warns on a body of empty lines; a fresh process shows what reaches stderr
+    (tmp_path / "c1.csv").write_text(UNIFORM_FIELD_CSV.splitlines()[0] + "\n\n\n")
+    (tmp_path / "regions.json").write_text(json.dumps(FIELDMAP_CONFIG))
+    proc = fresh_python("-m", "loopmag.cli", "fieldmap", "--mode-file",
+                        "c1=%s" % (tmp_path / "c1.csv"), "--config", str(tmp_path / "regions.json"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: --mode-file c1: CSV contains no data rows\n")
+    _, spec = write_fit_inputs(tmp_path)
+    (tmp_path / "blank.csv").write_text("omega_m_ghz,omega_peak_ghz\n\n")
+    proc = fresh_python("-m", "loopmag.cli", "fit", "--data", str(tmp_path / "blank.csv"),
+                        "--spec", str(spec))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: CSV contains no data rows\n")
 
 
 SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"

@@ -40,6 +40,7 @@ from loopmag.model import (
 from loopmag.spectrum import branch_frequencies, sweep
 from loopmag.transmission import S21_FLOOR, PortSpec, s21_map
 from oracles import OracleError, char_poly_eigenvalues
+from oracles import read_numeric_csv as float_loop_read_numeric_csv
 
 PI = math.pi
 
@@ -313,10 +314,33 @@ def test_frequencies_at_the_ceiling_stay_finite():
     assert frequency_axis(axis, "grid").tolist() == axis
 
 
-def test_read_numeric_csv_header_and_rows():
-    header, data = read_numeric_csv("\n a,b \n1,2\n\n3,4e0\n", ("a,b,c", "a,b"))
-    assert header == "a,b"
-    assert data.dtype == np.float64 and data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+# Every line break str.splitlines knows besides "\n"; numpy's reader is handed split lines.
+LINE_BREAKS = ["\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize(
+    "text, header, rows",
+    [
+        pytest.param("\n a,b \n1,2\n\n3,4e0\n", "a,b", [[1.0, 2.0], [3.0, 4.0]],
+                     id="padded-header-and-a-blank-line"),
+        # float takes underscores, non-ASCII digits and non-ASCII spaces; numpy's reader does not
+        pytest.param("a,b\n1_0,2\n", "a,b", [[10.0, 2.0]], id="underscore"),
+        pytest.param("a,b\n\u0661,2\n", "a,b", [[1.0, 2.0]], id="arabic-indic-digit"),
+        pytest.param("a,b\n 1\xa0,2\n", "a,b", [[1.0, 2.0]], id="no-break-space"),
+        pytest.param("a,b\r\n1,2\r\n3,4\r\n", "a,b", [[1.0, 2.0], [3.0, 4.0]], id="crlf"),
+        pytest.param("a,b\r1,2\r3,4\r", "a,b", [[1.0, 2.0], [3.0, 4.0]], id="lone-cr"),
+        pytest.param("a,b" + "".join(b + "%d,%d" % (k, -k) for k, b in enumerate(LINE_BREAKS)),
+                     "a,b", [[k, -k] for k in range(len(LINE_BREAKS))], id="every-line-break"),
+        pytest.param("a,b\n \t \n1,2\n\xa0\n3,4\n", "a,b", [[1.0, 2.0], [3.0, 4.0]],
+                     id="whitespace-only-lines"),
+        pytest.param("a,b\n\t1\t,\t2\t\n", "a,b", [[1.0, 2.0]], id="tabs-around-fields"),
+        pytest.param("a,b,c\n1,2,3\n", "a,b,c", [[1.0, 2.0, 3.0]], id="second-header"),
+    ],
+)
+def test_read_numeric_csv_header_and_rows(text, header, rows):
+    got_header, data = read_numeric_csv(text, ("a,b,c", "a,b"))
+    assert got_header == header
+    assert data.dtype == np.float64 and data.tolist() == rows
 
 
 @pytest.mark.parametrize(
@@ -328,11 +352,60 @@ def test_read_numeric_csv_header_and_rows():
         ("a,b\n\n", "CSV contains no data rows"),
         ("a,b\n1,2\n\n1,x\n", "line 4: could not parse a numeric value"),
         ("a,b\n\n1,2\n1,inf\n", "line 4: expected finite numbers"),
+        ("a,b\n \t\n\xa0\n", "CSV contains no data rows"),
+        ("a,b\n1,#2\n", "line 2: could not parse a numeric value"),
+        ("a,b\n1,2,\n", "line 2: expected 2 columns, got 3"),
+        ("a,b\n1,2\n3\n", "line 3: expected 2 columns, got 1"),
+        ("a,b\n1,nan\n", "line 2: expected finite numbers"),
+        ("a,b\n1,2\n-inf,0\n", "line 3: expected finite numbers"),
+        ("a,b\n1,2\n \n3,4\n1,\n", "line 5: could not parse a numeric value"),
+        # numpy's reader strips \x1f around a number; float does not
+        ("a,b\n1\x1f,2\n", "line 2: could not parse a numeric value"),
+        ("a,b\n1_0,2\n\u0661,x\n", "line 3: could not parse a numeric value"),
+        *[("a,b%s%s1,2%s1,x" % (b, b, b), "line 4: could not parse a numeric value")
+          for b in LINE_BREAKS],
+        *[("a,b%s1,2%s%s1,nan%s" % (b, b, b, b), "line 4: expected finite numbers")
+          for b in LINE_BREAKS],
     ],
 )
 def test_read_numeric_csv_messages(text, message):
     with pytest.raises(SchemaError, match="^%s$" % re.escape(message)):
         read_numeric_csv(text, ("a,b",))
+
+
+def csv_outcome(reader, text):
+    """What reader makes of text: its message, or its header and the data's exact bits."""
+    try:
+        header, data = reader(text, ("a,b", "a,b,c", "a"))
+    except SchemaError as error:
+        return str(error)
+    return header, data.dtype.str, data.shape, data.tobytes()
+
+
+CSV_PADS = ["", " ", "\t", "\xa0", "\x1f", "\x00", "\u3000"]
+CSV_TRAPS = ["1_0", "\u0661", "#2", "", "nan", "inf", "-inf", "1e400", "x", "0x1", "1 2", "1e-320"]
+
+
+@st.composite
+def trap_csvs(draw):
+    """CSV texts near the readers' edges: numbers padded and broken by the traps above."""
+    header = draw(st.sampled_from(["a,b", "a,b", " a,b ", "a,b,c", "a", ""]))
+    number = st.floats(width=64).map(repr) | st.integers(-999, 999).map(str)
+    field = st.tuples(st.sampled_from(["", " "]), number, st.sampled_from(["", "\t"])).map("".join)
+    if draw(st.booleans()):
+        trap = st.sampled_from(CSV_TRAPS) | number
+        field |= st.tuples(st.sampled_from(CSV_PADS), trap, st.sampled_from(CSV_PADS)).map("".join)
+    widths = st.sampled_from([header.count(",") + 1] * 6 + [1, 2, 3])
+    row = widths.flatmap(lambda k: st.lists(field, min_size=k, max_size=k)).map(",".join)
+    lines = draw(st.lists(st.sampled_from(CSV_PADS + ["\t "]) | row | row, max_size=6))
+    breaks = st.sampled_from(["\n"] * 4 + LINE_BREAKS)
+    return "".join(line + draw(breaks) for line in [header, *lines])
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(trap_csvs())
+def test_read_numeric_csv_equals_the_float_loop(text):
+    assert csv_outcome(read_numeric_csv, text) == csv_outcome(float_loop_read_numeric_csv, text)
 
 
 # ====== %.9g cells ======

@@ -1,6 +1,7 @@
 """Tests for the eigensolver, sweeps, gap extraction, and dark-mode metrics."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -581,6 +582,27 @@ def test_dark_mode_metric_pi0_crossing_branch():
     result = sweep(pi0_device(), np.linspace(7.58, 8.60, 205))
     floor = min(dark_mode_metric(result, b) for b in range(1, 4))
     assert 5e-3 < floor < 2e-2
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, np.float64(1.0), np.bool_(True), "1", None])
+def test_branch_indices_must_be_integers_before_the_range_check(bad):
+    system = system_from_document(PRESETS["cavity-pi-fit"]["system"])
+    spec = PRESETS["cavity-pi-fit"]["magnon_grid"]
+    result = sweep(system, np.linspace(spec["start_ghz"], spec["stop_ghz"], spec["points"]))
+    got = re.escape(repr(bad))
+    with pytest.raises(ValueError, match="^branch_a: expected an integer, got %s$" % got):
+        min_gap(result, bad, 2, (5.1, 5.6))
+    with pytest.raises(ValueError, match="^branch_b: expected an integer, got %s$" % got):
+        min_gap(result, 1, bad, (5.1, 5.6))
+    with pytest.raises(ValueError, match="^branch: expected an integer, got %s$" % got):
+        dark_mode_metric(result, bad)
+    # numpy integers are integers, and a range fault keeps its message
+    assert min_gap(result, np.int64(1), np.int32(2), (5.1, 5.6)) == min_gap(result, 1, 2, (5.1, 5.6))
+    assert dark_mode_metric(result, np.int64(1)) == dark_mode_metric(result, 1)
+    with pytest.raises(ValueError, match="^branch index 4 out of range$"):
+        min_gap(result, np.int64(4), 2, (5.1, 5.6))
+    with pytest.raises(ValueError, match="^branch index -1 out of range$"):
+        dark_mode_metric(result, np.int8(-1))
 
 
 def test_dark_mode_metric_validates_branch():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
 from loopmag.cli import PRESETS
+from loopmag.fieldmap import field_table_from_csv
 from loopmag.model import (
     BLOCK_VALUES,
     MAX_FREQUENCY_GHZ,
@@ -44,6 +46,7 @@ from loopmag.transmission import (
     s21_at,
     s21_map,
 )
+from synthfields import pi_device_exports
 
 PI = math.pi
 # s21_map (eigenmode residues) against the per-point solve, in dB
@@ -673,12 +676,12 @@ def test_map_csv_equals_the_template_writer_on_python_formatted_values():
     assert map_to_csv(tmap).split("\n") == template_map_csv(tmap).split("\n")
 
 
-def traced_peak(write, *args):
-    """The text write(*args) returns and the tracemalloc peak of the call, in bytes."""
+def traced_peak(call, *args):
+    """What call(*args) returns and the tracemalloc peak of the call, in bytes."""
     tracemalloc.start()
     try:
-        text = write(*args)
-        return text, tracemalloc.get_traced_memory()[1]
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
@@ -694,6 +697,16 @@ def test_csv_writers_hold_one_csv_plus_one_block():
     # csv_rows' block holds more temporaries, so a longer table keeps them under the margin
     text, peak = traced_peak(csv_rows, np.vstack([tmap.magnitude_db] * 2))
     assert peak < 1.3 * len(text), peak / len(text)
+
+
+def test_field_export_parse_peaks_under_three_times_its_text():
+    # numpy's reader holds the split lines and the array (about 2.1x); a list of
+    # float lists per row, as the float loop builds, peaked at about 5.3x
+    text = pi_device_exports(24)[0]["c1"]
+    assert text.count("\n") == 1 + 2 * 24**3
+    table, peak = traced_peak(field_table_from_csv, text)
+    assert len(table.positions) == 2 * 24**3
+    assert peak < 3 * len(text), peak / len(text)
 
 
 # ====== peak extraction ======
@@ -812,6 +825,22 @@ def test_extract_peaks_index_validation():
         extract_peaks(tmap, 1)
     with pytest.raises(ValueError):
         extract_peaks(tmap, -1)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, np.float64(0.0), np.bool_(False), "0", None])
+def test_map_column_indices_must_be_integers_before_the_range_check(bad):
+    system = system_from_document(PRESETS["cavity-pi-fit"]["system"])
+    tmap = s21_map(system, (PortSpec(1), PortSpec(2)), *preset_grids("cavity-pi-fit", 5, 3))
+    message = "^omega_m_index: expected an integer, got %s$" % re.escape(repr(bad))
+    with pytest.raises(ValueError, match=message):
+        extract_peaks(tmap, bad)
+    with pytest.raises(ValueError, match=message):
+        line_cut_csv(tmap, bad)
+    # numpy integers are integers, and a range fault keeps its message
+    assert extract_peaks(tmap, np.int64(2)) == extract_peaks(tmap, 2)
+    assert line_cut_csv(tmap, np.uint8(2)) == line_cut_csv(tmap, 2)
+    with pytest.raises(ValueError, match="^omega_m_index 3 out of range$"):
+        extract_peaks(tmap, np.int64(3))
 
 
 def test_peak_positions_track_eigenvalues_within_half_linewidth():
