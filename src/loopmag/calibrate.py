@@ -59,7 +59,16 @@ class PeakDataset:
     records: tuple
 
     def __post_init__(self):
-        records = tuple(PeakRecord(*map(float, r)) for r in self.records)
+        records = []
+        for k, r in enumerate(self.records):
+            try:
+                r = tuple(r)
+            except TypeError:  # not iterable: no values at all
+                r = ()
+            if len(r) not in (2, 3):
+                raise ValueError("record %d: expected 2 or 3 values" % k)
+            records.append(PeakRecord(*map(float, r)))
+        records = tuple(records)
         object.__setattr__(self, "records", records)
         if not records:
             raise ValueError("dataset must contain at least one record")

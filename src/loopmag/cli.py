@@ -148,7 +148,7 @@ def _device(preset_name, config_path):
 
 def _grid(config: dict, key: str, start, stop, points) -> dict:
     """A grid's checked {start_ghz, stop_ghz, points}, in np.linspace's order, flags over config."""
-    settings = config.get(key) or {}
+    settings = {} if config.get(key) is None else config[key]
     if not isinstance(settings, dict):
         raise SchemaError("%s: expected an object" % key)
     settings = dict(settings)
@@ -213,7 +213,7 @@ def _fit_system(document: dict) -> SystemModel:
         name = string(document["preset"], "fit spec.preset")
         if name not in PRESETS:
             raise SchemaError("fit spec: unknown preset %r" % name)
-        return system_from_document(PRESETS[name]["system"])
+        document = PRESETS[name]
     return system_from_document(document["system"])
 
 
@@ -245,9 +245,9 @@ def _fail(code: int, error) -> None:
 def _runs(load):
     """Run a command body as its load step and the thunk it returns as its compute step.
 
-    The thunk returns the payload text, or (text, sidecar text) when --out
-    gets a <out>.json sidecar, written after the payload.  Load errors exit
-    2; errors while computing or writing exit 1.
+    The thunk returns (payload text, sidecar text or None): a sidecar goes
+    to <out>.json, written after the payload, and only with --out.  Load
+    errors exit 2; errors while computing or writing exit 1.
     """
 
     @functools.wraps(load)
@@ -257,8 +257,7 @@ def _runs(load):
         except _LOAD_ERRORS as error:
             _fail(2, error)
         try:
-            payload = compute()
-            text, sidecar = payload if isinstance(payload, tuple) else (payload, None)
+            text, sidecar = compute()
             if out is None:
                 click.echo(text, nl=False)
             else:
@@ -303,7 +302,7 @@ def cmd_gauge(preset_name, config_path):
     """Reduce a device to its gauge-invariant loop phases."""
     _, system = _device(preset_name, config_path)
     _warn_rwa(system)
-    return lambda: _json_text(reduction_to_document(reduce_system(system)))
+    return lambda: (_json_text(reduction_to_document(reduce_system(system))), None)
 
 
 @main.command("spectrum")
@@ -327,7 +326,7 @@ def cmd_spectrum(preset_name, config_path, grid_start_ghz, grid_stop_ghz, grid_p
     grid = frequency_axis(np.linspace(*grid.values()), "magnon_grid")
     check_stack(grid.size, len(system.modes), "magnon_grid.points")
     _warn_rwa(system)
-    return lambda: sweep_to_csv(sweep(system, grid))
+    return lambda: (sweep_to_csv(sweep(system, grid)), None)
 
 
 @main.command("s21")
@@ -386,8 +385,8 @@ def cmd_fieldmap(mode_files, config_path):
     """Turn field exports into coupling edges (strength and phase per sphere)."""
     regions, frequencies = regions_from_document(_load_json(config_path))
     mode_fields = _mode_fields(mode_files, frequencies)
-    return lambda: _json_text(
-        {"edges": edges_to_document(coupling_table(mode_fields, regions, frequencies))})
+    return lambda: (_json_text(
+        {"edges": edges_to_document(coupling_table(mode_fields, regions, frequencies))}), None)
 
 
 @main.command("fit")
@@ -411,7 +410,7 @@ def cmd_fit(data_path, spec_path):
         result = fit(spec, dataset, initial, max_iterations)
         hypotheses = [_hypothesis_document(h) for h in result.per_hypothesis]
         return _json_text({**_hypothesis_document(result), "ambiguous": result.ambiguous,
-                           "per_hypothesis": hypotheses})
+                           "per_hypothesis": hypotheses}), None
 
     return compute
 

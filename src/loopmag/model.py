@@ -244,7 +244,7 @@ def build_hamiltonian(system: SystemModel, omega_m: float) -> HermitianMatrixGHz
     index = {m.label: i for i, m in enumerate(system.modes)}
     h = np.zeros((n, n), dtype=np.complex128)
     for i, mode in enumerate(system.modes):
-        if mode.kind == "magnon" and mode.label in system.magnon_sweep_target:
+        if mode.label in system.magnon_sweep_target:
             h[i, i] = omega_m
         else:
             h[i, i] = mode.frequency
@@ -398,12 +398,9 @@ def system_from_document(doc: dict) -> SystemModel:
     modes_doc = require(doc, "modes", "document")
     edges_doc = require(doc, "edges", "document")
     sweep_doc = require(doc, "sweep", "document")
-    if not isinstance(modes_doc, list):
-        raise SchemaError("modes: expected a list")
-    if not isinstance(edges_doc, list):
-        raise SchemaError("edges: expected a list")
-    if not isinstance(sweep_doc, list):
-        raise SchemaError("sweep: expected a list")
+    for key, value in (("modes", modes_doc), ("edges", edges_doc), ("sweep", sweep_doc)):
+        if not isinstance(value, list):
+            raise SchemaError("%s: expected a list" % key)
     modes = []
     for i, m in enumerate(modes_doc):
         where = "modes[%d]" % i
@@ -444,11 +441,11 @@ def read_numeric_csv(text: str, headers) -> tuple:
 
     The first non-blank line must equal one of headers, and every data row
     must hold as many comma-separated finite numbers as that header names.
-    Blank lines are skipped; every message names the line of the text.
-    numpy's C reader parses the body.  When it rejects the body, or reads
-    another width than the header's or a non-finite value, a loop that reads
-    each field with float runs instead: it alone decides what is accepted and
-    what each message says.
+    Blank lines are skipped, a body of only blank lines is rejected, and
+    every message names the line of the text.  numpy's C reader parses the
+    body.  When it rejects it, or reads another width than the header's or a
+    non-finite value, a loop that reads each field with float runs instead:
+    it alone decides what is accepted and what each message says.
     """
     lines = text.splitlines()
     start = next((k for k, line in enumerate(lines) if line.strip()), None)
@@ -459,17 +456,16 @@ def read_numeric_csv(text: str, headers) -> tuple:
     if header not in headers:
         raise SchemaError("line %d: unrecognized header; expected %s" % (start + 1, expected))
     n_cols = header.count(",") + 1
-    # Both readers see the lines of splitlines.  loadtxt skips empty lines but
-    # rejects whitespace-only ones, warns when a body has no data (so it reads
-    # only a body with a non-blank line), and strips \x1f where float does not.
     body = lines[start + 1:]
-    if "\x1f" not in text and any(map(str.strip, body)):
-        try:
+    if not any(map(str.strip, body)):  # decided before loadtxt, which warns on such a body
+        raise SchemaError("CSV contains no data rows")
+    # Both readers see the lines of splitlines.  loadtxt skips empty lines but
+    # rejects whitespace-only ones, and strips \x1f where float does not.
+    if "\x1f" not in text:
+        with contextlib.suppress(ValueError):
             data = np.loadtxt(body, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-        except ValueError:
-            data = None
-        if data is not None and data.shape[1] == n_cols and np.isfinite(data).all():
-            return header, data
+            if data.shape[1] == n_cols and np.isfinite(data).all():
+                return header, data
     rows = []
     for k, line in enumerate(body, start=start + 2):
         if not line.strip():
@@ -481,8 +477,6 @@ def read_numeric_csv(text: str, headers) -> tuple:
             rows.append(list(map(float, parts)))
         except ValueError:
             raise SchemaError("line %d: could not parse a numeric value" % k) from None
-    if not rows:
-        raise SchemaError("CSV contains no data rows")
     data = np.array(rows, dtype=np.float64)
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():

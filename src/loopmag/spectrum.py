@@ -45,9 +45,10 @@ class GapReport:
     is_crossing: bool
 
 
-def _as_matrix(matrix) -> np.ndarray:
+def eig_hermitian(matrix):
+    """Ascending eigenvalues and orthonormal eigenvector columns."""
     if isinstance(matrix, HermitianMatrixGHz):
-        return matrix.entries
+        return np.linalg.eigh(matrix.entries)
     mat = np.asarray(matrix, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError("expected a square matrix")
@@ -56,14 +57,7 @@ def _as_matrix(matrix) -> np.ndarray:
     scale = max(np.linalg.norm(mat), 1e-300)
     if np.linalg.norm(mat - mat.conj().T) > 1e-10 * scale:
         raise ValueError("matrix is not Hermitian within 1e-10 relative tolerance")
-    return mat
-
-
-def eig_hermitian(matrix):
-    """Ascending eigenvalues and orthonormal eigenvector columns."""
-    mat = _as_matrix(matrix)
-    vals, vecs = np.linalg.eigh(mat)
-    return vals, vecs
+    return np.linalg.eigh(mat)
 
 
 def _eigh_over(system: SystemModel, omega_m_values) -> tuple:

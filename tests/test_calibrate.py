@@ -351,6 +351,15 @@ def test_peak_dataset_rejects_sigma_below_one_hz_after_the_sign_check():
         dataset_from_csv("omega_m_ghz,omega_peak_ghz,sigma_ghz\n5.0,4.5,0.001\n5.1,4.6,1e-300\n")
 
 
+@pytest.mark.parametrize("bad", [(5.0,), (1.0, 2.0, 3.0, 4.0), None, (), 5.0])
+def test_peak_dataset_rejects_a_record_of_the_wrong_length_with_value_error(bad):
+    with pytest.raises(ValueError, match=r"^record 1: expected 2 or 3 values$"):
+        PeakDataset(records=((5.0, 4.5), bad))
+    # the length comes before every per-record check, of this record and of the others
+    with pytest.raises(ValueError, match=r"^record 1: expected 2 or 3 values$"):
+        PeakDataset(records=((-1.0, 4.5), bad))
+
+
 def test_dataset_from_csv_with_sigma_column():
     text = (
         "omega_m_ghz,omega_peak_ghz,sigma_ghz\n"

@@ -299,6 +299,36 @@ def test_spectrum_grid_that_is_not_an_object_exits_2(tmp_path):
     assert result.output == "error: magnon_grid: expected an object\n"
 
 
+# a command, one of its grids, and flags that set all three of that grid's fields
+GRID_FLAGS = [
+    ("spectrum", "magnon_grid", ("--grid-start-ghz", "4", "--grid-stop-ghz", "7",
+                                 "--grid-points", "5")),
+    ("s21", "probe_grid", ("--probe-start-ghz", "4", "--probe-stop-ghz", "7",
+                           "--probe-points", "5")),
+]
+
+
+@pytest.mark.parametrize("command, key, flags", GRID_FLAGS)
+@pytest.mark.parametrize("falsy", [False, 0, [], ""])
+def test_falsy_grid_setting_is_not_an_absent_one(tmp_path, command, key, flags, falsy):
+    def edit(config):
+        config[key] = falsy
+
+    result = run(command, "--config", str(write_config(tmp_path, edit)), *flags)
+    assert result.exit_code == 2
+    assert result.output == "error: %s: expected an object\n" % key
+
+
+@pytest.mark.parametrize("command, key, flags", GRID_FLAGS)
+def test_null_grid_setting_is_an_absent_one(tmp_path, command, key, flags):
+    outputs = []
+    for edit in (lambda config: config.update({key: None}), lambda config: config.pop(key)):
+        result = run(command, "--config", str(write_config(tmp_path, edit)), *flags)
+        assert result.exit_code == 0
+        outputs.append(result.output)
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") > 5
+
+
 @pytest.mark.parametrize(
     "args, message",
     [
