@@ -16,15 +16,14 @@ so it stays well defined when a dataset misses dark or weakly visible peaks.
 import math
 from contextlib import suppress
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .gauge import reduce_system
 from .model import (MAX_FREQUENCY_GHZ, MAX_RATE_MHZ, CouplingEdge, SchemaError, SystemModel,
-                    anchored, check_mode_frequency, hamiltonians, number, parse_phase,
-                    read_numeric_csv, string, write_coupling)
+                    anchored, check_mode_frequency, hamiltonians, number, optional,
+                    parse_phase, read_numeric_csv, string, write_coupling)
 # unused here; kept because perfbench's tracer test patches and calls this binding
 from .spectrum import branch_frequencies  # noqa: F401
 
@@ -83,13 +82,10 @@ class PeakDataset:
                 raise ValueError("record %d: sigma must be > 0 GHz" % k)
             if r.sigma < MIN_SIGMA_GHZ:
                 raise ValueError("record %d: sigma must be >= %g GHz" % (k, MIN_SIGMA_GHZ))
-
-    @cached_property
-    def _columns(self):
-        """Sorted unique omega_m, each record's row among them, peaks (n, 1), sigmas."""
-        array = np.array(self.records)
+        # _columns: sorted unique omega_m, each record's row among them, peaks (n, 1), sigmas
+        array = np.array(records)
         omegas, rows = np.unique(array[:, 0], return_inverse=True)
-        return omegas, rows, array[:, 1:2], array[:, 2]
+        object.__setattr__(self, "_columns", (omegas, rows, array[:, 1:2], array[:, 2]))
 
 
 def dataset_from_csv(text: str) -> PeakDataset:
@@ -208,17 +204,13 @@ class HypothesisFit:
 
 
 @dataclass(frozen=True)
-class FitResult:
-    """Best hypothesis with its parameters, plus the full per-hypothesis table.
+class FitResult(HypothesisFit):
+    """The winning HypothesisFit, plus the full per-hypothesis table.
 
     ambiguous is set when the two best hypotheses reach near-equal residuals,
     meaning the dataset does not discriminate the loop phase.
     """
 
-    params: dict
-    theta_assignment: tuple
-    residual: float
-    converged: bool
     ambiguous: bool
     per_hypothesis: tuple
 
@@ -427,20 +419,18 @@ def fit(
     names = spec.parameter_names()
     x0, box = _start(spec, initial)
     objective = _objective(spec, data)
-    n_params = len(names)
     outcomes = []
     for hypothesis in spec.theta_hypotheses:
-        # continuous mode: the loop phases are the tail of the search vector
-        def trial(x, hypothesis=hypothesis):
-            thetas = x[n_params:] if spec.continuous_theta else hypothesis
-            return objective(x[:n_params], thetas)
+        # the free parameters, then the loop phases: in continuous mode, the vector's tail
+        def split(x, hypothesis=hypothesis):
+            return x[:len(names)], x[len(names):] if spec.continuous_theta else hypothesis
 
-        best = _simplex(trial, x0, box, max_iterations)
-        thetas = best.x[n_params:] if spec.continuous_theta else hypothesis
+        best = _simplex(lambda x: objective(*split(x)), x0, box, max_iterations)
+        params, thetas = split(best.x)
         outcomes.append(
             HypothesisFit(
                 theta_assignment=tuple(float(v) for v in thetas),
-                params=dict(zip(names, (float(v) for v in best.x[:n_params]))),
+                params=dict(zip(names, (float(v) for v in params))),
                 residual=float(best.fun),
                 converged=bool(best.success),
             )
@@ -452,21 +442,14 @@ def fit(
         ordered = sorted(h.residual for h in outcomes)
         eps = 1e-12 * len(data.records)
         ambiguous = (ordered[1] + eps) / (ordered[0] + eps) < AMBIGUITY_RATIO
-    return FitResult(
-        params=winner.params,
-        theta_assignment=winner.theta_assignment,
-        residual=winner.residual,
-        converged=winner.converged,
-        ambiguous=ambiguous,
-        per_hypothesis=tuple(outcomes),
-    )
+    return FitResult(**vars(winner), ambiguous=ambiguous, per_hypothesis=tuple(outcomes))
 
 
 # ====== fit spec documents ======
 
 
 def _spec_list(document: dict, key: str, what: str, default=None) -> list:
-    value = document.get(key, default)
+    value = optional(document, key, default)
     if not isinstance(value, list):
         raise SchemaError("fit spec.%s: expected a list of %s" % (key, what))
     return value
@@ -488,7 +471,7 @@ def fit_spec_from_document(document: dict, system: SystemModel) -> tuple:
             raise SchemaError("fit spec.theta_hypotheses[%d]: expected a list of loop phases" % k)
         with anchored("fit spec.theta_hypotheses[%d]: " % k):
             hypotheses.append(tuple(parse_phase(value) for value in hypothesis))
-    bounds_doc = document.get("bounds", {})
+    bounds_doc = optional(document, "bounds", {})
     if not isinstance(bounds_doc, dict):
         raise SchemaError("fit spec.bounds: expected an object of [lower, upper] pairs")
     bounds = {}
@@ -497,7 +480,7 @@ def fit_spec_from_document(document: dict, system: SystemModel) -> tuple:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise SchemaError("%s: expected a [lower, upper] pair" % where)
         bounds[name] = tuple(number(v, "%s[%d]" % (where, k)) for k, v in enumerate(pair))
-    continuous = document.get("continuous_theta", False)
+    continuous = optional(document, "continuous_theta", False)
     if not isinstance(continuous, bool):
         raise SchemaError("fit spec.continuous_theta: expected true or false")
     spec = FitSpec(
@@ -516,7 +499,7 @@ def fit_spec_from_document(document: dict, system: SystemModel) -> tuple:
             % (len(spec.parameter_names()), len(initial))
         )
     _start(spec, initial)
-    max_iterations = document.get("max_iterations", MAX_SIMPLEX_ITERATIONS)
+    max_iterations = optional(document, "max_iterations", MAX_SIMPLEX_ITERATIONS)
     with anchored("fit spec."):
         _check_max_iterations(max_iterations)
     return spec, initial, max_iterations

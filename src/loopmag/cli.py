@@ -38,8 +38,8 @@ from .calibrate import dataset_from_csv, fit, fit_spec_from_document
 from .fieldmap import coupling_table, field_table_from_csv, regions_from_document
 from .gauge import reduce_system, reduction_to_document
 from .model import (MAX_FREQUENCY_GHZ, RWA_LIMIT, SchemaError, SystemModel, anchored,
-                    check_rwa, check_stack, edges_to_document, frequency_axis, number, string,
-                    system_from_document)
+                    check_rwa, check_stack, edges_to_document, frequency_axis, number, optional,
+                    string, system_from_document)
 from .spectrum import sweep, sweep_to_csv
 from .transmission import check_map, map_to_csv, ports_from_document, s21_map
 
@@ -148,7 +148,7 @@ def _device(preset_name, config_path):
 
 def _grid(config: dict, key: str, start, stop, points) -> dict:
     """A grid's checked {start_ghz, stop_ghz, points}, in np.linspace's order, flags over config."""
-    settings = {} if config.get(key) is None else config[key]
+    settings = optional(config, key, {})
     if not isinstance(settings, dict):
         raise SchemaError("%s: expected an object" % key)
     settings = dict(settings)
@@ -218,7 +218,7 @@ def _fit_system(document: dict) -> SystemModel:
 
 
 def _hypothesis_document(h) -> dict:
-    """The four fields a HypothesisFit and the winning FitResult share, as JSON."""
+    """A HypothesisFit's four fields as JSON; a FitResult is its winning HypothesisFit."""
     return {"theta_assignment_rad": list(h.theta_assignment), "params": h.params,
             "residual": h.residual, "converged": h.converged}
 
@@ -402,8 +402,7 @@ def cmd_fit(data_path, spec_path):
     document = _load_json(spec_path)
     system = _fit_system(document)
     spec, initial, max_iterations = fit_spec_from_document(document, system)
-    unique = len({record.omega_m for record in dataset.records})
-    check_stack(unique, len(system.modes), "--data: unique omega_m_ghz values")
+    check_stack(dataset._columns[0].size, len(system.modes), "--data: unique omega_m_ghz values")
     _warn_rwa(system)
 
     def compute():

@@ -360,6 +360,11 @@ def require(doc: dict, key: str, where: str):
     return doc[key]
 
 
+def optional(doc: dict, key: str, default):
+    """doc[key], or default when the key is absent or null."""
+    return default if doc.get(key) is None else doc[key]
+
+
 def number(value, where: str, allow_none=False):
     """value as a finite float (None passes when allow_none)."""
     if value is None and allow_none:

@@ -12,6 +12,7 @@ from loopmag.calibrate import (
     DEFAULT_SIGMA_GHZ,
     MIN_SIGMA_GHZ,
     FitSpec,
+    HypothesisFit,
     PeakDataset,
     PeakRecord,
     dataset_from_csv,
@@ -667,6 +668,20 @@ def test_a_loop_phase_bound_is_not_a_parameter_of_a_discrete_fit():
     with pytest.raises(ValueError, match=r"^bound 'theta:1' is not a parameter of this fit$"):
         two_tone_spec(theta_hypotheses=((2.0,),), continuous_theta=True,
                       bounds={"theta:1": (0.0, 1.0)})
+
+
+@pytest.mark.parametrize(
+    "overrides", [{}, {"theta_hypotheses": ((2.0,),), "continuous_theta": True}],
+    ids=["discrete", "continuous"])
+def test_fit_result_is_its_winning_hypothesis_fit(overrides):
+    spec = two_tone_spec(**overrides)
+    data = branch_records(two_tone_template(), ANTICROSSING_GRID)
+    result = fit(spec, data, (4.52, 6.195, 0.078, 0.118), 200)
+    assert isinstance(result, HypothesisFit)
+    assert len(result.per_hypothesis) == len(spec.theta_hypotheses)
+    winner = min(result.per_hypothesis, key=lambda h: h.residual)
+    shared = {f.name: getattr(result, f.name) for f in dataclasses.fields(HypothesisFit)}
+    assert shared == vars(winner)
 
 
 # ====== fits with no free parameter ======

@@ -1052,6 +1052,23 @@ def test_fit_command_rejects_mistyped_spec_fields(tmp_path, key, bad, message):
     assert result.output == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("key", ["bounds", "continuous_theta", "max_iterations",
+                                 "free_couplings", "free_photon_frequencies"])
+def test_null_fit_spec_key_is_an_absent_one(tmp_path, key):
+    data, spec = write_fit_inputs(tmp_path)
+    # loop_phase_spec frees c1's coupling; with free_couplings absent, nothing is free
+    document = (loop_phase_spec() if key != "free_couplings" else
+                {"preset": "cavity-pi-fit", "theta_hypotheses": [["pi"], [0]], "initial": []})
+    outputs = []
+    for edit in (lambda doc: doc.update({key: None}), lambda doc: doc.pop(key)):
+        edit(document)
+        spec.write_text(json.dumps(document))
+        result = run("fit", "--data", str(data), "--spec", str(spec))
+        assert result.exit_code == 0, result.output
+        outputs.append(result.stdout)
+    assert outputs[0] == outputs[1] and '"per_hypothesis"' in outputs[0]
+
+
 @pytest.mark.parametrize("bad", [0, -3, True, 2.5])
 def test_fit_command_rejects_a_max_iterations_that_is_not_a_positive_integer(tmp_path, bad):
     data, spec = write_fit_inputs(tmp_path)

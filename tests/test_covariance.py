@@ -1,22 +1,24 @@
-"""Gauge covariance of the presets: a vertex rotation keeps every loop phase, and with it
-every physical result, except S21 where a port drives two photons and so closes a loop
-of its own through them."""
+"""Gauge covariance of the presets and of seeded random devices: a vertex rotation, or a
+reordering of modes and edges, keeps every loop phase, and with it every physical result,
+except S21 where a port drives two photons and so closes a loop of its own through them."""
 
 import math
 
 import numpy as np
 import pytest
 
-from loopmag.calibrate import PeakDataset, fit_spec_from_document, residual
+from loopmag.calibrate import FitSpec, PeakDataset, fit_spec_from_document, residual
 from loopmag.cli import PRESETS
 from loopmag.fieldmap import FieldTable, coupling_table, field_table_from_csv, regions_from_document
-from loopmag.gauge import reduce_system
+from loopmag.gauge import Cycle, build_graph, loop_phase, reduce_system
 from loopmag.model import ModeSpec, SystemModel, apply_vertex_phases, fold_phase, system_from_document
 from loopmag.spectrum import branch_frequencies, sweep
 from loopmag.transmission import PortSpec, ports_from_document, s21_map
 from synthfields import pi_device_exports
+from test_gauge import random_system
 
 ROTATIONS = 5
+RANDOM_DEVICES = 20
 
 
 def preset(name) -> SystemModel:
@@ -141,3 +143,79 @@ def test_a_global_phase_on_one_field_export_keeps_the_loop_phase(mode, psi):
     tables[mode] = FieldTable(table.positions, np.exp(1j * psi) * table.h, table.weights)
     theta = export_loop_phase(tables, regions, frequencies)
     assert abs(fold_phase(theta - reference)) <= 1e-12
+
+
+# ====== seeded random devices, rotated and reordered ======
+
+
+def transformed(system, rng) -> tuple:
+    """system under random vertex phases, with its modes and edges in a random order, and
+    each new edge's index in system."""
+    rotated = apply_vertex_phases(system, {m.label: float(rng.uniform(-math.pi, math.pi))
+                                           for m in system.modes})
+    order = rng.permutation(len(system.edges))
+    modes = [system.modes[k] for k in rng.permutation(len(system.modes))]
+    edges = [rotated.edges[k] for k in order]
+    return SystemModel(tuple(modes), tuple(edges), system.magnon_sweep_target), order
+
+
+def random_devices():
+    """RANDOM_DEVICES seeded random devices, each with one transformed copy."""
+    rng = np.random.default_rng(2023)
+    for _ in range(RANDOM_DEVICES):
+        system = random_system(rng, max_magnons=4)
+        yield system, *transformed(system, rng)
+
+
+def test_random_devices_keep_the_loop_phases_on_the_same_vertex_walks():
+    loops = 0
+    for system, moved, order in random_devices():
+        new_index = np.argsort(order)
+        graph = build_graph(moved)
+        for phase in reduce_system(system).physical_phases:
+            cycle = phase.cycle
+            edges = tuple((int(new_index[k]), sign) for k, sign in cycle.edges)
+            walk = Cycle(cycle.vertices, edges, int(new_index[cycle.chord]))
+            assert abs(fold_phase(loop_phase(walk, graph) - phase.theta)) <= 1e-12
+            loops += 1
+    assert loops >= 10
+
+
+def isolated(branches, gap_ghz=1e-6) -> np.ndarray:
+    """Where a branch lies at least gap_ghz from both neighbours: outside any degeneracy cluster."""
+    gaps = np.diff(branches, axis=1)
+    wide = np.full((branches.shape[0], 1), np.inf)
+    return np.minimum(np.hstack([wide, gaps]), np.hstack([gaps, wide])) >= gap_ghz
+
+
+def test_random_devices_keep_sweep_branches_and_photon_weights():
+    grid = np.linspace(3.0, 9.0, 61)
+    compared = 0
+    for system, moved, _ in random_devices():
+        reference, result = sweep(system, grid), sweep(moved, grid)
+        assert np.all(np.abs(result.branches - reference.branches)
+                      <= 1e-12 * np.abs(reference.branches))
+        mask = isolated(reference.branches)
+        assert np.max(np.abs(result.photon_weights - reference.photon_weights)[mask]) <= 1e-9
+        compared += np.count_nonzero(mask)
+    assert compared > RANDOM_DEVICES * grid.size
+
+
+def test_random_devices_keep_the_fit_residual_at_their_own_loop_phases():
+    omega_m = np.linspace(3.5, 8.5, 11)
+    for system, moved, _ in random_devices():
+        photons = system.photon_labels()
+        coupled = tuple(label for label in photons if any(e.photon == label for e in system.edges))
+        table = branch_frequencies(system, omega_m)
+        data = PeakDataset([(w, peak) for w, row in zip(omega_m, table) for peak in row])
+        params = [m.frequency + 0.05 for m in system.modes if m.kind == "photon"]
+        params += [0.1] * len(coupled)
+
+        def at_own_loop_phases(device):
+            thetas = tuple(p.theta for p in reduce_system(device).physical_phases)
+            spec = FitSpec(device, photons, coupled, (thetas,))
+            return residual(spec, params, thetas, data)
+
+        reference = at_own_loop_phases(system)
+        assert reference > 0
+        assert abs(at_own_loop_phases(moved) - reference) <= 1e-9 * reference
