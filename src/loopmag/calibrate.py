@@ -237,6 +237,8 @@ def _checked_thetas(spec: FitSpec, theta_assignment) -> tuple:
         raise ValueError(
             "expected %d loop phase(s), got %d" % (n_loops, len(thetas))
         )
+    if not all(map(math.isfinite, thetas)):
+        raise ValueError("loop phases must be finite")
     return thetas
 
 

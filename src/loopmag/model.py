@@ -497,7 +497,9 @@ def read_numeric_csv(text: str, headers) -> tuple:
 CELL_BYTES = 24
 # values per block of csv_rows, long_csv_rows and s21_map's residue sum: temporaries of a few MB.
 # The CSV writers grow their text by +=, which CPython resizes in place (the local is its only
-# reference), so a CSV is held once plus one block, not as blocks and their join.
+# reference), so a CSV is held once plus one block, not as blocks and their join. CPython 3.11
+# does so only in the specialized instruction, which it skips while a trace or profile function
+# is set: then each block copies the text.
 BLOCK_VALUES = 1 << 15
 _POW10 = np.array([10.0**k for k in range(13)])  # exact
 _POW10_INT = np.array([10**k for k in range(9)], dtype=np.uint32)

@@ -1,0 +1,86 @@
+"""The suite's devices and shared helpers, each defined once.
+
+The paper's devices are read from loopmag.cli.PRESETS; the rest are built here:
+the 5.36 GHz Table-1 variant, seeded random devices, a union-find component count
+and a loader for modules outside the package.
+"""
+
+import importlib.util
+import math
+
+import numpy as np
+
+from loopmag.cli import PRESETS
+from loopmag.model import CouplingEdge, ModeSpec, SystemModel, system_from_document
+
+
+def preset(name) -> SystemModel:
+    return system_from_document(PRESETS[name]["system"])
+
+
+def preset_grid(name, key, points=None) -> np.ndarray:
+    """The preset's magnon_grid or probe_grid, at its own point count unless points is given."""
+    spec = PRESETS[name][key]
+    return np.linspace(spec["start_ghz"], spec["stop_ghz"],
+                       spec["points"] if points is None else points)
+
+
+def fit_device(phases=None) -> SystemModel:
+    """The cavity-pi-fit preset (loop phase pi), or with its four edge phases set to phases."""
+    system = preset("cavity-pi-fit")
+    if phases is None:
+        return system
+    edges = tuple(CouplingEdge(e.photon, e.magnon, e.strength, phase)
+                  for e, phase in zip(system.edges, phases, strict=True))
+    return SystemModel(system.modes, edges, system.magnon_sweep_target)
+
+
+def table1_device() -> SystemModel:
+    """cavity-pi-table1 with both magnons at 5.36 GHz, where the preset's sit at 5.45."""
+    system = preset("cavity-pi-table1")
+    modes = tuple(ModeSpec(m.label, m.kind, 5.36) if m.kind == "magnon" else m
+                  for m in system.modes)
+    return SystemModel(modes, system.edges, system.magnon_sweep_target)
+
+
+def random_system(rng, max_magnons, edge_density) -> SystemModel:
+    """1-4 photons and 1-max_magnons swept magnons at 3-9 GHz, each pair coupled with
+    probability edge_density at 10-300 MHz and a uniform phase."""
+    n_p = int(rng.integers(1, 5))
+    n_m = int(rng.integers(1, max_magnons + 1))
+    photons = [f"c{i}" for i in range(n_p)]
+    magnons = [f"m{i}" for i in range(n_m)]
+    modes = [ModeSpec(p, "photon", float(rng.uniform(3.0, 9.0))) for p in photons]
+    modes += [ModeSpec(m, "magnon", float(rng.uniform(3.0, 9.0))) for m in magnons]
+    edges = []
+    for p in photons:
+        for m in magnons:
+            if rng.uniform() < edge_density:
+                edges.append(CouplingEdge(p, m, float(rng.uniform(10.0, 300.0)),
+                                          float(rng.uniform(-math.pi, math.pi))))
+    return SystemModel(tuple(modes), tuple(edges), frozenset(magnons))
+
+
+def component_count(labels, pairs) -> int:
+    """Connected components of the graph on labels with edges pairs (union-find)."""
+    parent = {v: v for v in labels}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    return len({find(v) for v in labels})
+
+
+def load(name, path):
+    """The module at path, imported as name."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from loopmag.calibrate import FitSpec, PeakDataset, PeakRecord, fit
-from loopmag.cli import PRESETS
 from loopmag.fieldmap import (
     DEFAULT_CONSTANTS,
     FieldTable,
@@ -30,7 +29,6 @@ from loopmag.model import (
     apply_vertex_phases,
     build_hamiltonian,
     fold_phase,
-    system_from_document,
 )
 from loopmag.spectrum import (
     branch_frequencies,
@@ -41,14 +39,11 @@ from loopmag.spectrum import (
     sweep,
 )
 from loopmag.transmission import PortSpec, s21_at
+from devices import component_count, fit_device, preset, preset_grid
 from oracles import char_poly_eigenvalues
 from synthfields import circulating_field, pi_device_posts, sphere_grid
 
 # ====== helpers ======
-
-
-def preset(name) -> SystemModel:
-    return system_from_document(PRESETS[name]["system"])
 
 
 def folded_thetas(system) -> list:
@@ -91,25 +86,6 @@ def random_bipartite_system(rng):
     return SystemModel(modes=tuple(modes), edges=tuple(edges))
 
 
-def connected_components(edges) -> int:
-    parent = {}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in edges:
-        for v in (e.photon, e.magnon):
-            parent.setdefault(v, v)
-    for e in edges:
-        a, b = find(e.photon), find(e.magnon)
-        if a != b:
-            parent[a] = b
-    return len({find(v) for v in parent})
-
-
 def cycle_sum(system, photon_a, photon_b) -> float:
     """Loop phase of the cycle photon_a -> m1 -> photon_b -> m2 -> photon_a."""
     phase = {(e.photon, e.magnon): e.phase for e in system.edges}
@@ -124,27 +100,9 @@ def cycle_sum(system, photon_a, photon_b) -> float:
 FIT_TRUTH = (4.527, 6.19, 0.081, 0.120)
 
 
-def fit_truth_system(loop_phase=math.pi) -> SystemModel:
-    return SystemModel(
-        modes=(
-            ModeSpec("c1", "photon", 4.527),
-            ModeSpec("c2", "photon", 6.19),
-            ModeSpec("m1", "magnon", 5.36),
-            ModeSpec("m2", "magnon", 5.36),
-        ),
-        edges=(
-            CouplingEdge("c1", "m1", 81.0, 0.0),
-            CouplingEdge("c1", "m2", 81.0, loop_phase),
-            CouplingEdge("c2", "m1", 120.0, 0.0),
-            CouplingEdge("c2", "m2", 120.0, 0.0),
-        ),
-        magnon_sweep_target=frozenset({"m1", "m2"}),
-    )
-
-
 def two_tone_fit_spec() -> FitSpec:
     return FitSpec(
-        base_system=fit_truth_system(),
+        base_system=fit_device(),
         free_photon_frequencies=("c1", "c2"),
         free_couplings=("c1", "c2"),
         theta_hypotheses=((math.pi,), (0.0,)),
@@ -200,8 +158,9 @@ def test_acceptance_03_loop_count_and_gauge_invariance_on_random_devices():
     for _ in range(200):
         system = random_bipartite_system(rng)
         thetas = folded_thetas(system)
-        used = {e.photon for e in system.edges} | {e.magnon for e in system.edges}
-        expected = len(system.edges) - len(used) + connected_components(system.edges)
+        pairs = [(e.photon, e.magnon) for e in system.edges]
+        used = {v for pair in pairs for v in pair}
+        expected = len(pairs) - len(used) + component_count(used, pairs)
         assert len(thetas) == expected
         rotations = {m.label: float(rng.uniform(-math.pi, math.pi)) for m in system.modes}
         rotated = apply_vertex_phases(system, rotations)
@@ -215,8 +174,7 @@ def test_acceptance_04_reduction_preserves_spectra():
     start = time.perf_counter()
     for name in ("cavity-pi-table1", "cavity-pi0-table2"):
         system = preset(name)
-        settings = PRESETS[name]["magnon_grid"]
-        grid = np.linspace(settings["start_ghz"], settings["stop_ghz"], 50)
+        grid = preset_grid(name, "magnon_grid", 50)
         reduced = apply_vertex_phases(system, reduce_system(system).vertex_phases)
         original_vals = branch_frequencies(system, grid)
         reduced_vals = branch_frequencies(reduced, grid)
@@ -423,7 +381,7 @@ def test_acceptance_11_fit_recovers_synthetic_devices():
     grid = np.linspace(4.3, 6.4, 16)
     start = time.perf_counter()
 
-    clean = synthetic_peaks(fit_truth_system(), grid)
+    clean = synthetic_peaks(fit_device(), grid)
     result = fit(spec, clean, (4.512, 6.205, 0.060, 0.100))
     assert result.theta_assignment == (math.pi,)
     for name, truth in zip(("omega_c:c1", "omega_c:c2", "g:c1", "g:c2"), FIT_TRUTH):
@@ -432,7 +390,7 @@ def test_acceptance_11_fit_recovers_synthetic_devices():
     rng = np.random.default_rng(5150)
     recovered = 0
     for _ in range(100):
-        noisy = synthetic_peaks(fit_truth_system(), grid, noise=0.001, rng=rng)
+        noisy = synthetic_peaks(fit_device(), grid, noise=0.001, rng=rng)
         trial = fit(spec, noisy, (4.52, 6.195, 0.078, 0.118))
         errors = [
             abs(trial.params[name] - truth)

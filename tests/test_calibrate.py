@@ -17,6 +17,7 @@ from loopmag.calibrate import (
     PeakRecord,
     dataset_from_csv,
     fit,
+    fit_spec_from_document,
     _nelder_mead,
     _residual_of_table,
     residual,
@@ -31,34 +32,15 @@ from loopmag.model import (
     fold_phase,
 )
 from loopmag.spectrum import branch_frequencies
+from devices import fit_device, preset
 
 
 # ====== device builders ======
 
 
-def two_tone_template(phases=(0.0, math.pi, 0.0, 0.0)):
-    """Two photons, two degenerate swept magnons, four coupling edges."""
-    p1, p2, p3, p4 = phases
-    return SystemModel(
-        modes=(
-            ModeSpec("c1", "photon", 4.527),
-            ModeSpec("c2", "photon", 6.19),
-            ModeSpec("m1", "magnon", 5.36),
-            ModeSpec("m2", "magnon", 5.36),
-        ),
-        edges=(
-            CouplingEdge("c1", "m1", 81.0, p1),
-            CouplingEdge("c1", "m2", 81.0, p2),
-            CouplingEdge("c2", "m1", 120.0, p3),
-            CouplingEdge("c2", "m2", 120.0, p4),
-        ),
-        magnon_sweep_target=frozenset({"m1", "m2"}),
-    )
-
-
 def two_tone_spec(**overrides):
     kwargs = dict(
-        base_system=two_tone_template(),
+        base_system=fit_device(),
         free_photon_frequencies=("c1", "c2"),
         free_couplings=("c1", "c2"),
         theta_hypotheses=((math.pi,), (0.0,)),
@@ -140,26 +122,8 @@ def dataclass_residual(spec, params, thetas, data):
 
 def three_tone_spec():
     """Three photons on two swept magnons: two loops, one photon held fixed."""
-    system = SystemModel(
-        modes=(
-            ModeSpec("c1", "photon", 6.594),
-            ModeSpec("c2", "photon", 7.562),
-            ModeSpec("c3", "photon", 8.619),
-            ModeSpec("m1", "magnon", 7.5),
-            ModeSpec("m2", "magnon", 7.5),
-        ),
-        edges=(
-            CouplingEdge("c1", "m1", 130.0, -math.pi / 2),
-            CouplingEdge("c1", "m2", 130.0, -math.pi / 2),
-            CouplingEdge("c2", "m1", 150.0, math.pi / 2),
-            CouplingEdge("c2", "m2", 150.0, -math.pi / 2),
-            CouplingEdge("c3", "m1", 104.0, math.pi / 2),
-            CouplingEdge("c3", "m2", 104.0, -math.pi / 2),
-        ),
-        magnon_sweep_target=frozenset({"m1", "m2"}),
-    )
     return FitSpec(
-        base_system=system,
+        base_system=preset("cavity-pi0-table2"),
         free_photon_frequencies=("c1", "c3"),
         free_couplings=("c2", "c3"),
         theta_hypotheses=((1.0, 2.0),),
@@ -197,7 +161,7 @@ def test_residual_matches_hand_computed_value():
 def test_vectorized_residual_equals_record_order_loop():
     # the objective must match a running total over records bit for bit, or
     # the simplex path (and its evaluation count) would change
-    system = two_tone_template()
+    system = fit_device()
     rng = np.random.default_rng(11)
     omega_ms = rng.choice(np.linspace(4.3, 6.4, 6), size=40)
     records = tuple(
@@ -247,7 +211,7 @@ def test_residual_equals_the_validated_dataclass_path(make_spec):
 
 def test_residual_rejects_a_non_positive_free_frequency():
     spec = two_tone_spec()
-    data = branch_records(two_tone_template(), (5.0,))
+    data = branch_records(fit_device(), (5.0,))
     for bad in (0.0, -4.5):
         with pytest.raises(ValueError, match="'c1': frequency must be finite and > 0"):
             residual(spec, (bad, 6.19, 0.081, 0.120), (math.pi,), data)
@@ -255,7 +219,7 @@ def test_residual_rejects_a_non_positive_free_frequency():
 
 def test_residual_rejects_a_free_frequency_above_the_ceiling_as_modespec_does():
     spec = two_tone_spec()
-    data = branch_records(two_tone_template(), (5.0,))
+    data = branch_records(fit_device(), (5.0,))
     with pytest.raises(ValueError) as modespec:
         ModeSpec("c1", "photon", 1e300)
     with pytest.raises(ValueError) as objective:
@@ -266,13 +230,13 @@ def test_residual_rejects_a_free_frequency_above_the_ceiling_as_modespec_does():
 
 
 def test_residual_is_zero_on_exact_branch_data():
-    system = two_tone_template()
+    system = fit_device()
     data = branch_records(system, ANTICROSSING_GRID)
     assert residual(two_tone_spec(), TRUTH, (math.pi,), data) == 0.0
 
 
 def test_residual_counts_uniform_sigma_offsets():
-    system = two_tone_template()
+    system = fit_device()
     exact = branch_records(system, ANTICROSSING_GRID)
     shifted = PeakDataset(
         records=tuple(
@@ -285,7 +249,7 @@ def test_residual_counts_uniform_sigma_offsets():
 
 
 def test_residual_invariant_under_record_permutation():
-    system = two_tone_template()
+    system = fit_device()
     data = branch_records(
         system, ANTICROSSING_GRID, noise=0.002, rng=np.random.default_rng(7)
     )
@@ -299,7 +263,7 @@ def test_residual_invariant_under_record_permutation():
 def test_residual_mean_tracks_noise_to_sigma_ratio():
     # 1 MHz Gaussian noise against the 2.5 MHz default sigma: each record
     # contributes (1/2.5)^2 on average, so the per-record mean sits near 0.16.
-    system = two_tone_template()
+    system = fit_device()
     spec = two_tone_spec()
     rng = np.random.default_rng(2024)
     per_record = []
@@ -314,13 +278,16 @@ def test_residual_mean_tracks_noise_to_sigma_ratio():
 
 def test_residual_rejects_bad_vectors():
     spec = two_tone_spec()
-    data = branch_records(two_tone_template(), (5.0,))
+    data = branch_records(fit_device(), (5.0,))
     with pytest.raises(ValueError, match="4 parameters"):
         residual(spec, (4.5, 6.2, 0.08), (math.pi,), data)
     with pytest.raises(ValueError, match="loop"):
         residual(spec, TRUTH, (math.pi, 0.0), data)
     with pytest.raises(ValueError, match="finite"):
         residual(spec, (4.5, math.nan, 0.08, 0.12), (math.pi,), data)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"^loop phases must be finite$"):
+            residual(spec, TRUTH, (bad,), data)
 
 
 # ====== dataset construction and CSV input ======
@@ -480,7 +447,7 @@ def test_parameter_names_order_frequencies_then_couplings():
 
 def test_fit_rejects_bad_initial():
     spec = two_tone_spec()
-    data = branch_records(two_tone_template(), ANTICROSSING_GRID)
+    data = branch_records(fit_device(), ANTICROSSING_GRID)
     with pytest.raises(ValueError, match="4 parameters"):
         fit(spec, data, (4.5, 6.2, 0.08))
     with pytest.raises(ValueError, match="bounds"):
@@ -491,7 +458,7 @@ def test_fit_rejects_bad_initial():
 
 
 def test_fit_recovers_noise_free_truth_and_selects_pi():
-    truth_system = two_tone_template(phases=(0.0, math.pi, 0.0, 0.0))
+    truth_system = fit_device()
     data = branch_records(truth_system, ANTICROSSING_GRID)
     initial = (4.512, 6.205, 0.060, 0.100)
     result = fit(two_tone_spec(), data, initial)
@@ -507,7 +474,7 @@ def test_fit_recovers_noise_free_truth_and_selects_pi():
 
 
 def test_fit_selects_zero_when_truth_has_no_loop_phase():
-    truth_system = two_tone_template(phases=(0.0, 0.0, 0.0, 0.0))
+    truth_system = fit_device((0.0, 0.0, 0.0, 0.0))
     data = branch_records(truth_system, ANTICROSSING_GRID)
     result = fit(two_tone_spec(), data, (4.512, 6.205, 0.060, 0.100))
     assert result.theta_assignment == (0.0,)
@@ -516,7 +483,7 @@ def test_fit_selects_zero_when_truth_has_no_loop_phase():
 
 
 def test_fit_orders_hypotheses_by_given_sequence():
-    truth_system = two_tone_template(phases=(0.0, math.pi, 0.0, 0.0))
+    truth_system = fit_device()
     data = branch_records(truth_system, ANTICROSSING_GRID)
     result = fit(two_tone_spec(), data, (4.512, 6.205, 0.060, 0.100))
     assert len(result.per_hypothesis) == 2
@@ -531,7 +498,7 @@ def test_fit_flags_dispersive_data_as_ambiguous():
     # Far below both photon lines only the photon-like peaks are visible in
     # transmission, and their dispersive shifts carry no loop-phase signature:
     # either hypothesis reaches the same noise floor.
-    truth_system = two_tone_template(phases=(0.0, math.pi, 0.0, 0.0))
+    truth_system = fit_device()
     data = branch_records(
         truth_system,
         DISPERSIVE_GRID,
@@ -551,7 +518,7 @@ def test_fit_theta_discrimination_is_symmetric():
     initial = (4.52, 6.195, 0.078, 0.118)
     for truth_phases, winner in (((0.0, math.pi, 0.0, 0.0), math.pi),
                                  ((0.0, 0.0, 0.0, 0.0), 0.0)):
-        data = branch_records(two_tone_template(truth_phases), ANTICROSSING_GRID)
+        data = branch_records(fit_device(truth_phases), ANTICROSSING_GRID)
         by_theta = {
             h.theta_assignment[0]: h.residual
             for h in fit(spec, data, initial).per_hypothesis
@@ -561,7 +528,7 @@ def test_fit_theta_discrimination_is_symmetric():
 
 
 def test_fit_respects_bounds():
-    truth_system = two_tone_template(phases=(0.0, math.pi, 0.0, 0.0))
+    truth_system = fit_device()
     data = branch_records(truth_system, ANTICROSSING_GRID)
     spec = two_tone_spec(bounds={"g:c1": (0.086, 0.3)})
     result = fit(spec, data, (4.512, 6.205, 0.090, 0.100))
@@ -570,7 +537,7 @@ def test_fit_respects_bounds():
 
 
 def test_fit_reports_best_so_far_when_iteration_capped():
-    truth_system = two_tone_template(phases=(0.0, math.pi, 0.0, 0.0))
+    truth_system = fit_device()
     data = branch_records(truth_system, ANTICROSSING_GRID)
     initial = (4.512, 6.205, 0.060, 0.100)
     result = fit(two_tone_spec(), data, initial, max_iterations=2)
@@ -580,15 +547,23 @@ def test_fit_reports_best_so_far_when_iteration_capped():
     assert result.residual <= start
 
 
+def test_an_iteration_cap_of_one_is_accepted():
+    data = branch_records(fit_device(), ANTICROSSING_GRID)
+    assert not fit(two_tone_spec(), data, (4.512, 6.205, 0.060, 0.100), 1).converged
+    document = {"free_couplings": ["c1"], "theta_hypotheses": [["pi"]], "initial": [0.08],
+                "max_iterations": 1}
+    assert fit_spec_from_document(document, fit_device())[2] == 1
+
+
 @pytest.mark.parametrize("bad", [0, -3, True, 2.5])
 def test_fit_rejects_a_max_iterations_that_is_not_a_positive_int(bad):
-    data = branch_records(two_tone_template(), (5.0,))
+    data = branch_records(fit_device(), (5.0,))
     with pytest.raises(ValueError, match=r"^max_iterations: expected a positive integer$"):
         fit(two_tone_spec(), data, TRUTH, max_iterations=bad)
 
 
 def test_fit_is_deterministic():
-    truth_system = two_tone_template(phases=(0.0, math.pi, 0.0, 0.0))
+    truth_system = fit_device()
     data = branch_records(
         truth_system, ANTICROSSING_GRID, noise=0.001, rng=np.random.default_rng(3)
     )
@@ -601,7 +576,7 @@ def test_fit_is_deterministic():
 
 
 def test_fit_with_noise_stays_near_truth():
-    truth_system = two_tone_template(phases=(0.0, math.pi, 0.0, 0.0))
+    truth_system = fit_device()
     data = branch_records(
         truth_system, ANTICROSSING_GRID, noise=0.001, rng=np.random.default_rng(11)
     )
@@ -617,7 +592,7 @@ def test_fit_with_noise_stays_near_truth():
 
 
 def test_continuous_theta_recovers_pi():
-    truth_system = two_tone_template(phases=(0.0, math.pi, 0.0, 0.0))
+    truth_system = fit_device()
     data = branch_records(truth_system, ANTICROSSING_GRID)
     spec = two_tone_spec(theta_hypotheses=((2.0,),), continuous_theta=True)
     result = fit(spec, data, (4.52, 6.195, 0.078, 0.118))
@@ -635,7 +610,7 @@ def test_continuous_theta_requires_single_seed():
 
 
 def test_a_loop_phase_bound_keeps_the_continuous_fit_inside_its_box():
-    data = branch_records(two_tone_template(), ANTICROSSING_GRID)
+    data = branch_records(fit_device(), ANTICROSSING_GRID)
     initial = (4.52, 6.195, 0.078, 0.118)
     free = fit(two_tone_spec(theta_hypotheses=((2.0,),), continuous_theta=True), data, initial)
     spec = two_tone_spec(theta_hypotheses=((2.0,),), continuous_theta=True,
@@ -657,9 +632,24 @@ def test_a_loop_phase_bound_keeps_the_continuous_fit_inside_its_box():
 )
 def test_a_loop_phase_seed_outside_its_bounds_is_rejected(seed, bounds, message):
     spec = two_tone_spec(theta_hypotheses=((seed,),), continuous_theta=True, bounds=bounds)
-    data = branch_records(two_tone_template(), ANTICROSSING_GRID)
+    data = branch_records(fit_device(), ANTICROSSING_GRID)
     with pytest.raises(ValueError, match=message):
         fit(spec, data, (4.52, 6.195, 0.078, 0.118))
+
+
+@pytest.mark.parametrize("end", [0, 1], ids=["lower", "upper"])
+def test_a_start_on_either_end_of_its_bounds_is_accepted(end):
+    bounds = {"g:c1": (0.07, 0.09), "theta:0": (2.5, 3.0)}
+    spec = two_tone_spec(theta_hypotheses=((bounds["theta:0"][end],),), continuous_theta=True,
+                         bounds=bounds)
+    initial = (4.52, 6.195, bounds["g:c1"][end], 0.118)
+    data = branch_records(fit_device(), ANTICROSSING_GRID)
+    (theta,) = fit(spec, data, initial, 1).theta_assignment
+    assert bounds["theta:0"][0] <= theta <= bounds["theta:0"][1]
+    document = {"free_couplings": ["c1"], "theta_hypotheses": [[spec.theta_hypotheses[0][0]]],
+                "continuous_theta": True, "initial": [bounds["g:c1"][end]],
+                "bounds": {name: list(pair) for name, pair in bounds.items()}}
+    assert fit_spec_from_document(document, fit_device())[1] == (bounds["g:c1"][end],)
 
 
 def test_a_loop_phase_bound_is_not_a_parameter_of_a_discrete_fit():
@@ -675,7 +665,7 @@ def test_a_loop_phase_bound_is_not_a_parameter_of_a_discrete_fit():
     ids=["discrete", "continuous"])
 def test_fit_result_is_its_winning_hypothesis_fit(overrides):
     spec = two_tone_spec(**overrides)
-    data = branch_records(two_tone_template(), ANTICROSSING_GRID)
+    data = branch_records(fit_device(), ANTICROSSING_GRID)
     result = fit(spec, data, (4.52, 6.195, 0.078, 0.118), 200)
     assert isinstance(result, HypothesisFit)
     assert len(result.per_hypothesis) == len(spec.theta_hypotheses)
@@ -702,7 +692,7 @@ def test_fit_with_no_free_parameter_reports_each_residual_without_a_simplex(
     monkeypatch.setattr(calibrate, "_nelder_mead", no_simplex)
     spec = two_tone_spec(free_photon_frequencies=(), free_couplings=(),
                          theta_hypotheses=hypotheses)
-    data = branch_records(two_tone_template(), ANTICROSSING_GRID)
+    data = branch_records(fit_device(), ANTICROSSING_GRID)
     result = fit(spec, data, ())
     residuals = [residual(spec, (), h, data) for h in hypotheses]
     assert [h.theta_assignment for h in result.per_hypothesis] == list(hypotheses)
@@ -772,7 +762,7 @@ def test_fit_equals_the_fit_on_scipys_simplex(monkeypatch, max_iterations):
     # the acceptance-11 device, clean and noisy
     initial = (4.52, 6.195, 0.078, 0.118)
     for noise in (None, 0.001):
-        data = branch_records(two_tone_template(), ANTICROSSING_GRID, noise=noise,
+        data = branch_records(fit_device(), ANTICROSSING_GRID, noise=noise,
                               rng=np.random.default_rng(5150))
         ours = fit(two_tone_spec(), data, initial, max_iterations)
         with monkeypatch.context() as patch:

@@ -20,14 +20,13 @@ from loopmag.cli import PRESETS, main
 from loopmag.fieldmap import field_table_from_csv, regions_from_document
 from loopmag.model import (
     MAX_STACK_ENTRIES,
-    CouplingEdge,
-    ModeSpec,
     SchemaError,
     SystemModel,
     system_from_document,
 )
 from loopmag.spectrum import branch_frequencies, sweep, sweep_to_csv
 from loopmag.transmission import PortSpec, map_to_csv, ports_from_document, s21_map
+from devices import fit_device, preset, preset_grid
 from synthfields import pi_device_exports
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -36,15 +35,6 @@ SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 def run(*args, **kwargs):
     return CliRunner().invoke(main, list(args), catch_exceptions=False, **kwargs)
-
-
-def preset_system(name) -> SystemModel:
-    return system_from_document(PRESETS[name]["system"])
-
-
-def grid_from(config_key, name):
-    spec = PRESETS[name][config_key]
-    return np.linspace(spec["start_ghz"], spec["stop_ghz"], spec["points"])
 
 
 # ====== gauge command ======
@@ -131,7 +121,7 @@ def test_spectrum_golden_cavity_pi_table1():
     golden = (GOLDEN_DIR / "spectrum_cavity_pi_table1.csv").read_text()
     assert result.output == golden
     oracle = sweep_to_csv(
-        sweep(preset_system("cavity-pi-table1"), grid_from("magnon_grid", "cavity-pi-table1"))
+        sweep(preset("cavity-pi-table1"), preset_grid("cavity-pi-table1", "magnon_grid"))
     )
     assert result.output == oracle
 
@@ -142,7 +132,7 @@ def test_spectrum_golden_cavity_pi0_table2():
     golden = (GOLDEN_DIR / "spectrum_cavity_pi0_table2.csv").read_text()
     assert result.output == golden
     oracle = sweep_to_csv(
-        sweep(preset_system("cavity-pi0-table2"), grid_from("magnon_grid", "cavity-pi0-table2"))
+        sweep(preset("cavity-pi0-table2"), preset_grid("cavity-pi0-table2", "magnon_grid"))
     )
     assert result.output == oracle
 
@@ -204,14 +194,14 @@ def test_spectrum_single_sphere_variant_drops_second_magnon():
     assert result.exit_code == 0
     header = result.output.split("\n", 1)[0]
     assert header.count("branch_") == 3
-    full = preset_system("cavity-pi-fit")
+    full = preset("cavity-pi-fit")
     keep = full.magnon_labels()[0]
     reduced = SystemModel(
         modes=tuple(m for m in full.modes if m.kind == "photon" or m.label == keep),
         edges=tuple(e for e in full.edges if e.magnon == keep),
         magnon_sweep_target=frozenset({keep}),
     )
-    oracle = sweep_to_csv(sweep(reduced, grid_from("magnon_grid", "cavity-pi-fit")))
+    oracle = sweep_to_csv(sweep(reduced, preset_grid("cavity-pi-fit", "magnon_grid")))
     assert result.output == oracle
 
 
@@ -564,7 +554,7 @@ def test_s21_map_matches_library_output(tmp_path):
     result = run("s21", "--preset", "cavity-pi0-table2", *PI0_S21_FLAGS, "--out", str(out))
     assert result.exit_code == 0
     tmap = s21_map(
-        preset_system("cavity-pi0-table2"),
+        preset("cavity-pi0-table2"),
         (PortSpec(1), PortSpec(2)),
         np.linspace(6.4, 9.0, 1301),
         np.linspace(7.9, 8.1, 3),
@@ -602,7 +592,7 @@ def test_s21_dark_segment_stays_suppressed_on_pi0(tmp_path):
     }
     omegas = np.array(sorted(column))
     values = np.array([column[w] for w in omegas])
-    eigen = branch_frequencies(preset_system("cavity-pi0-table2"), [8.0])[0]
+    eigen = branch_frequencies(preset("cavity-pi0-table2"), [8.0])[0]
     dark = eigen[np.argmin(np.abs(eigen - 8.0))]
     near_dark = values[np.abs(omegas - dark) <= 0.01]
     assert np.max(near_dark) < np.max(values) - 15.0
@@ -843,27 +833,9 @@ def test_fieldmap_export_beyond_the_length_ceiling_exits_2_without_warnings(tmp_
 # ====== fit command ======
 
 
-def fit_truth_system():
-    return SystemModel(
-        modes=(
-            ModeSpec("c1", "photon", 4.527),
-            ModeSpec("c2", "photon", 6.19),
-            ModeSpec("m1", "magnon", 5.36),
-            ModeSpec("m2", "magnon", 5.36),
-        ),
-        edges=(
-            CouplingEdge("c1", "m1", 81.0, 0.0),
-            CouplingEdge("c1", "m2", 81.0, math.pi),
-            CouplingEdge("c2", "m1", 120.0, 0.0),
-            CouplingEdge("c2", "m2", 120.0, 0.0),
-        ),
-        magnon_sweep_target=frozenset({"m1", "m2"}),
-    )
-
-
 def write_fit_inputs(tmp_path):
     grid = np.linspace(4.4, 6.3, 8)
-    table = branch_frequencies(fit_truth_system(), grid)
+    table = branch_frequencies(fit_device(), grid)
     lines = ["omega_m_ghz,omega_peak_ghz"]
     for i, omega_m in enumerate(grid):
         for peak in table[i]:
@@ -906,7 +878,7 @@ def test_fit_with_no_free_parameter_reports_each_hypothesis_residual(tmp_path):
     assert result.exit_code == 0, result.output
     report = json.loads(result.stdout)
     dataset = dataset_from_csv(data.read_text())
-    fit_spec, initial, _ = fit_spec_from_document(document, preset_system("cavity-pi-fit"))
+    fit_spec, initial, _ = fit_spec_from_document(document, preset("cavity-pi-fit"))
     residuals = [residual(fit_spec, initial, h, dataset) for h in fit_spec.theta_hypotheses]
     assert initial == ()
     assert [h["theta_assignment_rad"] for h in report["per_hypothesis"]] == [[math.pi], [0.0]]
@@ -1125,8 +1097,8 @@ def test_an_edge_beyond_the_rotating_wave_limit_warns_once_on_stderr(tmp_path):
         assert (result.exit_code, result.output) == (0, warning)
     system = system_from_document(config["system"])
     assert out.read_text() == map_to_csv(s21_map(
-        system, (PortSpec(1), PortSpec(2)), grid_from("probe_grid", "cavity-pi-fit"),
-        grid_from("magnon_grid", "cavity-pi-fit")))
+        system, (PortSpec(1), PortSpec(2)), preset_grid("cavity-pi-fit", "probe_grid"),
+        preset_grid("cavity-pi-fit", "magnon_grid")))
     data, spec = write_fit_inputs(tmp_path)
     spec.write_text(json.dumps({"system": config["system"], "free_couplings": ["c1"],
                                 "theta_hypotheses": [["pi"]], "initial": [0.08],
@@ -1152,7 +1124,7 @@ def arguments_of(monkeypatch, name):
 
 def test_ports_loader_returns_what_s21_builds(tmp_path, monkeypatch):
     seen = arguments_of(monkeypatch, "s21_map")
-    system = preset_system("cavity-pi-table1")
+    system = preset("cavity-pi-table1")
     for ports_doc in (None, {"1": {"c1": 5.0}, "2": None}, {"1": None, "2": {"c2": 0.5}}):
         path = write_config(tmp_path, lambda config: config.update(ports=ports_doc))
         assert run("s21", "--config", str(path)).exit_code == 1
@@ -1162,7 +1134,7 @@ def test_ports_loader_returns_what_s21_builds(tmp_path, monkeypatch):
 
 def test_ports_loader_raises_the_message_s21_prints():
     with pytest.raises(SchemaError) as error:
-        ports_from_document({"1": 5.0, "2": None}, preset_system("cavity-pi-table1"))
+        ports_from_document({"1": 5.0, "2": None}, preset("cavity-pi-table1"))
     assert str(error.value) == "ports.1: expected null or a label->rate object"
 
 
@@ -1204,7 +1176,7 @@ def test_fit_spec_loader_returns_what_fit_builds(tmp_path, monkeypatch):
         fit_spec, dataset, initial, max_iterations = seen.pop()
         assert dataset == dataset_from_csv(data.read_text())
         assert (fit_spec, initial, max_iterations) == fit_spec_from_document(
-            document, preset_system("cavity-pi-fit"))
+            document, preset("cavity-pi-fit"))
     assert fit_spec.bounds == {"g:c1": (0.05, 0.1)} and max_iterations == 7
     assert initial == (4.52, 6.195, 0.078, 0.118)
     assert fit_spec.theta_hypotheses == ((math.pi,), (0.0,))
@@ -1214,7 +1186,7 @@ def test_fit_spec_loader_raises_the_message_fit_prints(tmp_path):
     document = json.loads(write_fit_inputs(tmp_path)[1].read_text())
     document["initial"] = [4.52]
     with pytest.raises(SchemaError) as error:
-        fit_spec_from_document(document, preset_system("cavity-pi-fit"))
+        fit_spec_from_document(document, preset("cavity-pi-fit"))
     assert str(error.value) == "fit spec: 'initial' must hold 4 value(s), got 1"
 
 

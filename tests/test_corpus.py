@@ -17,10 +17,10 @@ import sys
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from devices import fit_device, preset, preset_grid
 from synthfields import circulating_field, pi_device_posts, sphere_grid
 
 from loopmag.cli import PRESETS, main
-from loopmag.model import system_from_document
 from loopmag.spectrum import branch_frequencies
 from loopmag.transmission import PortSpec, extract_peaks, s21_map
 
@@ -83,9 +83,8 @@ def field_export(rng, posts, centers, radius, weighted: bool) -> str:
 
 def peak_csv(rng) -> str:
     """64 noisy peaks of the cavity-pi-fit device: 16 magnon points, 4 branches."""
-    system = system_from_document(PRESETS["cavity-pi-fit"]["system"])
     grid = np.linspace(4.4, 6.3, 16)
-    table = branch_frequencies(system, grid) + 1e-3 * rng.standard_normal((16, 4))
+    table = branch_frequencies(fit_device(), grid) + 1e-3 * rng.standard_normal((16, 4))
     lines = ["omega_m_ghz,omega_peak_ghz,sigma_ghz"]
     for omega_m, row in zip(grid.tolist(), table.tolist()):
         lines += ["%r,%r,0.001" % (omega_m, peak) for peak in row]
@@ -153,15 +152,13 @@ def test_s21_sidecar_matches_the_recorded_hash(name, inputs, tmp_path):
     assert sha256((tmp_path / "map.csv.json").read_text()) == SIDECAR_SHA256[name]
 
 
-@pytest.mark.parametrize("preset", sorted(PEAKS_SHA256))
-def test_peaks_on_every_map_column_match_the_recorded_hash(preset):
-    doc = PRESETS[preset]
-    grids = [np.linspace(g["start_ghz"], g["stop_ghz"], g["points"])
-             for g in (doc["probe_grid"], doc["magnon_grid"])]
-    tmap = s21_map(system_from_document(doc["system"]), (PortSpec(1), PortSpec(2)), *grids)
+@pytest.mark.parametrize("name", sorted(PEAKS_SHA256))
+def test_peaks_on_every_map_column_match_the_recorded_hash(name):
+    tmap = s21_map(preset(name), (PortSpec(1), PortSpec(2)), preset_grid(name, "probe_grid"),
+                   preset_grid(name, "magnon_grid"))
     peaks = [extract_peaks(tmap, j) for j in range(tmap.omega_m_grid.size)]
     assert sum(map(len, peaks)) > 0
-    assert sha256(repr(peaks)) == PEAKS_SHA256[preset]
+    assert sha256(repr(peaks)) == PEAKS_SHA256[name]
 
 
 @pytest.mark.parametrize("name", ["s21 cavity-pi0-table2", "fit"])

@@ -11,23 +11,14 @@ from loopmag.calibrate import FitSpec, PeakDataset, fit_spec_from_document, resi
 from loopmag.cli import PRESETS
 from loopmag.fieldmap import FieldTable, coupling_table, field_table_from_csv, regions_from_document
 from loopmag.gauge import Cycle, build_graph, loop_phase, reduce_system
-from loopmag.model import ModeSpec, SystemModel, apply_vertex_phases, fold_phase, system_from_document
+from loopmag.model import ModeSpec, SystemModel, apply_vertex_phases, fold_phase
 from loopmag.spectrum import branch_frequencies, sweep
 from loopmag.transmission import PortSpec, ports_from_document, s21_map
+from devices import preset, preset_grid, random_system
 from synthfields import pi_device_exports
-from test_gauge import random_system
 
 ROTATIONS = 5
 RANDOM_DEVICES = 20
-
-
-def preset(name) -> SystemModel:
-    return system_from_document(PRESETS[name]["system"])
-
-
-def preset_grid(name, key) -> np.ndarray:
-    spec = PRESETS[name][key]
-    return np.linspace(spec["start_ghz"], spec["stop_ghz"], spec["points"])
 
 
 def rotated(name) -> tuple:
@@ -163,7 +154,7 @@ def random_devices():
     """RANDOM_DEVICES seeded random devices, each with one transformed copy."""
     rng = np.random.default_rng(2023)
     for _ in range(RANDOM_DEVICES):
-        system = random_system(rng, max_magnons=4)
+        system = random_system(rng, 4, 0.55)
         yield system, *transformed(system, rng)
 
 

@@ -22,87 +22,9 @@ from loopmag.model import (
     build_hamiltonian,
     fold_phase,
 )
+from devices import component_count, preset, random_system, table1_device
 
 PI = math.pi
-
-
-def pi_device():
-    return SystemModel(
-        modes=(
-            ModeSpec("c1", "photon", 4.524),
-            ModeSpec("c2", "photon", 6.378),
-            ModeSpec("m1", "magnon", 5.36),
-            ModeSpec("m2", "magnon", 5.36),
-        ),
-        edges=(
-            CouplingEdge("c1", "m1", 139.0, -PI / 2),
-            CouplingEdge("c1", "m2", 139.0, -PI / 2),
-            CouplingEdge("c2", "m1", 207.0, PI / 2),
-            CouplingEdge("c2", "m2", 207.0, -PI / 2),
-        ),
-        magnon_sweep_target=frozenset({"m1", "m2"}),
-    )
-
-
-def pi0_device():
-    phases = {
-        ("c1", "m1"): -PI / 2,
-        ("c1", "m2"): -PI / 2,
-        ("c2", "m1"): PI / 2,
-        ("c2", "m2"): -PI / 2,
-        ("c3", "m1"): PI / 2,
-        ("c3", "m2"): -PI / 2,
-    }
-    strengths = {"c1": 130.0, "c2": 150.0, "c3": 104.0}
-    edges = tuple(
-        CouplingEdge(p, m, strengths[p], phases[(p, m)])
-        for p in ("c1", "c2", "c3")
-        for m in ("m1", "m2")
-    )
-    modes = (
-        ModeSpec("c1", "photon", 6.594),
-        ModeSpec("c2", "photon", 7.562),
-        ModeSpec("c3", "photon", 8.619),
-        ModeSpec("m1", "magnon", 7.5),
-        ModeSpec("m2", "magnon", 7.5),
-    )
-    return SystemModel(modes, edges, frozenset({"m1", "m2"}))
-
-
-def random_system(rng, max_photons=4, max_magnons=3):
-    n_p = int(rng.integers(1, max_photons + 1))
-    n_m = int(rng.integers(1, max_magnons + 1))
-    modes = [ModeSpec(f"c{i}", "photon", float(rng.uniform(3, 9))) for i in range(n_p)]
-    modes += [ModeSpec(f"m{i}", "magnon", float(rng.uniform(3, 9))) for i in range(n_m)]
-    edges = []
-    for p in range(n_p):
-        for m in range(n_m):
-            if rng.uniform() < 0.55:
-                edges.append(
-                    CouplingEdge(
-                        f"c{p}",
-                        f"m{m}",
-                        float(rng.uniform(10, 300)),
-                        float(rng.uniform(-PI, PI)),
-                    )
-                )
-    return SystemModel(tuple(modes), tuple(edges), frozenset(f"m{m}" for m in range(n_m)))
-
-
-def component_count(labels, pairs):
-    parent = {v: v for v in labels}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v) for v in labels})
 
 
 def cycle_walk_for_chord(chord, tree_edges, phase_of):
@@ -145,7 +67,7 @@ def tree_loop_phase(chord, tree_edges, phase_of):
 
 
 def test_build_graph_pi_device():
-    g = build_graph(pi_device())
+    g = build_graph(table1_device())
     assert set(g.vertices) == {"c1", "c2", "m1", "m2"}
     assert len(g.edges) == 4
     assert component_count(g.vertices, [(e.photon, e.magnon) for e in g.edges]) == 1
@@ -175,7 +97,7 @@ def test_build_graph_empty():
 
 
 def test_build_graph_pi0_counts():
-    g = build_graph(pi0_device())
+    g = build_graph(preset("cavity-pi0-table2"))
     assert len(g.edges) == 6
     assert len(g.vertices) == 5
 
@@ -184,7 +106,7 @@ def test_build_graph_pi0_counts():
 
 
 def test_cycle_basis_pi_device():
-    cycles = cycle_basis(build_graph(pi_device()))
+    cycles = cycle_basis(build_graph(table1_device()))
     assert len(cycles) == 1
     assert len(cycles[0].edges) == 4
     # bipartite cycles alternate photon / magnon vertices
@@ -211,7 +133,7 @@ def test_cycle_basis_tree_graph():
 
 
 def test_cycle_basis_pi0_two_cycles():
-    cycles = cycle_basis(build_graph(pi0_device()))
+    cycles = cycle_basis(build_graph(preset("cavity-pi0-table2")))
     assert len(cycles) == 2
     # deterministic chord order: first cycle runs through c1 and c2,
     # second through c3 and c2
@@ -223,13 +145,13 @@ def test_cycle_basis_pi0_two_cycles():
 
 
 def test_loop_phase_pi_pattern():
-    g = build_graph(pi_device())
+    g = build_graph(table1_device())
     (cycle,) = cycle_basis(g)
     assert abs(fold_phase(loop_phase(cycle, g) - PI)) < 1e-12
 
 
 def test_loop_phase_equal_phases_cancel():
-    system = pi_device()
+    system = table1_device()
     edges = tuple(
         CouplingEdge(e.photon, e.magnon, e.strength, 0.7) for e in system.edges
     )
@@ -240,13 +162,13 @@ def test_loop_phase_equal_phases_cancel():
 
 
 def test_loop_phase_pi0_second_cycle_zero():
-    g = build_graph(pi0_device())
+    g = build_graph(preset("cavity-pi0-table2"))
     cycles = cycle_basis(g)
     assert abs(loop_phase(cycles[1], g)) < 1e-12
 
 
 def test_loop_phase_rejects_open_cycle():
-    g = build_graph(pi_device())
+    g = build_graph(table1_device())
     (cycle,) = cycle_basis(g)
     broken = Cycle(vertices=cycle.vertices[:3], edges=cycle.edges[:3], chord=cycle.chord)
     with pytest.raises(ValueError):
@@ -254,7 +176,7 @@ def test_loop_phase_rejects_open_cycle():
 
 
 def test_loop_phase_rejects_a_walk_of_fewer_than_two_edges():
-    g = build_graph(pi_device())
+    g = build_graph(table1_device())
     (cycle,) = cycle_basis(g)
     for n in (0, 1):
         short = Cycle(vertices=cycle.vertices[:n], edges=cycle.edges[:n], chord=cycle.chord)
@@ -266,7 +188,7 @@ def test_loop_phase_rejects_a_walk_of_fewer_than_two_edges():
 
 
 def test_reduce_pi_device_frozen_values():
-    red = reduce_system(pi_device())
+    red = reduce_system(table1_device())
     want_vertex = {"c1": 0.0, "m1": -PI / 2, "c2": PI, "m2": PI / 2}
     assert set(red.vertex_phases) == set(want_vertex)
     for label, want in want_vertex.items():
@@ -280,7 +202,7 @@ def test_reduce_pi_device_frozen_values():
 
 
 def test_reduce_phase_free_system():
-    system = pi_device()
+    system = table1_device()
     edges = tuple(CouplingEdge(e.photon, e.magnon, e.strength, 0.0) for e in system.edges)
     red = reduce_system(SystemModel(system.modes, edges, system.magnon_sweep_target))
     assert all(abs(v) < 1e-12 for v in red.vertex_phases.values())
@@ -289,7 +211,7 @@ def test_reduce_phase_free_system():
 
 
 def test_reduce_pi0_theta_set_and_cycles():
-    red = reduce_system(pi0_device())
+    red = reduce_system(preset("cavity-pi0-table2"))
     thetas = [p.theta for p in red.physical_phases]
     assert len(thetas) == 2
     assert abs(fold_phase(thetas[0] - PI)) < 1e-9
@@ -299,7 +221,7 @@ def test_reduce_pi0_theta_set_and_cycles():
 
 
 def test_reduced_edges_equal_apply_vertex_phases_exactly():
-    for system in (pi_device(), pi0_device()):
+    for system in (table1_device(), preset("cavity-pi0-table2")):
         red = reduce_system(system)
         applied = apply_vertex_phases(system, red.vertex_phases)
         triples = tuple((e.photon, e.magnon, e.phase) for e in applied.edges)
@@ -309,7 +231,7 @@ def test_reduced_edges_equal_apply_vertex_phases_exactly():
 def test_theta_equals_reduced_chord_phase():
     rng = np.random.default_rng(5)
     for _ in range(40):
-        system = random_system(rng)
+        system = random_system(rng, 3, 0.55)
         red = reduce_system(system)
         reduced_by_pair = {(p, m): phase for (p, m, phase) in red.reduced_edges}
         graph = build_graph(system)
@@ -328,7 +250,7 @@ def test_pi0_theta_values_over_all_spanning_trees():
     the cycle space, checked here by decomposing each fundamental cycle over
     the two plaquette generators with integer coefficients.
     """
-    system = pi0_device()
+    system = preset("cavity-pi0-table2")
     phase_of = {(e.photon, e.magnon): e.phase for e in system.edges}
     all_edges = list(phase_of)
     edge_pos = {pair: k for k, pair in enumerate(all_edges)}
@@ -385,7 +307,7 @@ def test_pi0_theta_values_over_all_spanning_trees():
 def test_reduction_idempotent():
     rng = np.random.default_rng(8)
     for _ in range(30):
-        system = random_system(rng)
+        system = random_system(rng, 3, 0.55)
         red = reduce_system(system)
         again = reduce_system(apply_vertex_phases(system, red.vertex_phases))
         assert all(abs(fold_phase(v)) < 1e-9 for v in again.vertex_phases.values())
@@ -397,7 +319,7 @@ def test_reduction_idempotent():
 def test_loop_phases_gauge_invariant_property():
     rng = np.random.default_rng(21)
     for _ in range(100):
-        system = random_system(rng)
+        system = random_system(rng, 3, 0.55)
         base = reduce_system(system)
         labels = [m.label for m in system.modes]
         alphas = {lab: float(rng.uniform(-6, 6)) for lab in labels}
@@ -410,7 +332,7 @@ def test_loop_phases_gauge_invariant_property():
 def test_counting_law_random_systems():
     rng = np.random.default_rng(33)
     for _ in range(100):
-        system = random_system(rng)
+        system = random_system(rng, 3, 0.55)
         red = reduce_system(system)
         pairs = [(e.photon, e.magnon) for e in system.edges]
         labels = tuple({v for pair in pairs for v in pair})
@@ -422,7 +344,7 @@ def test_counting_law_random_systems():
 
 def test_reduction_preserves_spectrum():
     rng = np.random.default_rng(44)
-    for system in (pi_device(), pi0_device()):
+    for system in (table1_device(), preset("cavity-pi0-table2")):
         red = reduce_system(system)
         reduced_system = apply_vertex_phases(system, red.vertex_phases)
         labels = [m.label for m in system.modes]
@@ -477,7 +399,7 @@ def test_disconnected_components_reduced_per_component():
 
 
 def test_reduction_document_shape():
-    red = reduce_system(pi0_device())
+    red = reduce_system(preset("cavity-pi0-table2"))
     doc = reduction_to_document(red)
     assert set(doc) == {"vertex_phases", "physical_phases"}
     assert len(doc["physical_phases"]) == 2

@@ -1,9 +1,10 @@
 """The collector of tools/linetrace.py, on a fixture module with one untested branch."""
 
-import importlib.util
 import pathlib
 import sys
 import threading
+
+from devices import load
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "linetrace.py"
 
@@ -19,13 +20,6 @@ def sign(x):
 def double(x):
     return 2 * x
 '''
-
-
-def load(name, path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_unrun_lines_lists_exactly_the_untested_branch(tmp_path):

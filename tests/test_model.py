@@ -39,6 +39,7 @@ from loopmag.model import (
 )
 from loopmag.spectrum import branch_frequencies, sweep
 from loopmag.transmission import S21_FLOOR, PortSpec, s21_map
+from devices import fit_device, random_system
 from oracles import OracleError, char_poly_eigenvalues
 from oracles import read_numeric_csv as float_loop_read_numeric_csv
 
@@ -54,44 +55,6 @@ def single_pair_system(g_mhz=139.0, phase=-PI / 2, omega_c=4.524):
         edges=(CouplingEdge("c1", "m1", g_mhz, phase),),
         magnon_sweep_target=frozenset({"m1"}),
     )
-
-
-def cavity_pi_fit_system(theta=PI):
-    # two photons, two magnons, couplings in the loop-reduced pattern
-    return SystemModel(
-        modes=(
-            ModeSpec("c1", "photon", 4.527),
-            ModeSpec("c2", "photon", 6.19),
-            ModeSpec("m1", "magnon", 5.36),
-            ModeSpec("m2", "magnon", 5.36),
-        ),
-        edges=(
-            CouplingEdge("c1", "m1", 81.0, 0.0),
-            CouplingEdge("c1", "m2", 81.0, theta),
-            CouplingEdge("c2", "m1", 120.0, 0.0),
-            CouplingEdge("c2", "m2", 120.0, 0.0),
-        ),
-        magnon_sweep_target=frozenset({"m1", "m2"}),
-    )
-
-
-def random_system(rng, max_photons=4, max_magnons=4):
-    n_p = int(rng.integers(1, max_photons + 1))
-    n_m = int(rng.integers(1, max_magnons + 1))
-    photons = [f"c{i}" for i in range(n_p)]
-    magnons = [f"m{i}" for i in range(n_m)]
-    modes = [ModeSpec(p, "photon", float(rng.uniform(3.0, 9.0))) for p in photons]
-    modes += [ModeSpec(m, "magnon", float(rng.uniform(3.0, 9.0))) for m in magnons]
-    edges = []
-    for p in photons:
-        for m in magnons:
-            if rng.uniform() < 0.6:
-                edges.append(
-                    CouplingEdge(
-                        p, m, float(rng.uniform(10.0, 300.0)), float(rng.uniform(-PI, PI))
-                    )
-                )
-    return SystemModel(tuple(modes), tuple(edges), frozenset(magnons))
 
 
 # ====== phase folding ======
@@ -265,7 +228,7 @@ def test_non_target_magnon_keeps_frequency():
 
 
 def test_loop_system_matches_polynomial_oracle():
-    system = cavity_pi_fit_system()
+    system = fit_device()
     h = build_hamiltonian(system, 5.0)
     from loopmag.spectrum import eig_hermitian
 
@@ -492,7 +455,7 @@ def test_csv_rows_equal_a_row_template_across_blocks():
 def test_hermiticity_property_random_systems():
     rng = np.random.default_rng(7)
     for _ in range(120):
-        system = random_system(rng)
+        system = random_system(rng, 4, 0.6)
         h = build_hamiltonian(system, float(rng.uniform(3.0, 9.0))).entries
         scale = max(np.linalg.norm(h), 1e-300)
         assert np.linalg.norm(h - h.conj().T) <= 1e-12 * scale
@@ -519,7 +482,7 @@ def test_rwa_table_values():
 
 def test_rwa_ratios_need_no_mode_lookup_per_edge(monkeypatch):
     rng = np.random.default_rng(16)
-    systems = [random_system(rng) for _ in range(60)]
+    systems = [random_system(rng, 4, 0.6) for _ in range(60)]
     ratios = [[(e.strength * 1e-3) / s.mode(e.photon).frequency for e in s.edges] for s in systems]
 
     def no_lookup(self, label):
@@ -583,7 +546,7 @@ def test_stacks_beyond_the_budget_raise_before_they_are_allocated(monkeypatch):
 
 
 def test_identity_rotation():
-    system = cavity_pi_fit_system()
+    system = fit_device()
     rotated = apply_vertex_phases(system, {"c1": 0.0, "m2": 0.0})
     assert rotated == system
 
@@ -623,7 +586,7 @@ def test_rotation_is_exact_diagonal_similarity():
     rng = np.random.default_rng(12)
     checked_with_oracle = 0
     for trial in range(120):
-        system = random_system(rng)
+        system = random_system(rng, 4, 0.6)
         labels = [m.label for m in system.modes]
         alphas = {lab: float(rng.uniform(-4 * PI, 4 * PI)) for lab in labels}
         omega_m = float(rng.uniform(3.0, 9.0))
@@ -658,7 +621,7 @@ def test_parse_phase_strings():
 
 
 def test_document_round_trip():
-    system = cavity_pi_fit_system()
+    system = fit_device()
     doc = system_to_document(system)
     assert doc["sweep"] == ["m1", "m2"]
     assert doc["modes"][0]["frequency_ghz"] == 4.527

@@ -1,8 +1,9 @@
 """tools/mutants.py on a fixture module: its sites, a killed mutant, a survivor, a timeout."""
 
-import importlib.util
 import json
 import pathlib
+
+from devices import load
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "mutants.py"
 
@@ -34,13 +35,6 @@ def test_check():
     with pytest.raises(ValueError):
         check(float("nan"))
 '''
-
-
-def load(name, path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def fixture_tree(tmp_path, test=FIXTURE_TEST) -> pathlib.Path:
@@ -84,3 +78,12 @@ def test_a_run_past_its_timeout_is_reported_as_timed_out(tmp_path):
     mutants = load("mutants", TOOL)
     root = fixture_tree(tmp_path, "import time\n\n\ndef test_sleeps():\n    time.sleep(60)\n")
     assert mutants.run_tests(root, ["tests/test_fixture.py"], 1.0) == "timed_out"
+
+
+def test_the_default_tests_add_the_cli_tests_once():
+    mutants = load("mutants", TOOL)
+    assert mutants.default_pytest_args("src/loopmag/calibrate.py") == [
+        "tests/test_calibrate.py", "tests/test_cli.py", "tests/test_corpus.py",
+        "tests/test_acceptance.py"]
+    assert mutants.default_pytest_args("src/loopmag/cli.py") == [
+        "tests/test_cli.py", "tests/test_corpus.py", "tests/test_acceptance.py"]

@@ -14,6 +14,7 @@ import pytest
 import loopmag
 
 SRC_DIR = pathlib.Path(loopmag.__file__).parent
+TESTS_DIR = pathlib.Path(__file__).resolve().parent
 
 EXPORTED = {
     "CouplingEdge", "CouplingGraph", "Cycle", "DEFAULT_CONSTANTS", "DEFAULT_SIGMA_GHZ",
@@ -170,3 +171,22 @@ def test_only_model_anchored_reraises_a_value_errors_message_as_a_schema_error()
                         and any(isinstance(node, ast.Raise) for node in ast.walk(handler))):
                     rewrites.append((path.name, function.name))
     assert rewrites == [("model.py", "anchored")]
+
+
+def test_no_two_test_functions_share_a_body():
+    # a shared device or helper lives once, in devices.py; a one-statement body may repeat
+    seen = {}
+    for path in sorted(TESTS_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and len(node.body) >= 2:
+                where = "%s:%d %s" % (path.name, node.lineno, node.name)
+                first = seen.setdefault(ast.dump(ast.Module(node.body, [])), where)
+                assert first == where, "%s has the body of %s" % (where, first)
+
+
+def test_no_test_module_imports_another():
+    for path in sorted(TESTS_DIR.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        names = [node.module or "" for node in nodes if isinstance(node, ast.ImportFrom)]
+        names += [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
+        assert not [name for name in names if name.startswith("test_")], path.name

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from loopmag.cli import PRESETS
-from loopmag.model import (CouplingEdge, ModeSpec, SystemModel, build_hamiltonian,
-                           system_from_document)
+from loopmag.model import CouplingEdge, ModeSpec, SystemModel, build_hamiltonian
 from loopmag.spectrum import (
     DEGENERACY_CLUSTER_GHZ,
     GapReport,
@@ -21,61 +20,10 @@ from loopmag.spectrum import (
     sweep,
     sweep_to_csv,
 )
+from devices import fit_device, preset, preset_grid, table1_device
 from oracles import OracleError, char_poly_eigenvalues
 
 PI = math.pi
-
-
-def fit_device(theta=PI):
-    return SystemModel(
-        modes=(
-            ModeSpec("c1", "photon", 4.527),
-            ModeSpec("c2", "photon", 6.19),
-            ModeSpec("m1", "magnon", 5.36),
-            ModeSpec("m2", "magnon", 5.36),
-        ),
-        edges=(
-            CouplingEdge("c1", "m1", 81.0, 0.0),
-            CouplingEdge("c1", "m2", 81.0, theta),
-            CouplingEdge("c2", "m1", 120.0, 0.0),
-            CouplingEdge("c2", "m2", 120.0, 0.0),
-        ),
-        magnon_sweep_target=frozenset({"m1", "m2"}),
-    )
-
-
-def table1_device():
-    return SystemModel(
-        modes=(
-            ModeSpec("c1", "photon", 4.524),
-            ModeSpec("c2", "photon", 6.378),
-            ModeSpec("m1", "magnon", 5.36),
-            ModeSpec("m2", "magnon", 5.36),
-        ),
-        edges=(
-            CouplingEdge("c1", "m1", 139.0, -PI / 2),
-            CouplingEdge("c1", "m2", 139.0, -PI / 2),
-            CouplingEdge("c2", "m1", 207.0, PI / 2),
-            CouplingEdge("c2", "m2", 207.0, -PI / 2),
-        ),
-        magnon_sweep_target=frozenset({"m1", "m2"}),
-    )
-
-
-def pi0_device():
-    phases = {"c1": (-PI / 2, -PI / 2), "c2": (PI / 2, -PI / 2), "c3": (PI / 2, -PI / 2)}
-    strengths = {"c1": 130.0, "c2": 150.0, "c3": 104.0}
-    freqs = {"c1": 6.594, "c2": 7.562, "c3": 8.619}
-    modes = tuple(ModeSpec(c, "photon", freqs[c]) for c in ("c1", "c2", "c3")) + (
-        ModeSpec("m1", "magnon", 7.5),
-        ModeSpec("m2", "magnon", 7.5),
-    )
-    edges = tuple(
-        CouplingEdge(c, m, strengths[c], phases[c][k])
-        for c in ("c1", "c2", "c3")
-        for k, m in enumerate(("m1", "m2"))
-    )
-    return SystemModel(modes, edges, frozenset({"m1", "m2"}))
 
 
 def star_device(n_magnons, g_mhz=120.0, omega_c=5.0, extra_photon_offset=None):
@@ -303,7 +251,7 @@ def test_sweep_rejects_a_non_finite_grid(grid):
 
 
 def test_pi0_has_five_branches_and_matches_oracle():
-    system = pi0_device()
+    system = preset("cavity-pi0-table2")
     grid = np.linspace(6.85, 7.40, 10)
     result = sweep(system, grid)
     assert result.branches.shape[1] == 5
@@ -377,7 +325,7 @@ def three_fold_device():
     [
         (three_fold_device(), [4.5, 4.9, 5.0, 5.1, 6.05]),
         (star_device(8), np.linspace(4.8, 5.2, 41)),
-        (pi0_device(), np.linspace(6.4, 9.0, 2001)),
+        (preset("cavity-pi0-table2"), np.linspace(6.4, 9.0, 2001)),
     ],
 )
 def test_sweep_cluster_weights_equal_the_per_row_average(system, grid):
@@ -405,9 +353,8 @@ def test_branch_frequencies_matches_sweep():
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_branch_frequencies_matches_sweep_on_each_preset(name):
-    system = system_from_document(PRESETS[name]["system"])
-    spec = PRESETS[name]["magnon_grid"]
-    grid = np.linspace(spec["start_ghz"], spec["stop_ghz"], spec["points"])
+    system = preset(name)
+    grid = preset_grid(name, "magnon_grid")
     assert np.array_equal(branch_frequencies(system, grid), sweep(system, grid).branches)
 
 
@@ -442,7 +389,7 @@ def test_min_gap_fit_device_middle_branches():
 
 
 def test_min_gap_theta_zero_crossing():
-    system = fit_device(theta=0.0)
+    system = fit_device((0.0, 0.0, 0.0, 0.0))
     grid = np.linspace(4.0, 7.0, 601)
     result = sweep(system, grid)
     report = min_gap(result, 1, 2, (4.7, 6.0), system=system)
@@ -482,9 +429,7 @@ def test_min_gap_rejects_an_empty_window():
 
 @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
 def test_min_gap_rejects_a_non_finite_threshold_after_the_branch_and_window_checks(threshold):
-    system = system_from_document(PRESETS["cavity-pi-fit"]["system"])
-    spec = PRESETS["cavity-pi-fit"]["magnon_grid"]
-    result = sweep(system, np.linspace(spec["start_ghz"], spec["stop_ghz"], spec["points"]))
+    result = sweep(fit_device(), preset_grid("cavity-pi-fit", "magnon_grid"))
     with pytest.raises(ValueError, match="^crossing_threshold_ghz must be finite$"):
         min_gap(result, 1, 2, (5.1, 5.6), crossing_threshold_ghz=threshold)
     with pytest.raises(ValueError, match="^branch index 4 out of range$"):
@@ -495,9 +440,8 @@ def test_min_gap_rejects_a_non_finite_threshold_after_the_branch_and_window_chec
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_min_gap_refinement_reaches_a_fine_scan_of_its_bracket(name):
-    system = system_from_document(PRESETS[name]["system"])
-    spec = PRESETS[name]["magnon_grid"]
-    grid = np.linspace(spec["start_ghz"], spec["stop_ghz"], spec["points"])
+    system = preset(name)
+    grid = preset_grid(name, "magnon_grid")
     result = sweep(system, grid)
     for a in range(result.branches.shape[1] - 1):
         gaps = np.abs(result.branches[:, a + 1] - result.branches[:, a])
@@ -579,16 +523,14 @@ def test_dark_mode_metric_fit_device_not_dark():
 
 
 def test_dark_mode_metric_pi0_crossing_branch():
-    result = sweep(pi0_device(), np.linspace(7.58, 8.60, 205))
+    result = sweep(preset("cavity-pi0-table2"), np.linspace(7.58, 8.60, 205))
     floor = min(dark_mode_metric(result, b) for b in range(1, 4))
     assert 5e-3 < floor < 2e-2
 
 
 @pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, np.float64(1.0), np.bool_(True), "1", None])
 def test_branch_indices_must_be_integers_before_the_range_check(bad):
-    system = system_from_document(PRESETS["cavity-pi-fit"]["system"])
-    spec = PRESETS["cavity-pi-fit"]["magnon_grid"]
-    result = sweep(system, np.linspace(spec["start_ghz"], spec["stop_ghz"], spec["points"]))
+    result = sweep(fit_device(), preset_grid("cavity-pi-fit", "magnon_grid"))
     got = re.escape(repr(bad))
     with pytest.raises(ValueError, match="^branch_a: expected an integer, got %s$" % got):
         min_gap(result, bad, 2, (5.1, 5.6))
@@ -685,10 +627,8 @@ def template_sweep_csv(result):
 
 
 def test_sweep_csv_equals_the_template_writer_on_a_preset_at_bench_size():
-    doc = PRESETS["cavity-pi0-table2"]
-    grid = doc["magnon_grid"]
-    result = sweep(system_from_document(doc["system"]),
-                   np.linspace(grid["start_ghz"], grid["stop_ghz"], 2001))
+    name = "cavity-pi0-table2"
+    result = sweep(preset(name), preset_grid(name, "magnon_grid", 2001))
     assert sweep_to_csv(result).split("\n") == template_sweep_csv(result).split("\n")
 
 

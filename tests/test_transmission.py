@@ -26,7 +26,6 @@ from loopmag.model import (
     build_hamiltonian,
     csv_rows,
     hamiltonians,
-    system_from_document,
 )
 from loopmag.spectrum import eig_hermitian
 from loopmag.transmission import (
@@ -46,6 +45,7 @@ from loopmag.transmission import (
     s21_at,
     s21_map,
 )
+from devices import fit_device, preset, preset_grid, table1_device
 from synthfields import pi_device_exports
 
 PI = math.pi
@@ -63,58 +63,6 @@ def single_photon(kappa_int=5.0):
 
 def symmetric_ports(rate_mhz=5.0, label="c"):
     return (PortSpec(1, {label: rate_mhz}), PortSpec(2, {label: rate_mhz}))
-
-
-def fit_device():
-    return SystemModel(
-        modes=(
-            ModeSpec("c1", "photon", 4.527),
-            ModeSpec("c2", "photon", 6.19),
-            ModeSpec("m1", "magnon", 5.36),
-            ModeSpec("m2", "magnon", 5.36),
-        ),
-        edges=(
-            CouplingEdge("c1", "m1", 81.0, 0.0),
-            CouplingEdge("c1", "m2", 81.0, PI),
-            CouplingEdge("c2", "m1", 120.0, 0.0),
-            CouplingEdge("c2", "m2", 120.0, 0.0),
-        ),
-        magnon_sweep_target=frozenset({"m1", "m2"}),
-    )
-
-
-def table1_device():
-    return SystemModel(
-        modes=(
-            ModeSpec("c1", "photon", 4.524),
-            ModeSpec("c2", "photon", 6.378),
-            ModeSpec("m1", "magnon", 5.36),
-            ModeSpec("m2", "magnon", 5.36),
-        ),
-        edges=(
-            CouplingEdge("c1", "m1", 139.0, -PI / 2),
-            CouplingEdge("c1", "m2", 139.0, -PI / 2),
-            CouplingEdge("c2", "m1", 207.0, PI / 2),
-            CouplingEdge("c2", "m2", 207.0, -PI / 2),
-        ),
-        magnon_sweep_target=frozenset({"m1", "m2"}),
-    )
-
-
-def pi0_device():
-    phases = {"c1": (-PI / 2, -PI / 2), "c2": (PI / 2, -PI / 2), "c3": (PI / 2, -PI / 2)}
-    strengths = {"c1": 130.0, "c2": 150.0, "c3": 104.0}
-    freqs = {"c1": 6.594, "c2": 7.562, "c3": 8.619}
-    modes = tuple(ModeSpec(c, "photon", freqs[c]) for c in ("c1", "c2", "c3")) + (
-        ModeSpec("m1", "magnon", 7.5),
-        ModeSpec("m2", "magnon", 7.5),
-    )
-    edges = tuple(
-        CouplingEdge(c, m, strengths[c], phases[c][k])
-        for c in ("c1", "c2", "c3")
-        for k, m in enumerate(("m1", "m2"))
-    )
-    return SystemModel(modes, edges, frozenset({"m1", "m2"}))
 
 
 def random_loop_system(rng, phase_pool):
@@ -407,17 +355,10 @@ def per_point_map(system, ports, omega, omega_m):
     return mags
 
 
-def preset_grids(name, probe_points, magnon_points):
-    probe, magnon = PRESETS[name]["probe_grid"], PRESETS[name]["magnon_grid"]
-    return (np.linspace(probe["start_ghz"], probe["stop_ghz"], probe_points),
-            np.linspace(magnon["start_ghz"], magnon["stop_ghz"], magnon_points))
-
-
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_map_equals_the_per_point_solve_on_the_presets(name):
-    system = system_from_document(PRESETS[name]["system"])
-    ports = (PortSpec(1), PortSpec(2))
-    omega, omega_m = preset_grids(name, 1601, 21)
+    system, ports = preset(name), (PortSpec(1), PortSpec(2))
+    omega, omega_m = preset_grid(name, "probe_grid", 1601), preset_grid(name, "magnon_grid", 21)
     tmap = s21_map(system, ports, omega, omega_m)
     diff = np.abs(tmap.magnitude_db - per_point_map(system, ports, omega, omega_m))
     assert diff.max() <= MAP_TOLERANCE_DB
@@ -425,9 +366,8 @@ def test_map_equals_the_per_point_solve_on_the_presets(name):
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_bench_size_maps_keep_the_solve_path_values_and_peak_counts(name):
-    system = system_from_document(PRESETS[name]["system"])
-    ports = (PortSpec(1), PortSpec(2))
-    omega, omega_m = preset_grids(name, 1601, 201)
+    system, ports = preset(name), (PortSpec(1), PortSpec(2))
+    omega, omega_m = preset_grid(name, "probe_grid", 1601), preset_grid(name, "magnon_grid", 201)
     tmap = s21_map(system, ports, omega, omega_m)
     solved = TransmissionMap(omega, omega_m, per_point_map(system, ports, omega, omega_m))
     assert np.abs(tmap.magnitude_db - solved.magnitude_db).max() <= MAP_TOLERANCE_DB
@@ -643,11 +583,9 @@ def template_map_csv(tmap):
 
 
 def test_map_csv_equals_the_template_writer_on_a_preset_at_bench_size():
-    doc = PRESETS["cavity-pi-table1"]
-    probe, magnon = doc["probe_grid"], doc["magnon_grid"]
-    tmap = s21_map(system_from_document(doc["system"]), (PortSpec(1), PortSpec(2)),
-                   np.linspace(probe["start_ghz"], probe["stop_ghz"], 1601),
-                   np.linspace(magnon["start_ghz"], magnon["stop_ghz"], 201))
+    tmap = s21_map(preset("cavity-pi-table1"), (PortSpec(1), PortSpec(2)),
+                   preset_grid("cavity-pi-table1", "probe_grid", 1601),
+                   preset_grid("cavity-pi-table1", "magnon_grid", 201))
     assert map_to_csv(tmap).split("\n") == template_map_csv(tmap).split("\n")
 
 
@@ -829,8 +767,8 @@ def test_extract_peaks_index_validation():
 
 @pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, np.float64(0.0), np.bool_(False), "0", None])
 def test_map_column_indices_must_be_integers_before_the_range_check(bad):
-    system = system_from_document(PRESETS["cavity-pi-fit"]["system"])
-    tmap = s21_map(system, (PortSpec(1), PortSpec(2)), *preset_grids("cavity-pi-fit", 5, 3))
+    tmap = s21_map(fit_device(), (PortSpec(1), PortSpec(2)), preset_grid("cavity-pi-fit", "probe_grid", 5),
+                   preset_grid("cavity-pi-fit", "magnon_grid", 3))
     message = "^omega_m_index: expected an integer, got %s$" % re.escape(repr(bad))
     with pytest.raises(ValueError, match=message):
         extract_peaks(tmap, bad)
@@ -915,7 +853,7 @@ def test_dark_eigenfrequency_sits_on_an_antiresonance_not_the_background():
 
 
 def test_pi0_crossing_branch_is_strongly_suppressed_in_the_map():
-    system = pi0_device()
+    system = preset("cavity-pi0-table2")
     ports = (PortSpec(1), PortSpec(2))
     omega = np.arange(6.2, 9.2005, 0.0005)
     for om_m in (8.0, 8.619):
@@ -970,7 +908,7 @@ def test_quarter_phase_gauges_are_reciprocal_for_any_ports():
 
 
 def test_presets_are_reciprocal_with_asymmetric_ports():
-    for system in (table1_device(), pi0_device()):
+    for system in (table1_device(), preset("cavity-pi0-table2")):
         labels = system.photon_labels()
         ports = (
             PortSpec(1, {lab: 2.0 + 3.0 * k for k, lab in enumerate(labels)}),

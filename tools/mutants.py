@@ -19,8 +19,9 @@ only to the copy; the report goes to --out, which must lie outside --root's src/
 
 Usage: python tools/mutants.py --file src/loopmag/calibrate.py --seed 1 --sample 40
            --out /tmp/MUTANTS_calibrate.json [--root DIR] [pytest args]
-The default pytest arguments are tests/test_<module>.py, tests/test_corpus.py
-and tests/test_acceptance.py.
+The default pytest arguments are tests/test_<module>.py, tests/test_cli.py
+(where every document loader is tested), tests/test_corpus.py and
+tests/test_acceptance.py, each listed once.
 """
 
 import argparse
@@ -131,6 +132,13 @@ def sweep(root, file, pytest_args, seed, sample) -> dict:
     return report
 
 
+def default_pytest_args(file) -> list:
+    """The test files run against a mutant of file when no pytest arguments are given."""
+    own = "tests/test_%s.py" % pathlib.Path(file).stem
+    return list(dict.fromkeys([own, "tests/test_cli.py", "tests/test_corpus.py",
+                               "tests/test_acceptance.py"]))
+
+
 def main(argv) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", default=str(ROOT), help="the tree to copy (default: this repo)")
@@ -143,9 +151,7 @@ def main(argv) -> int:
     out = pathlib.Path(args.out).resolve()
     if out.is_relative_to(pathlib.Path(args.root).resolve() / "src"):
         parser.error("--out must lie outside the tree's src/")
-    stem = pathlib.Path(args.file).stem
-    pytest_args = args.pytest_args or [
-        "tests/test_%s.py" % stem, "tests/test_corpus.py", "tests/test_acceptance.py"]
+    pytest_args = args.pytest_args or default_pytest_args(args.file)
     report = sweep(args.root, args.file, pytest_args, args.seed, args.sample)
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print("%s: %d site(s), %d killed, %d survived, %d timed out"
