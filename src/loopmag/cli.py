@@ -22,6 +22,7 @@ more BLAS threads only spin-wait, about 70 ms per process.  To run with N
 threads anyway: OPENBLAS_NUM_THREADS=N loopmag ...
 """
 
+import contextlib
 import datetime
 import functools
 import json
@@ -235,11 +236,22 @@ def _warn_rwa(system: SystemModel) -> None:
 # ====== command runner ======
 
 _LOAD_ERRORS = (ValueError, OSError)
+_SLICE_CHARS = 1 << 20  # 1 MiB of ASCII payload per write
 
 
 def _fail(code: int, error) -> None:
     click.echo("error: %s" % error, err=True)
     raise SystemExit(code)
+
+
+def _write(text: str, path) -> None:
+    """Write text to the file at path, or to stdout when path is None, one slice of
+    _SLICE_CHARS at a time: encoding it whole would hold a second copy of the text."""
+    with (open(path, "w") if path is not None
+          else contextlib.nullcontext(click.get_text_stream("stdout"))) as stream:
+        for start in range(0, len(text), _SLICE_CHARS):
+            stream.write(text[start:start + _SLICE_CHARS])
+        stream.flush()
 
 
 def _runs(load):
@@ -258,12 +270,9 @@ def _runs(load):
             _fail(2, error)
         try:
             text, sidecar = compute()
-            if out is None:
-                click.echo(text, nl=False)
-            else:
-                pathlib.Path(out).write_text(text)
-                if sidecar is not None:
-                    pathlib.Path(str(out) + ".json").write_text(sidecar)
+            _write(text, out)
+            if out is not None and sidecar is not None:
+                _write(sidecar, str(out) + ".json")
         except Exception as error:
             _fail(1, error)
 

@@ -154,18 +154,20 @@ def _exponent(values: np.ndarray) -> int:
 
 def _reduced(samples):
     """The positions, weights and real standing-wave field of a table, that
-    field's energy integral, and max|h| of the raw field.
+    field's energy integral, and max|h| of the scaled complex field.
 
     The standing-wave field is the real part after a rotation by the global
-    phase that maximizes the real part's L2 norm.  The field and the weights
-    come back divided by the power of two that brings their largest entry
-    into [0.5, 1), which is exact, so no product below can overflow or
-    underflow; filling factors, phases and the degeneracy floor are ratios
-    of these quantities and do not change.
+    phase that maximizes the real part's L2 norm.  The weights come back
+    divided by the power of two that brings their largest entry into [0.5, 1),
+    and the field by the one that brings its largest real or imaginary part
+    there, which is exact.  So no product below can overflow, and whether one
+    underflows depends on how far the entries spread, not on the table's
+    scale; filling factors, phases and the degeneracy floor are ratios of
+    these quantities and do not change.
     """
     table = _as_table(samples)
     weights = np.ldexp(table.weights, -_exponent(table.weights))
-    e = max(_exponent(table.h.real), _exponent(table.h.imag))
+    e = _exponent(np.stack((table.h.real, table.h.imag)))
     h = np.ldexp(table.h.real, -e) + 1j * np.ldexp(table.h.imag, -e)
     bilinear = np.sum(weights * np.sum(h * h, axis=1))
     psi = 0.0 if bilinear == 0 else -0.5 * np.angle(bilinear)

@@ -495,7 +495,8 @@ def read_numeric_csv(text: str, headers) -> tuple:
 
 # bytes per g9_cells cell: a text of at most 23 characters, NUL-padded, then an end byte
 CELL_BYTES = 24
-# values per block of csv_rows, long_csv_rows and s21_map's residue sum: temporaries of a few MB.
+# values per block of csv_rows, long_csv_rows and s21_map (magnon points whose probe values and
+# matrix entries come to at most this, or one point): temporaries of a few MB.
 # The CSV writers grow their text by +=, which CPython resizes in place (the local is its only
 # reference), so a CSV is held once plus one block, not as blocks and their join. CPython 3.11
 # does so only in the specialized instruction, which it skips while a trace or profile function

@@ -204,37 +204,36 @@ def s21_map(system: SystemModel, ports, omega_grid, omega_m_grid) -> Transmissio
 
     At each magnon point the damped matrix A = iH + Gamma/2 is decomposed
     once, A = R diag(lambda) R^-1, so that
-    S21(omega) = sum_k (d2 . r_k) (R^-1 d1)_k / (lambda_k - i omega).
-    A point whose eigenvector matrix R has a condition number above
-    RESIDUE_COND_LIMIT, or none, is solved per probe frequency instead, as
-    s21_at does, on a stack of one matrix per probe frequency; check_map
-    bounds the map and both stacks first.  Ports whose photons the device
-    decouples give |S21| at rounding level; a value that rounds to exactly
-    zero is reported at S21_FLOOR, not -inf.
+    S21(omega) = sum_k (d2 . r_k) (R^-1 d1)_k / (lambda_k - i omega).  A point whose
+    cond(R) exceeds RESIDUE_COND_LIMIT or is NaN, or whose sum is not finite, is solved
+    per probe frequency instead, as s21_at does, on a stack that check_map bounds first.
+    One loop builds, decomposes, sums and solves the magnon grid in blocks of
+    BLOCK_VALUES // max(probe points, n^2) points.  Decoupled ports give |S21| at
+    rounding level; a value that rounds to exactly zero is reported at S21_FLOOR.
     """
     omega = frequency_axis(omega_grid, "omega_grid")
     omega_m = frequency_axis(omega_m_grid, "omega_m_grid")
     check_map(omega.size, omega_m.size, len(system.modes))
     gamma, d1, d2, defaults = _loss_model(system, *_ordered_ports(ports))
-    damped = 1j * hamiltonians(system, omega_m) + np.diag(gamma) / 2.0
-    lam, r = np.linalg.eig(damped)
-    cond = np.linalg.cond(r)
-    # a NaN condition number compares False here, so it falls back too
-    diagonal = cond <= RESIDUE_COND_LIMIT
-    residues = np.zeros(lam.shape, dtype=np.complex128)
-    left = np.linalg.solve(r[diagonal], d1[:, None])[..., 0]
-    residues[diagonal] = (d2[:, None] * r[diagonal]).sum(axis=1) * left
     mags = np.empty((omega.size, omega_m.size))
     probe = 1j * omega[:, None]
-    width = max(1, BLOCK_VALUES // omega.size)
+    width = max(1, BLOCK_VALUES // max(omega.size, len(system.modes) ** 2))
     for start in range(0, omega_m.size, width):
         block = slice(start, start + width)
-        s21 = np.zeros((omega.size, lam[block].shape[0]), dtype=np.complex128)
-        for k in range(lam.shape[1]):
-            s21 += residues[block, k] / (lam[block, k] - probe)
+        damped = 1j * hamiltonians(system, omega_m[block]) + np.diag(gamma) / 2.0
+        lam, r = np.linalg.eig(damped)
+        # a NaN condition number compares False here, so it falls back too
+        diagonal = np.linalg.cond(r) <= RESIDUE_COND_LIMIT
+        residues = np.zeros(lam.shape, dtype=np.complex128)
+        left = np.linalg.solve(r[diagonal], d1[:, None])[..., 0]
+        residues[diagonal] = (d2[:, None] * r[diagonal]).sum(axis=1) * left
+        s21 = np.zeros((omega.size, lam.shape[0]), dtype=np.complex128)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k in range(lam.shape[1]):
+                s21 += residues[:, k] / (lam[:, k] - probe)
+        for j in np.flatnonzero(~(diagonal & np.isfinite(s21).all(axis=0))):
+            s21[:, j] = _solved(damped[j], omega, d1, d2)
         mags[:, block] = _decibels(s21)
-    for j in np.flatnonzero(~diagonal):
-        mags[:, j] = _decibels(_solved(damped[j], omega, d1, d2))
     return TransmissionMap(omega, omega_m, mags, defaults)
 
 

@@ -1,8 +1,8 @@
 """The suite's devices and shared helpers, each defined once.
 
 The paper's devices are read from loopmag.cli.PRESETS; the rest are built here:
-the 5.36 GHz Table-1 variant, seeded random devices, a union-find component count
-and a loader for modules outside the package.
+the 5.36 GHz Table-1 variant, a photon-magnon chain, seeded random devices, a
+union-find component count and a loader for modules outside the package.
 """
 
 import importlib.util
@@ -23,6 +23,16 @@ def preset_grid(name, key, points=None) -> np.ndarray:
     spec = PRESETS[name][key]
     return np.linspace(spec["start_ghz"], spec["stop_ghz"],
                        spec["points"] if points is None else points)
+
+
+def chain_document(pairs=32) -> dict:
+    """A chain of 2 * pairs modes, photon c0 - magnon m0 - photon c1 - ..., all at 5 GHz,
+    every magnon swept."""
+    modes = [{"label": "%s%d" % (prefix, k), "kind": kind, "frequency_ghz": 5.0}
+             for k in range(pairs) for prefix, kind in (("c", "photon"), ("m", "magnon"))]
+    edges = [{"photon": "c%d" % k, "magnon": "m%d" % j, "g_mhz": 50.0, "phase_rad": 0}
+             for k in range(pairs) for j in (k - 1, k) if j >= 0]
+    return {"modes": modes, "edges": edges, "sweep": ["m%d" % k for k in range(pairs)]}
 
 
 def fit_device(phases=None) -> SystemModel:

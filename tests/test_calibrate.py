@@ -283,7 +283,7 @@ def test_residual_rejects_bad_vectors():
         residual(spec, (4.5, 6.2, 0.08), (math.pi,), data)
     with pytest.raises(ValueError, match="loop"):
         residual(spec, TRUTH, (math.pi, 0.0), data)
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match=r"^parameters must be finite$"):
         residual(spec, (4.5, math.nan, 0.08, 0.12), (math.pi,), data)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=r"^loop phases must be finite$"):

@@ -26,7 +26,7 @@ from loopmag.model import (
 )
 from loopmag.spectrum import branch_frequencies, sweep, sweep_to_csv
 from loopmag.transmission import PortSpec, map_to_csv, ports_from_document, s21_map
-from devices import fit_device, preset, preset_grid
+from devices import chain_document, fit_device, preset, preset_grid
 from synthfields import pi_device_exports
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -359,15 +359,6 @@ def test_grids_at_their_caps_are_accepted(monkeypatch, command, args, sizes):
     result = run(*args, "--preset", "cavity-pi-fit")
     assert (result.exit_code, result.output) == (1, "error: stopped before solving\n")
     assert seen == sizes
-
-
-def chain_document(pairs=32):
-    """A chain of 2 * pairs modes, photon c0 - magnon m0 - photon c1 - ..., all at 5 GHz."""
-    modes = [{"label": "%s%d" % (prefix, k), "kind": kind, "frequency_ghz": 5.0}
-             for k in range(pairs) for prefix, kind in (("c", "photon"), ("m", "magnon"))]
-    edges = [{"photon": "c%d" % k, "magnon": "m%d" % j, "g_mhz": 50.0, "phase_rad": 0}
-             for k in range(pairs) for j in (k - 1, k) if j >= 0]
-    return {"modes": modes, "edges": edges, "sweep": ["m%d" % k for k in range(pairs)]}
 
 
 @pytest.mark.parametrize(

@@ -479,6 +479,22 @@ def test_huge_or_tiny_fields_and_weights_give_the_same_edges(field_scale, weight
             assert coupling_phase(table, regions[0]) == coupling_phase(tables[label], regions[0])
 
 
+@pytest.mark.parametrize("quadrature", [1.0, 1j], ids=["real", "imaginary"])
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e-160, 1e200])
+def test_a_one_quadrature_field_at_any_scale_gives_the_same_edge(scale, quadrature):
+    """The field is scaled by its largest real or imaginary part, so a part that is all
+    zero does not hold it unscaled: at 1e-170 its energy would underflow to zero."""
+    positions = np.array([(0.0, 0.0, 0.0), (1e-3, 0.0, 0.0)])
+    h = quadrature * np.array([(1.0, 0.5, 0.0), (0.5, 1.0, 0.0)])
+    regions, frequencies = [SphereRegion((0.0, 0.0, 0.0), 1e-2, "m1")], {"c1": 5.0}
+
+    def edges(s):
+        return coupling_table({"c1": FieldTable(positions, s * h, np.ones(2))}, regions, frequencies)
+
+    assert edges(1e-3)[0].strength == 27.835143788738602
+    assert edges(scale) == edges(1e-3)
+
+
 def test_coupling_table_reduces_each_mode_once_and_masks_each_pair_once(monkeypatch):
     calls = {"_reduced": 0, "_moments": 0}
     for name in calls:

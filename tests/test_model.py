@@ -39,7 +39,7 @@ from loopmag.model import (
 )
 from loopmag.spectrum import branch_frequencies, sweep
 from loopmag.transmission import S21_FLOOR, PortSpec, s21_map
-from devices import fit_device, random_system
+from devices import chain_document, fit_device, random_system
 from oracles import OracleError, char_poly_eigenvalues
 from oracles import read_numeric_csv as float_loop_read_numeric_csv
 
@@ -500,17 +500,8 @@ def test_rwa_ratios_need_no_mode_lookup_per_edge(monkeypatch):
 # ====== the stack budget ======
 
 
-def chain_system(pairs=32):
-    """A chain of 2 * pairs modes, photon c0 - magnon m0 - photon c1 - ..."""
-    modes = [ModeSpec("%s%d" % (prefix, k), kind, 5.0)
-             for k in range(pairs) for prefix, kind in (("c", "photon"), ("m", "magnon"))]
-    edges = [CouplingEdge("c%d" % k, "m%d" % j, 50.0, 0.0)
-             for k in range(pairs) for j in (k - 1, k) if j >= 0]
-    return SystemModel(tuple(modes), tuple(edges), frozenset("m%d" % k for k in range(pairs)))
-
-
 def test_stacks_beyond_the_budget_raise_before_they_are_allocated(monkeypatch):
-    system = chain_system()
+    system = system_from_document(chain_document())
     budget = MAX_STACK_ENTRIES // len(system.modes) ** 2  # 4096 grid points of 64 modes
     ports = (PortSpec(1), PortSpec(2))
     fit_spec = FitSpec(base_system=system, free_photon_frequencies=("c0",))

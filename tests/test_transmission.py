@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import find_peaks
 
+from loopmag import transmission
 from loopmag.cli import PRESETS
 from loopmag.fieldmap import field_table_from_csv
 from loopmag.model import (
@@ -26,6 +27,7 @@ from loopmag.model import (
     build_hamiltonian,
     csv_rows,
     hamiltonians,
+    system_from_document,
 )
 from loopmag.spectrum import eig_hermitian
 from loopmag.transmission import (
@@ -45,7 +47,7 @@ from loopmag.transmission import (
     s21_at,
     s21_map,
 )
-from devices import fit_device, preset, preset_grid, table1_device
+from devices import chain_document, fit_device, preset, preset_grid, table1_device
 from synthfields import pi_device_exports
 
 PI = math.pi
@@ -196,6 +198,9 @@ def test_ports_must_carry_distinct_ids_one_and_two():
         s21_at(system, (PortSpec(1, {"c": 5.0}),), 5.0, 1.0)
     with pytest.raises(ValueError):
         s21_at(system, (PortSpec(1, {"c": 5.0}), PortSpec(1, {"c": 5.0})), 5.0, 1.0)
+    # a third spec is rejected by count, even though the ids cover 1 and 2
+    with pytest.raises(ValueError, match=r"^expected exactly two port specifications$"):
+        s21_at(system, (PortSpec(1), PortSpec(2), PortSpec(2)), 5.0, 1.0)
 
 
 def test_port_couplings_must_name_photon_modes():
@@ -410,6 +415,45 @@ def test_s21_at_equals_the_exceptional_point_column_bit_for_bit():
     s21 = np.array([s21_at(system, ports, w, 5.0) for w in omega.tolist()])
     assert np.array_equal(20.0 * np.log10(np.maximum(np.abs(s21), S21_FLOOR)),
                           tmap.magnitude_db[:, 1])
+
+
+def test_a_non_finite_residue_sum_falls_back_to_the_solve_bit_for_bit():
+    """A magnon of 1e-300 MHz loss, coupled by 1e-300 MHz, at the probe frequency:
+    cond(R) is 1, but a residue divided by its pole is 0/0, and the solve is finite."""
+    system = SystemModel(
+        modes=(ModeSpec("c1", "photon", 5.0),
+               ModeSpec("m1", "magnon", 6.0, intrinsic_loss=1e-300)),
+        edges=(CouplingEdge("c1", "m1", 1e-300, 0.0),),
+        magnon_sweep_target=frozenset(),
+    )
+    ports, omega, omega_m = (PortSpec(1), PortSpec(2)), np.array([6.0, 7.0]), [6.0, 7.0]
+    gamma, _, _, _ = _loss_model(system, *ports)
+    _, r = np.linalg.eig(1j * hamiltonians(system, omega_m) + np.diag(gamma) / 2.0)
+    assert np.all(np.linalg.cond(r) <= RESIDUE_COND_LIMIT)
+    tmap = s21_map(system, ports, omega, omega_m)
+    for j, point in enumerate(omega_m):
+        s21 = np.array([s21_at(system, ports, w, point) for w in omega.tolist()])
+        assert np.array_equal(20.0 * np.log10(np.maximum(np.abs(s21), S21_FLOOR)),
+                              tmap.magnitude_db[:, j])
+    assert tmap.magnitude_db.round(7).tolist() == [[-46.0208442] * 2, [-52.0412609] * 2]
+
+
+def test_the_block_width_changes_no_bit_of_the_map(monkeypatch):
+    name = "cavity-pi0-table2"
+    system, ports = exceptional_point_device()
+    cases = [
+        (preset(name), (PortSpec(1), PortSpec(2)), preset_grid(name, "probe_grid"),
+         preset_grid(name, "magnon_grid")),
+        # the exceptional point at 5.0 GHz opens the second block of one magnon point,
+        # and sits inside the first block of two or three
+        (system, ports, np.linspace(4.95, 5.05, 1601), np.array([4.99, 5.0, 5.01, 5.02])),
+    ]
+    for system, ports, omega, omega_m in cases:
+        default = s21_map(system, ports, omega, omega_m).magnitude_db
+        for block_values in (1, 2 * omega.size, 3 * omega.size):
+            monkeypatch.setattr(transmission, "BLOCK_VALUES", block_values)
+            assert np.array_equal(s21_map(system, ports, omega, omega_m).magnitude_db, default)
+        monkeypatch.undo()
 
 
 @st.composite
@@ -635,6 +679,16 @@ def test_csv_writers_hold_one_csv_plus_one_block():
     # csv_rows' block holds more temporaries, so a longer table keeps them under the margin
     text, peak = traced_peak(csv_rows, np.vstack([tmap.magnitude_db] * 2))
     assert peak < 1.3 * len(text), peak / len(text)
+
+
+def test_s21_map_holds_one_magnon_block_at_a_time():
+    # stacks of all 4000 damped 20 x 20 matrices, their eigenvectors and residues would
+    # peak near 106 MB; one block of them and the 0.7 MB map stay near 3 MB
+    system = system_from_document(chain_document(10))
+    tmap, peak = traced_peak(s21_map, system, (PortSpec(1), PortSpec(2)),
+                             np.linspace(4.0, 6.0, 23), np.linspace(4.0, 6.0, 4000))
+    assert tmap.magnitude_db.shape == (23, 4000)
+    assert peak < 16e6, peak
 
 
 def test_field_export_parse_peaks_under_three_times_its_text():
