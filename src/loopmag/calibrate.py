@@ -16,14 +16,16 @@ so it stays well defined when a dataset misses dark or weakly visible peaks.
 import math
 from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
 
 from .gauge import reduce_system
 from .model import (MAX_FREQUENCY_GHZ, MAX_RATE_MHZ, CouplingEdge, SchemaError, SystemModel,
-                    anchored, check_mode_frequency, hamiltonians, number, optional,
-                    parse_phase, read_numeric_csv, string, write_coupling)
+                    anchored, check_mode_frequency, hamiltonians, normalized_coupling, number,
+                    optional, parse_phase, read_numeric_csv, string, write_coupling)
 # unused here; kept because perfbench's tracer test patches and calls this binding
 from .spectrum import branch_frequencies  # noqa: F401
 
@@ -82,10 +84,10 @@ class PeakDataset:
                 raise ValueError("record %d: sigma must be > 0 GHz" % k)
             if r.sigma < MIN_SIGMA_GHZ:
                 raise ValueError("record %d: sigma must be >= %g GHz" % (k, MIN_SIGMA_GHZ))
-        # _columns: sorted unique omega_m, each record's row among them, peaks (n, 1), sigmas
+        # _columns: sorted unique omega_m, each record's row among them, peaks, sigmas
         array = np.array(records)
         omegas, rows = np.unique(array[:, 0], return_inverse=True)
-        object.__setattr__(self, "_columns", (omegas, rows, array[:, 1:2], array[:, 2]))
+        object.__setattr__(self, "_columns", (omegas, rows, array[:, 1].copy(), array[:, 2]))
 
 
 def dataset_from_csv(text: str) -> PeakDataset:
@@ -245,41 +247,60 @@ def _checked_thetas(spec: FitSpec, theta_assignment) -> tuple:
 def _residual_of_table(table: np.ndarray, data: PeakDataset) -> float:
     """Residual of branch tables given at the dataset's sorted unique omega_m."""
     _, rows, peaks, sigmas = data._columns
-    nearest = np.abs(table[rows] - peaks).min(axis=1)
+    # one row per branch, one column per record; the nearest branch is exact in any order
+    distance = table.T.take(rows, 1)
+    distance -= peaks
+    nearest = np.minimum.reduce(np.abs(distance, out=distance), axis=0)
+    nearest /= sigmas
+    nearest *= nearest
     # cumsum adds in record order like a running total; np.sum's pairwise
     # summation would differ in the last bits and steer the simplex elsewhere
-    return float(np.cumsum((nearest / sigmas) ** 2)[-1])
+    return float(np.cumsum(nearest)[-1])
 
 
 def _objective(spec: FitSpec, data: PeakDataset):
     """The residual as a function of (params, thetas), on Hamiltonians built once.
 
-    Each evaluation copies the stack, writes in the free photon frequencies,
-    each checked as ModeSpec checks a mode's, and every edge in gauge-reduced
-    form (tree edges at zero phase, chords at their loop phases) through
-    CouplingEdge, so a negative strength is a pi shift.
+    The template stack is the base device's, with every edge that no free
+    coupling or loop phase moves (a tree edge) written once at zero phase.
+    Each evaluation copies it, writes in the free photon frequencies, each
+    checked as ModeSpec checks a mode's, and then only the moving edges in
+    gauge-reduced form (tree edges at zero phase, chords at their loop phases),
+    normalized by the rule CouplingEdge uses (model.normalized_coupling: a
+    negative strength is a pi shift).  Each moving edge keeps its last phase
+    and exp(-i phase), so an unchanged phase is not rotated again.
     """
     base = spec.base_system
     reduction = reduce_system(base)
     chord_loop = {p.cycle.chord: k for k, p in enumerate(reduction.physical_phases)}
-    stack = hamiltonians(base, data._columns[0])
+    template = hamiltonians(base, data._columns[0])
     row = {m.label: i for i, m in enumerate(base.modes)}
     free_rows = tuple(row[label] for label in spec.free_photon_frequencies)
     slot = {label: len(free_rows) + k for k, label in enumerate(spec.free_couplings)}
-    edges = tuple(
-        (row[e.photon], row[e.magnon], e, slot.get(e.photon), chord_loop.get(idx))
-        for idx, e in enumerate(base.edges)
-    )
+    moving = []  # (row p, row m, photon, magnon, fixed strength, slot, loop) per moving edge
+    for idx, e in enumerate(base.edges):
+        p, m, k, loop = row[e.photon], row[e.magnon], slot.get(e.photon), chord_loop.get(idx)
+        if k is None and loop is None:
+            write_coupling(template, p, m, CouplingEdge(e.photon, e.magnon, e.strength, 0.0))
+        else:
+            moving.append((p, m, e.photon, e.magnon, e.strength, k, loop))
+    phases = [None] * len(moving)  # each moving edge's last phase, and its exp(-i phase)
+    rotations = [None] * len(moving)
 
     def objective(params, thetas) -> float:
-        mats = stack.copy()
+        mats = template.copy()
         for label, i, value in zip(spec.free_photon_frequencies, free_rows, params):
             check_mode_frequency(label, value)
-            mats[:, i, i] = float(value)
-        for p, m, edge, k, loop in edges:
-            strength = float(params[k]) * 1e3 if k is not None else edge.strength
-            phase = float(thetas[loop]) if loop is not None else 0.0
-            write_coupling(mats, p, m, CouplingEdge(edge.photon, edge.magnon, strength, phase))
+            mats[:, i, i] = value
+        for j, (p, m, photon, magnon, strength, k, loop) in enumerate(moving):
+            strength, phase = normalized_coupling(
+                photon, magnon, params[k] * 1e3 if k is not None else strength,
+                thetas[loop] if loop is not None else 0.0)
+            if phase != phases[j]:  # a folded phase is never -0.0: equal means equal bits
+                phases[j], rotations[j] = phase, np.exp(-1j * phase)
+            value = (strength * 1e-3) * rotations[j]
+            mats[:, p, m] = value
+            mats[:, m, p] = np.conj(value)
         vals, _ = np.linalg.eigh(mats)
         return _residual_of_table(vals, data)
 
@@ -327,10 +348,30 @@ class _Capped(Exception):
     """The evaluation cap is reached; no evaluation is made past it."""
 
 
+def _clip(point, lower, upper, ties_to_bound) -> list:
+    """np.clip per coordinate, NaN passing through.  A coordinate equal to a bound
+    (a tie of signed zeros) takes the bound's bits when ties_to_bound, as numpy's
+    elementwise loop does, and keeps its own otherwise, as its loop over scalar
+    bounds does."""
+    if not ties_to_bound:
+        point = [lo if lo > x else x for x, lo in zip(point, lower)]
+        return [hi if hi < x else x for x, hi in zip(point, upper)]
+    point = [x if x > lo or x != x else lo for x, lo in zip(point, lower)]
+    return [x if x < hi or x != x else hi for x, hi in zip(point, upper)]
+
+
 def _nelder_mead(objective, x0, lower, upper, max_iterations, xatol, max_evaluations):
     """scipy 1.17.1's bounded Nelder-Mead (_minimize_neldermead) step for step, on
     the path _simplex uses: default coefficients and initial simplex, and fatol=inf,
-    which is inert while every objective value is finite."""
+    which is inert while every objective value is finite.
+
+    The vertices are lists of floats, and objective is called with one of them.
+    Each coordinate takes scipy's arithmetic in scipy's order: the centroid is
+    numpy's add.reduce (0.0, then each vertex in turn) over n, and np.argsort
+    orders the vertices, so ties break as they do in scipy.  _clip is np.clip
+    as scipy calls it: with one parameter, scipy's bounds are broadcast from a
+    single entry, so numpy clips against scalars and a tie keeps the vertex.
+    """
     rho, chi, psi, sigma = 1, 2, 0.5, 0.5
     nfev = 0
 
@@ -341,49 +382,59 @@ def _nelder_mead(objective, x0, lower, upper, max_iterations, xatol, max_evaluat
         nfev += 1
         return objective(x)
 
-    x0 = np.clip(np.asarray(x0, dtype=float), lower, upper)
-    n = len(x0)
-    sim = np.tile(x0, (n + 1, 1))
-    sim[1:][np.diag_indices(n)] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    # vertices past the upper bound are reflected into the box, then clipped
-    sim = np.clip(np.where(sim > upper, 2 * upper - sim, sim), lower, upper)
-    fsim = np.full(n + 1, np.inf)
+    def ordered():
+        order = np.argsort(fsim).tolist()
+        return [sim[k] for k in order], [fsim[k] for k in order]
+
+    lower, upper = [float(v) for v in lower], [float(v) for v in upper]
+    n = len(lower)
+
+    def clip(point):
+        return _clip(point, lower, upper, n > 1)
+
+    x0 = clip([float(v) for v in x0])
+    sim = [x0]
+    for k in range(n):
+        y = list(x0)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        # a vertex past the upper bound is reflected into the box, then clipped
+        sim.append(clip([2 * hi - v if v > hi else v for v, hi in zip(y, upper)]))
+    fsim = [math.inf] * (n + 1)
     with suppress(_Capped):
         for k in range(n + 1):
             fsim[k] = f(sim[k])
     for _ in range(2):  # as scipy does: argsort need not be stable
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+        sim, fsim = ordered()
     nit = 1
     while nfev < max_evaluations and nit < max_iterations:
         with suppress(_Capped):
-            if np.max(np.abs(sim[1:] - sim[0])) <= xatol:
+            best, worst = sim[0], sim[-1]
+            if all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best)):
                 break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            xr = np.clip((1 + rho) * xbar - rho * sim[-1], lower, upper)
+            xbar = [reduce(add, column, 0.0) / n for column in zip(*sim[:-1])]
+            xr = clip([(1 + rho) * b - rho * w for b, w in zip(xbar, worst)])
             fxr = f(xr)
             if fxr < fsim[0]:  # expand
-                xe = np.clip((1 + rho * chi) * xbar - rho * chi * sim[-1], lower, upper)
+                xe = clip([(1 + rho * chi) * b - rho * chi * w for b, w in zip(xbar, worst)])
                 fxe = f(xe)
                 sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
             elif fxr < fsim[-2]:
                 sim[-1], fsim[-1] = xr, fxr
             else:  # contract: outside the simplex if xr beats the worst vertex, else inside
                 outside = fxr < fsim[-1]
-                xc = np.clip((1 + psi * rho) * xbar - psi * rho * sim[-1] if outside
-                             else (1 - psi) * xbar + psi * sim[-1], lower, upper)
+                xc = clip([(1 + psi * rho) * b - psi * rho * w if outside
+                           else (1 - psi) * b + psi * w for b, w in zip(xbar, worst)])
                 fxc = f(xc)
                 if fxc <= fxr if outside else fxc < fsim[-1]:  # scipy's two tie rules
                     sim[-1], fsim[-1] = xc, fxc
                 else:  # shrink toward the best vertex
                     for j in range(1, n + 1):
-                        sim[j] = np.clip(sim[0] + sigma * (sim[j] - sim[0]), lower, upper)
+                        sim[j] = clip([b + sigma * (v - b) for v, b in zip(sim[j], best)])
                         fsim[j] = f(sim[j])
             nit += 1
-        order = np.argsort(fsim)
-        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+        sim, fsim = ordered()
     success = nfev < max_evaluations and nit < max_iterations
-    return _Descent(sim[0], np.min(fsim), nit, nfev, success)
+    return _Descent(np.array(sim[0]), np.min(fsim), nit, nfev, success)
 
 
 def _simplex(objective, x0, bounds, max_iterations):
@@ -392,8 +443,8 @@ def _simplex(objective, x0, bounds, max_iterations):
     # parameter there is nothing to descend: the residual is taken as it is.
     if not len(x0):
         return _Descent(x0, objective(x0), 0, 1, True)
-    lower, upper = (np.array(ends, dtype=float) for ends in zip(*bounds))
-    xatol = 1e-6 * max(1.0, float(np.max(np.abs(x0))))
+    lower, upper = zip(*bounds)
+    xatol = 1e-6 * max(1.0, max(map(abs, x0)))
     result = _nelder_mead(objective, x0, lower, upper, max_iterations, xatol, 10**7)
     if not result.success:
         result = _nelder_mead(objective, result.x, lower, upper, max_iterations, xatol, 10**7)

@@ -112,12 +112,33 @@ class ModeSpec:
                 )
 
 
+def normalized_coupling(photon: str, magnon: str, strength, phase) -> tuple:
+    """The (strength, phase) an edge (photon, magnon) stores, as floats.
+
+    Both must be finite and |strength| <= MAX_RATE_MHZ.  A negative strength
+    becomes a pi shift of the phase, and the phase is folded into (-pi, pi].
+    """
+    strength = float(strength)
+    phase = float(phase)
+    if not (math.isfinite(strength) and math.isfinite(phase)):
+        raise ValueError("edge (%s, %s): strength and phase must be finite" % (photon, magnon))
+    if abs(strength) > MAX_RATE_MHZ:
+        raise ValueError(
+            "edge (%s, %s): strength must be within +-%g MHz" % (photon, magnon, MAX_RATE_MHZ)
+        )
+    if strength < 0:
+        strength = -strength
+        phase += math.pi
+    return strength, fold_phase(phase)
+
+
 @dataclass(frozen=True)
 class CouplingEdge:
     """Directed photon->magnon coupling with strength g (MHz) and phase (rad).
 
-    A negative strength is normalized on construction: the sign is absorbed
-    into the phase as a pi shift.  The stored phase is folded into (-pi, pi].
+    Strength and phase are stored as normalized_coupling returns them: a
+    negative strength is absorbed into the phase as a pi shift, and the phase
+    is folded into (-pi, pi].
     """
 
     photon: str
@@ -126,22 +147,9 @@ class CouplingEdge:
     phase: float
 
     def __post_init__(self):
-        strength = float(self.strength)
-        phase = float(self.phase)
-        if not (math.isfinite(strength) and math.isfinite(phase)):
-            raise ValueError(
-                "edge (%s, %s): strength and phase must be finite" % (self.photon, self.magnon)
-            )
-        if abs(strength) > MAX_RATE_MHZ:
-            raise ValueError(
-                "edge (%s, %s): strength must be within +-%g MHz"
-                % (self.photon, self.magnon, MAX_RATE_MHZ)
-            )
-        if strength < 0:
-            strength = -strength
-            phase += math.pi
+        strength, phase = normalized_coupling(self.photon, self.magnon, self.strength, self.phase)
         object.__setattr__(self, "strength", strength)
-        object.__setattr__(self, "phase", fold_phase(phase))
+        object.__setattr__(self, "phase", phase)
 
 
 @dataclass(frozen=True)

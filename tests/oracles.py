@@ -1,4 +1,5 @@
-"""Independent oracles used by the test suite: an eigenvalue solver and a CSV reader.
+"""Independent oracles used by the test suite: an eigenvalue solver, a CSV reader
+and a fit objective.
 
 Finds the eigenvalues of a complex Hermitian matrix by sign-change bisection on
 the characteristic polynomial p(lambda) = det(H - lambda*I).  The determinant is
@@ -15,11 +16,18 @@ The CSV reader is model.read_numeric_csv as it was before numpy's C reader
 took over its body: every field through float, in a Python loop.  The
 package's reader must accept, reject, word its message and parse bits exactly
 as this one does.
+
+The fit objective is calibrate._objective as it was before it wrote only the
+edges that move: every evaluation writes every edge through a new
+CouplingEdge, and the residual takes the nearest branch per record row by row.
+The package's objective must equal it bit for bit and raise its messages.
 """
 
 import numpy as np
 
-from loopmag.model import SchemaError
+from loopmag.gauge import reduce_system
+from loopmag.model import (CouplingEdge, SchemaError, check_mode_frequency, hamiltonians,
+                           write_coupling)
 
 
 class OracleError(RuntimeError):
@@ -194,3 +202,37 @@ def read_numeric_csv(text: str, headers) -> tuple:
         numbers = [k for k, line in enumerate(lines[start + 1:], start=start + 2) if line.strip()]
         raise SchemaError("line %d: expected finite numbers" % numbers[np.argmin(finite)])
     return header, data
+
+
+def fit_objective(spec, data):
+    """The fit residual as a function of (params, thetas): each evaluation copies the
+    template stack, writes the free photon frequencies and then every edge in
+    gauge-reduced form (tree edges at zero phase, chords at their loop phases)
+    through CouplingEdge."""
+    base = spec.base_system
+    reduction = reduce_system(base)
+    chord_loop = {p.cycle.chord: k for k, p in enumerate(reduction.physical_phases)}
+    omegas, rows, peaks, sigmas = data._columns
+    stack = hamiltonians(base, omegas)
+    row = {m.label: i for i, m in enumerate(base.modes)}
+    free_rows = tuple(row[label] for label in spec.free_photon_frequencies)
+    slot = {label: len(free_rows) + k for k, label in enumerate(spec.free_couplings)}
+    edges = tuple(
+        (row[e.photon], row[e.magnon], e, slot.get(e.photon), chord_loop.get(idx))
+        for idx, e in enumerate(base.edges)
+    )
+
+    def objective(params, thetas) -> float:
+        mats = stack.copy()
+        for label, i, value in zip(spec.free_photon_frequencies, free_rows, params):
+            check_mode_frequency(label, value)
+            mats[:, i, i] = float(value)
+        for p, m, edge, k, loop in edges:
+            strength = float(params[k]) * 1e3 if k is not None else edge.strength
+            phase = float(thetas[loop]) if loop is not None else 0.0
+            write_coupling(mats, p, m, CouplingEdge(edge.photon, edge.magnon, strength, phase))
+        vals, _ = np.linalg.eigh(mats)
+        nearest = np.abs(vals[rows] - peaks[:, None]).min(axis=1)
+        return float(np.cumsum((nearest / sigmas) ** 2)[-1])
+
+    return objective

@@ -39,7 +39,7 @@ from loopmag.spectrum import (
     sweep,
 )
 from loopmag.transmission import PortSpec, s21_at
-from devices import component_count, fit_device, preset, preset_grid
+from devices import component_count, fit_device, preset, preset_grid, random_system
 from oracles import char_poly_eigenvalues
 from synthfields import circulating_field, pi_device_posts, sphere_grid
 
@@ -58,32 +58,6 @@ def assert_same_phase_multiset(first, second, tol=1e-9):
         best = int(np.argmin(dists))
         assert dists[best] < tol
         remaining.pop(best)
-
-
-def random_bipartite_system(rng):
-    n_photons = int(rng.integers(1, 4))
-    n_magnons = int(rng.integers(1, 4))
-    modes = [
-        ModeSpec("c%d" % k, "photon", float(rng.uniform(3.0, 9.0)))
-        for k in range(n_photons)
-    ]
-    modes += [
-        ModeSpec("m%d" % k, "magnon", float(rng.uniform(3.0, 9.0)))
-        for k in range(n_magnons)
-    ]
-    edges = []
-    for p in range(n_photons):
-        for m in range(n_magnons):
-            if rng.uniform() < 0.6:
-                edges.append(
-                    CouplingEdge(
-                        "c%d" % p,
-                        "m%d" % m,
-                        float(rng.uniform(10.0, 200.0)),
-                        float(rng.uniform(-math.pi, math.pi)),
-                    )
-                )
-    return SystemModel(modes=tuple(modes), edges=tuple(edges))
 
 
 def cycle_sum(system, photon_a, photon_b) -> float:
@@ -156,7 +130,7 @@ def test_acceptance_03_loop_count_and_gauge_invariance_on_random_devices():
     rng = np.random.default_rng(930)
     start = time.perf_counter()
     for _ in range(200):
-        system = random_bipartite_system(rng)
+        system = random_system(rng, 3, 0.6)
         thetas = folded_thetas(system)
         pairs = [(e.photon, e.magnon) for e in system.edges]
         used = {v for pair in pairs for v in pair}

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ from loopmag.model import (
     fold_phase,
 )
 from loopmag.spectrum import branch_frequencies
-from devices import fit_device, preset
+from devices import fit_device, preset, random_system
+from oracles import fit_objective
 
 
 # ====== device builders ======
@@ -288,6 +290,119 @@ def test_residual_rejects_bad_vectors():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=r"^loop phases must be finite$"):
             residual(spec, TRUTH, (bad,), data)
+
+
+# ====== the objective against its oracle ======
+
+
+def random_fit_case(seed):
+    """A FitSpec over a seeded random device, its peak data, and the generator.
+
+    Random subsets of the photons have free frequencies and free couplings;
+    every other edge is fixed.  Odd seeds with a loop are continuous-theta
+    specs, the rest hold two loop-phase hypotheses.
+    """
+    rng = np.random.default_rng(seed)
+    system = random_system(rng, 3, 0.7)
+    coupled = sorted({e.photon for e in system.edges})
+    n_loops = len(reduce_system(system).physical_phases)
+    continuous = n_loops > 0 and seed % 2 == 1
+    spec = FitSpec(
+        base_system=system,
+        free_photon_frequencies=tuple(p for p in system.photon_labels() if rng.uniform() < 0.5),
+        free_couplings=tuple(p for p in coupled if rng.uniform() < 0.5),
+        theta_hypotheses=tuple(tuple(rng.uniform(-3.0 * math.pi, 3.0 * math.pi, n_loops))
+                               for _ in range(1 if continuous else 2)),
+        continuous_theta=continuous,
+    )
+    omega_ms = rng.choice(rng.uniform(3.0, 9.0, int(rng.integers(1, 6))), size=12)
+    data = PeakDataset(records=tuple(
+        PeakRecord(float(om), float(rng.uniform(2.5, 9.5)), float(rng.choice([0.001, 0.013])))
+        for om in omega_ms))
+    return spec, data, rng
+
+
+def test_the_objective_equals_its_oracle_bit_for_bit_on_random_fit_specs():
+    # trial couplings are negative, zero of either sign or positive; discrete specs
+    # return to their hypotheses, continuous ones draw new loop phases every time
+    for seed in range(200):
+        spec, data, rng = random_fit_case(seed)
+        ours, theirs = calibrate._objective(spec, data), fit_objective(spec, data)
+        n_loops = len(spec.theta_hypotheses[0])
+        for k in range(20):
+            couplings = rng.uniform(-0.3, 0.3, len(spec.free_couplings))
+            couplings[rng.uniform(size=couplings.size) < 0.25] = rng.choice([0.0, -0.0])
+            params = rng.uniform(3.0, 9.0, len(spec.free_photon_frequencies)).tolist()
+            params += couplings.tolist()
+            thetas = (rng.uniform(-3.0 * math.pi, 3.0 * math.pi, n_loops).tolist()
+                      if spec.continuous_theta else spec.theta_hypotheses[k % 2])
+            assert ours(params, thetas).hex() == theirs(params, thetas).hex(), (seed, k)
+
+
+def oracle_residual(spec, params, thetas, data):
+    return fit_objective(spec, data)(calibrate._checked_params(spec, params),
+                                     calibrate._checked_thetas(spec, thetas))
+
+
+@pytest.mark.parametrize("params, thetas, message", [
+    ((4.5, 6.2, math.nan, 0.12), (math.pi,), "parameters must be finite"),
+    ((4.5, 6.2, 2e6, 0.12), (math.pi,), "edge (c1, m1): strength must be within +-1e+09 MHz"),
+    ((4.5, 6.2, 0.08, -1e306), (math.pi,), "edge (c2, m1): strength and phase must be finite"),
+    ((0.0, 6.2, 0.08, 0.12), (math.pi,), "mode 'c1': frequency must be finite and > 0 GHz"),
+    ((4.5, 2e6, 0.08, 0.12), (math.pi,), "mode 'c2': frequency must be <= 1e+06 GHz"),
+], ids=["nan-coupling", "coupling-over-cap", "coupling-overflow", "frequency-zero",
+        "frequency-over-cap"])
+def test_residual_and_the_objective_raise_the_oracles_messages(params, thetas, message):
+    spec = two_tone_spec()
+    data = branch_records(fit_device(), (5.0,))
+    with pytest.raises(ValueError) as got:
+        residual(spec, params, thetas, data)
+    with pytest.raises(ValueError) as want:
+        oracle_residual(spec, params, thetas, data)
+    assert str(got.value) == str(want.value) == message
+    # the objective itself checks no vector: a NaN coupling reaches the edge rule
+    with pytest.raises(ValueError) as got:
+        calibrate._objective(spec, data)(params, thetas)
+    with pytest.raises(ValueError) as want:
+        fit_objective(spec, data)(params, thetas)
+    assert str(got.value) == str(want.value)
+
+
+def test_an_evaluation_writes_only_moving_edges_and_rotates_only_new_phases(monkeypatch):
+    spec = three_tone_spec()
+    data = branch_records(spec.base_system, ANTICROSSING_GRID)
+    chords = {p.cycle.chord for p in reduce_system(spec.base_system).physical_phases}
+    edges = spec.base_system.edges
+    moving = [k for k, e in enumerate(edges) if e.photon in spec.free_couplings or k in chords]
+    assert 0 < len(chords) < len(moving) < len(edges)
+    objective = calibrate._objective(spec, data)
+
+    def forbidden(*args):
+        raise AssertionError("an evaluation built a CouplingEdge or rewrote an edge")
+
+    monkeypatch.setattr(calibrate, "CouplingEdge", forbidden)
+    monkeypatch.setattr(calibrate, "write_coupling", forbidden)
+    rotated, exp = [], np.exp
+    monkeypatch.setattr(np, "exp", lambda z: rotated.append(z) or exp(z))
+    params = [5.0, 6.5, 0.05, 0.07]
+    objective(params, (1.0, 2.0))
+    assert len(rotated) == len(moving)
+    objective(params, (1.0, 2.0))
+    assert len(rotated) == len(moving)
+    objective(params, (1.5, 2.5))  # each chord turns once
+    assert len(rotated) == len(moving) + len(chords)
+    monkeypatch.setattr(np, "exp", exp)
+    # continuous loop phases: one slot per moving edge, however many phases pass by
+    tracemalloc.start()
+    try:
+        objective(params, (0.5, 0.5))
+        before = tracemalloc.get_traced_memory()[0]
+        for theta in np.linspace(-3.0, 3.0, 2000).tolist():
+            objective(params, (theta, -theta))
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 4096
 
 
 # ====== dataset construction and CSV input ======
@@ -703,6 +818,20 @@ def test_fit_with_no_free_parameter_reports_each_residual_without_a_simplex(
     assert result.ambiguous == (hypotheses[0] == hypotheses[1])
 
 
+def test_a_residual_ratio_at_the_ambiguity_ratio_is_not_ambiguous(monkeypatch):
+    # the rule is ratio < AMBIGUITY_RATIO: at the ratio itself the fit is decided
+    spec = two_tone_spec(free_photon_frequencies=(), free_couplings=(),
+                         theta_hypotheses=((math.pi,), (2.0,)))
+    data = branch_records(fit_device(), ANTICROSSING_GRID)
+    low, high = sorted(residual(spec, (), h, data) for h in spec.theta_hypotheses)
+    eps = 1e-12 * len(data.records)
+    ratio = (high + eps) / (low + eps)
+    monkeypatch.setattr(calibrate, "AMBIGUITY_RATIO", ratio)
+    assert not fit(spec, data, ()).ambiguous
+    monkeypatch.setattr(calibrate, "AMBIGUITY_RATIO", float(np.nextafter(ratio, math.inf)))
+    assert fit(spec, data, ()).ambiguous
+
+
 # ====== the bounded simplex against scipy's ======
 
 
@@ -755,6 +884,57 @@ def test_nelder_mead_takes_scipys_steps_on_seeded_bounded_objectives():
         statuses.append(want.status)
     # converged runs, evaluation-capped runs and iteration-capped runs all occur
     assert min(statuses.count(status) for status in (0, 1, 2)) >= 100
+
+
+def signed_zero_problem(seed):
+    """A seeded bounded objective whose box ends at 0.0 or -0.0 in every coordinate,
+    as the default (0.0, 2.0) coupling box does, started on those ends.
+
+    Each coordinate's box is one of (0.0, 2.0), (-0.0, 2.0), (-2.0, 0.0) and
+    (-2.0, -0.0); its start is its zero end or the zero of the other sign, and
+    the minimum often lies beyond that end, so clips land on signed zeros.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 5))
+    boxes = [((0.0, 2.0), (-0.0, 2.0), (-2.0, 0.0), (-2.0, -0.0))[k]
+             for k in rng.integers(0, 4, n)]
+    lower, upper = (np.array(ends) for ends in zip(*boxes))
+    ends = np.where(lower == 0, lower, upper)
+    x0 = np.where(rng.uniform(size=n) < 0.5, ends, -ends)
+    centre = np.where(lower == 0, -1.0, 1.0) * rng.uniform(-0.5, 1.0, n)
+    weights = rng.uniform(0.1, 5.0, n)
+
+    def objective(x):
+        return float(np.sum(weights * (x - centre) ** 2))
+
+    max_iterations = int(rng.choice([1, 3, 17, 5000]))
+    max_evaluations = int(rng.choice([2, 9, 10**7]))
+    return objective, x0, lower, upper, max_iterations, 1e-6, max_evaluations
+
+
+def test_nelder_mead_takes_scipys_steps_from_signed_zero_bounds():
+    for seed in range(300):
+        problem = signed_zero_problem(seed)
+        want = scipy_nelder_mead(*problem)
+        got = _nelder_mead(*problem)
+        assert got.x.tobytes() == want.x.tobytes(), seed
+        assert (got.fun, got.nit, got.nfev, got.success) == (
+            want.fun, want.nit, want.nfev, want.success), seed
+
+
+def test_nelder_mead_stops_when_the_simplex_diameter_equals_xatol():
+    # scipy stops on max |vertex - best| <= xatol, so a diameter of exactly xatol ends
+    # the descent after the initial simplex, and one ulp less does not
+    def objective(x):
+        return float((x[0] - 3.0) ** 2)
+
+    x0, lower, upper = np.array([1.0]), np.array([-10.0]), np.array([10.0])
+    diameter = (1 + 0.05) * 1.0 - 1.0
+    for xatol, first in ((diameter, True), (float(np.nextafter(diameter, 0.0)), False)):
+        want = scipy_nelder_mead(objective, x0, lower, upper, 5000, xatol, 10**7)
+        got = _nelder_mead(objective, x0, lower, upper, 5000, xatol, 10**7)
+        assert (got.x.tobytes(), got.nit, got.nfev) == (want.x.tobytes(), want.nit, want.nfev)
+        assert (got.nit, got.nfev) == (1, 2) if first else got.nit > 1
 
 
 @pytest.mark.parametrize("max_iterations", [5000, 40])

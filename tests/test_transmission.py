@@ -408,6 +408,27 @@ def test_exceptional_point_column_falls_back_to_the_solve_bit_for_bit():
     assert np.abs(tmap.magnitude_db - solved).max() <= MAP_TOLERANCE_DB
 
 
+def test_a_point_whose_condition_number_equals_the_limit_keeps_its_residue_sum(monkeypatch):
+    # cond(R) <= RESIDUE_COND_LIMIT, not <: at the limit no solve runs, one ulp below it one does
+    system, ports = exceptional_point_device()
+    omega, omega_m = np.linspace(4.95, 5.05, 11), np.array([4.99])
+    gamma, _, _, _ = _loss_model(system, *ports)
+    _, r = np.linalg.eig(1j * hamiltonians(system, omega_m) + np.diag(gamma) / 2.0)
+    (cond,) = np.linalg.cond(r).tolist()
+    solve, solved = transmission._solved, []
+
+    def no_solve(*args):
+        raise AssertionError("a point at the limit was solved")
+
+    monkeypatch.setattr(transmission, "RESIDUE_COND_LIMIT", cond)
+    monkeypatch.setattr(transmission, "_solved", no_solve)
+    s21_map(system, ports, omega, omega_m)
+    monkeypatch.setattr(transmission, "RESIDUE_COND_LIMIT", float(np.nextafter(cond, 0.0)))
+    monkeypatch.setattr(transmission, "_solved", lambda *args: solved.append(args) or solve(*args))
+    s21_map(system, ports, omega, omega_m)
+    assert len(solved) == 1
+
+
 def test_s21_at_equals_the_exceptional_point_column_bit_for_bit():
     system, ports = exceptional_point_device()
     omega = np.linspace(4.95, 5.05, 1601)
