@@ -25,7 +25,7 @@ import numpy as np
 from .gauge import reduce_system
 from .model import (MAX_FREQUENCY_GHZ, MAX_RATE_MHZ, CouplingEdge, SchemaError, SystemModel,
                     anchored, check_mode_frequency, hamiltonians, normalized_coupling, number,
-                    optional, parse_phase, read_numeric_csv, string, write_coupling)
+                    optional, parse_phase, read_numeric_csv, string)
 # unused here; kept because perfbench's tracer test patches and calls this binding
 from .spectrum import branch_frequencies  # noqa: F401
 
@@ -111,6 +111,8 @@ class FitSpec:
     everything that is not set free.  Its own edge phases are irrelevant to
     the fit: each hypothesis assigns the loop phases outright, in the order
     the gauge reduction reports them, and tree edges are held at zero phase.
+    The spec reduces its base system once and keeps which loop each chord
+    edge carries; every objective and residual over it reads that map.
 
     bounds maps names of the search vector ('omega_c:<label>', 'g:<label>',
     and 'theta:<k>' only in continuous mode) to finite (lower, upper) pairs;
@@ -150,17 +152,13 @@ class FitSpec:
         for label in self.free_couplings:
             if label not in coupled:
                 raise ValueError("free coupling %r: the photon has no coupling edge" % label)
-        n_loops = len(reduce_system(self.base_system).physical_phases)
+        # _chord_loop: each chord's edge index -> its loop's index, in reduction order
+        loops = reduce_system(self.base_system).physical_phases
+        object.__setattr__(self, "_chord_loop", {p.cycle.chord: k for k, p in enumerate(loops)})
         if not self.theta_hypotheses:
             raise ValueError("theta_hypotheses must contain at least one assignment")
         for k, hypothesis in enumerate(self.theta_hypotheses):
-            if len(hypothesis) != n_loops:
-                raise ValueError(
-                    "hypothesis %d: expected %d loop phase(s), got %d"
-                    % (k, n_loops, len(hypothesis))
-                )
-            if not all(map(math.isfinite, hypothesis)):
-                raise ValueError("hypothesis %d: loop phases must be finite" % k)
+            _checked_thetas(self, hypothesis, "hypothesis %d: " % k)
         if self.continuous_theta and len(self.theta_hypotheses) != 1:
             raise ValueError(
                 "continuous loop-phase mode takes exactly one seed assignment"
@@ -232,15 +230,15 @@ def _checked_params(spec: FitSpec, params) -> tuple:
     return values
 
 
-def _checked_thetas(spec: FitSpec, theta_assignment) -> tuple:
+def _checked_thetas(spec: FitSpec, theta_assignment, where="") -> tuple:
     thetas = tuple(float(t) for t in theta_assignment)
-    n_loops = len(spec.theta_hypotheses[0])
+    n_loops = len(spec._chord_loop)
     if len(thetas) != n_loops:
         raise ValueError(
-            "expected %d loop phase(s), got %d" % (n_loops, len(thetas))
+            "%sexpected %d loop phase(s), got %d" % (where, n_loops, len(thetas))
         )
     if not all(map(math.isfinite, thetas)):
-        raise ValueError("loop phases must be finite")
+        raise ValueError("%sloop phases must be finite" % where)
     return thetas
 
 
@@ -261,29 +259,28 @@ def _residual_of_table(table: np.ndarray, data: PeakDataset) -> float:
 def _objective(spec: FitSpec, data: PeakDataset):
     """The residual as a function of (params, thetas), on Hamiltonians built once.
 
-    The template stack is the base device's, with every edge that no free
-    coupling or loop phase moves (a tree edge) written once at zero phase.
-    Each evaluation copies it, writes in the free photon frequencies, each
-    checked as ModeSpec checks a mode's, and then only the moving edges in
-    gauge-reduced form (tree edges at zero phase, chords at their loop phases),
+    The template stack is hamiltonians of the base device with every edge at
+    zero phase: the gauge-reduced form of each edge that no free coupling or
+    loop phase moves (a tree edge).  Each evaluation copies it, writes in the
+    free photon frequencies, each checked as ModeSpec checks a mode's, and
+    then only the moving edges in gauge-reduced form (tree edges at zero
+    phase, chords at the loop phases of the spec's chord -> loop map),
     normalized by the rule CouplingEdge uses (model.normalized_coupling: a
     negative strength is a pi shift).  Each moving edge keeps its last phase
     and exp(-i phase), so an unchanged phase is not rotated again.
     """
     base = spec.base_system
-    reduction = reduce_system(base)
-    chord_loop = {p.cycle.chord: k for k, p in enumerate(reduction.physical_phases)}
-    template = hamiltonians(base, data._columns[0])
+    untwisted = tuple(CouplingEdge(e.photon, e.magnon, e.strength, 0.0) for e in base.edges)
+    template = hamiltonians(SystemModel(base.modes, untwisted, base.magnon_sweep_target),
+                            data._columns[0])
     row = {m.label: i for i, m in enumerate(base.modes)}
     free_rows = tuple(row[label] for label in spec.free_photon_frequencies)
     slot = {label: len(free_rows) + k for k, label in enumerate(spec.free_couplings)}
-    moving = []  # (row p, row m, photon, magnon, fixed strength, slot, loop) per moving edge
-    for idx, e in enumerate(base.edges):
-        p, m, k, loop = row[e.photon], row[e.magnon], slot.get(e.photon), chord_loop.get(idx)
-        if k is None and loop is None:
-            write_coupling(template, p, m, CouplingEdge(e.photon, e.magnon, e.strength, 0.0))
-        else:
-            moving.append((p, m, e.photon, e.magnon, e.strength, k, loop))
+    # (row p, row m, photon, magnon, fixed strength, slot, loop) per moving edge
+    moving = [(row[e.photon], row[e.magnon], e.photon, e.magnon, e.strength,
+               slot.get(e.photon), spec._chord_loop.get(idx))
+              for idx, e in enumerate(base.edges)
+              if e.photon in slot or idx in spec._chord_loop]
     phases = [None] * len(moving)  # each moving edge's last phase, and its exp(-i phase)
     rotations = [None] * len(moving)
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from loopmag import calibrate
+from loopmag import calibrate, model
 from loopmag.calibrate import (
     AMBIGUITY_RATIO,
     DEFAULT_SIGMA_GHZ,
@@ -292,6 +292,53 @@ def test_residual_rejects_bad_vectors():
             residual(spec, TRUTH, (bad,), data)
 
 
+@pytest.mark.parametrize("hypotheses, message", [
+    (((math.pi, 0.0),), "hypothesis 0: expected 1 loop phase(s), got 2"),
+    (((math.pi,), ()), "hypothesis 1: expected 1 loop phase(s), got 0"),
+    (((math.pi,), (0.0,), (math.nan,)), "hypothesis 2: loop phases must be finite"),
+    (((-math.inf,), (0.0,)), "hypothesis 0: loop phases must be finite"),
+    # the count is checked before finiteness
+    (((0.0,), (math.nan, math.nan)), "hypothesis 1: expected 1 loop phase(s), got 2"),
+], ids=["too-many", "too-few", "nan", "minus-inf", "count-first"])
+def test_fitspec_names_the_hypothesis_that_breaks_the_loop_phase_rule(hypotheses, message):
+    with pytest.raises(ValueError) as got:
+        two_tone_spec(theta_hypotheses=hypotheses)
+    assert str(got.value) == message
+
+
+def test_residual_keeps_the_loop_phase_messages_without_a_hypothesis_index():
+    spec = two_tone_spec()
+    data = branch_records(fit_device(), (5.0,))
+    for thetas, message in (((math.pi, 0.0), "expected 1 loop phase(s), got 2"),
+                            ((), "expected 1 loop phase(s), got 0"),
+                            ((math.nan, 0.0), "expected 1 loop phase(s), got 2")):
+        with pytest.raises(ValueError) as got:
+            residual(spec, TRUTH, thetas, data)
+        assert str(got.value) == message
+    # a device without a loop takes no loop phase
+    loopless = FitSpec(edgeless_photon_template(), theta_hypotheses=((),))
+    with pytest.raises(ValueError) as got:
+        residual(loopless, (), (0.0,), data)
+    assert str(got.value) == "expected 0 loop phase(s), got 1"
+    with pytest.raises(ValueError) as got:
+        FitSpec(edgeless_photon_template(), theta_hypotheses=((), (0.0,)))
+    assert str(got.value) == "hypothesis 1: expected 0 loop phase(s), got 1"
+
+
+def test_a_spec_reduces_its_device_once_and_no_residual_or_fit_reduces_again(monkeypatch):
+    reduced, reduce = [], calibrate.reduce_system
+    monkeypatch.setattr(calibrate, "reduce_system",
+                        lambda system: reduced.append(system) or reduce(system))
+    spec = two_tone_spec()
+    assert reduced == [spec.base_system]
+    data = branch_records(fit_device(), ANTICROSSING_GRID[::5])
+    for thetas in ((math.pi,), (0.0,), (1.0,)):
+        residual(spec, TRUTH, thetas, data)
+    result = fit(spec, data, (4.52, 6.195, 0.078, 0.118), max_iterations=20)
+    assert result.theta_assignment == (math.pi,)
+    assert reduced == [spec.base_system]
+
+
 # ====== the objective against its oracle ======
 
 
@@ -381,7 +428,7 @@ def test_an_evaluation_writes_only_moving_edges_and_rotates_only_new_phases(monk
         raise AssertionError("an evaluation built a CouplingEdge or rewrote an edge")
 
     monkeypatch.setattr(calibrate, "CouplingEdge", forbidden)
-    monkeypatch.setattr(calibrate, "write_coupling", forbidden)
+    monkeypatch.setattr(model, "write_coupling", forbidden)
     rotated, exp = [], np.exp
     monkeypatch.setattr(np, "exp", lambda z: rotated.append(z) or exp(z))
     params = [5.0, 6.5, 0.05, 0.07]

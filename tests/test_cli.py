@@ -741,6 +741,8 @@ def test_fieldmap_degenerate_phase_is_computation_failure(tmp_path):
          "mode_frequencies_ghz.c1: expected a finite number"),
         (lambda c: c["mode_frequencies_ghz"].update(c1=-4.524),
          "mode_frequencies_ghz.c1 must be > 0"),
+        pytest.param(lambda c: c["mode_frequencies_ghz"].update(c1=0.0),
+                     "mode_frequencies_ghz.c1 must be > 0", id="zero-frequency"),
         (lambda c: c["regions"][0]["center_m"].__setitem__(1, math.nan),
          "regions[0].center_m[1]: expected a finite number"),
         (lambda c: c["regions"].append(c["regions"][0]),

@@ -194,6 +194,12 @@ def test_axial_or_vanishing_transverse_field_has_no_phase():
         coupling_phase(sphere_table((0, 0, 0), (1e-14, 0, 1.0)), region)
 
 
+def test_an_all_zero_field_has_no_phase():
+    region = SphereRegion((0.0, 0.0, 0.0), R_SPHERE, "m1")
+    with pytest.raises(PhaseUndefinedError, match="^region 'm1': transverse moment below"):
+        coupling_phase(sphere_table((0, 0, 0)), region)
+
+
 def test_complex_input_is_reduced_by_a_global_phase():
     region = SphereRegion((0.0, 0.0, 0.0), R_SPHERE, "m1")
     real_table = sphere_table((0, 0, 0), (0.6, 0.8, 0.2))
@@ -406,6 +412,12 @@ def test_regions_loader_rejects_a_region_labelled_like_a_photon():
     assert str(error.value) == "regions[1].label: 'c2' is a photon label of mode_frequencies_ghz"
     config["regions"][1]["label"] = "m2"
     assert [r.label for r in regions_from_document(config)[0]] == ["m1", "m2"]
+
+
+def test_regions_loader_accepts_a_mode_frequency_at_the_ceiling():
+    config = {"regions": [{"label": "m1", "center_m": [0, 0, 0], "radius_m": 1.0}],
+              "mode_frequencies_ghz": {"c1": MAX_FREQUENCY_GHZ}}
+    assert regions_from_document(config)[1] == {"c1": 1e6}
 
 
 def parent_filling_factor_and_phase(table, region):

@@ -184,6 +184,14 @@ def test_loop_phase_rejects_a_walk_of_fewer_than_two_edges():
             loop_phase(short, g)
 
 
+def test_a_two_edge_walk_there_and_back_along_one_edge_has_zero_loop_phase():
+    g = build_graph(table1_device())
+    edge = g.edges[0]
+    assert edge.phase != 0.0
+    there_and_back = Cycle(vertices=(edge.photon, edge.magnon), edges=((0, +1), (0, -1)), chord=0)
+    assert loop_phase(there_and_back, g) == 0.0
+
+
 # ====== reduce ======
 
 

@@ -340,6 +340,18 @@ def test_three_fold_device_has_a_three_fold_cluster_on_one_row_only():
     assert result.photon_weights[2, :3] == pytest.approx([1.0 / 3.0] * 3, abs=1e-12)
 
 
+def test_modes_exactly_one_cluster_width_apart_are_not_one_cluster():
+    # 2e-9 - 1e-9 is exactly 1e-9: the two bare lines keep their own weights
+    system = SystemModel(
+        modes=(ModeSpec("c1", "photon", 1e-9), ModeSpec("m1", "magnon", 5.0)),
+        edges=(),
+        magnon_sweep_target=frozenset({"m1"}),
+    )
+    result = sweep(system, np.array([2e-9]))
+    assert np.diff(result.branches).tolist() == [[DEGENERACY_CLUSTER_GHZ]]
+    assert result.photon_weights.tolist() == [[1.0, 0.0]]
+
+
 # ====== branch_frequencies ======
 
 
@@ -361,12 +373,25 @@ def test_branch_frequencies_matches_sweep_on_each_preset(name):
 # ====== min_gap ======
 
 
-def test_min_gap_single_pair_closed_form():
-    system = SystemModel(
-        modes=(ModeSpec("c1", "photon", 4.56), ModeSpec("m1", "magnon", 5.0)),
+PAD_GHZ = 1e-12  # min_gap's slack at the window ends
+
+
+def pair_device(omega_c):
+    """Photon c1 at omega_c GHz coupled at 81 MHz to the swept magnon m1: gap 162 MHz at omega_c."""
+    return SystemModel(
+        modes=(ModeSpec("c1", "photon", omega_c), ModeSpec("m1", "magnon", 5.0)),
         edges=(CouplingEdge("c1", "m1", 81.0, 0.0),),
         magnon_sweep_target=frozenset({"m1"}),
     )
+
+
+def grid_gaps(result):
+    """|branch 1 - branch 0| at each grid point, in GHz."""
+    return np.abs(result.branches[:, 1] - result.branches[:, 0])
+
+
+def test_min_gap_single_pair_closed_form():
+    system = pair_device(4.56)
     grid = np.linspace(4.0, 7.0, 299)  # 4.56 is not a grid point
     result = sweep(system, grid)
     report = min_gap(result, 0, 1, (4.0, 7.0), system=system)
@@ -410,7 +435,7 @@ def test_min_gap_threshold_flips_flag():
 def test_min_gap_validates_window_and_branches():
     system = fit_device()
     result = sweep(system, np.linspace(4.5, 6.5, 21))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^window extends beyond the sweep grid$"):
         min_gap(result, 0, 1, (6.6, 7.0))
     with pytest.raises(ValueError):
         min_gap(result, 0, 1, (5.21, 5.22))  # no grid point inside
@@ -436,6 +461,69 @@ def test_min_gap_rejects_a_non_finite_threshold_after_the_branch_and_window_chec
         min_gap(result, 1, 4, (5.1, 5.6), crossing_threshold_ghz=threshold)
     with pytest.raises(ValueError, match="^window contains no grid points$"):
         min_gap(result, 1, 2, (5.101, 5.102), crossing_threshold_ghz=threshold)
+
+
+def test_min_gap_accepts_a_window_out_to_the_grid_ends_plus_the_pad():
+    grid = np.linspace(5.0, 6.0, 5)
+    result = sweep(pair_device(4.0), grid)
+    report = min_gap(result, 0, 1, (grid[0] - PAD_GHZ, grid[-1] + PAD_GHZ))
+    assert report.omega_m_at_min == grid[0]
+    for window in ((np.nextafter(grid[0] - PAD_GHZ, 0.0), 6.0),
+                   (5.0, np.nextafter(grid[-1] + PAD_GHZ, 7.0))):
+        with pytest.raises(ValueError, match="^window extends beyond the sweep grid$"):
+            min_gap(result, 0, 1, window)
+
+
+@pytest.mark.parametrize("omega_c, end", [(4.0, 0), (7.0, -1)], ids=["first", "last"])
+def test_min_gap_counts_grid_points_exactly_one_pad_outside_the_window(omega_c, end):
+    lo, hi = 5.0, 6.0
+    grid = np.array([lo - PAD_GHZ, 5.25, 5.5, 5.75, hi + PAD_GHZ])
+    assert grid[0] + PAD_GHZ == lo and grid[-1] - PAD_GHZ == hi
+    result = sweep(pair_device(omega_c), grid)
+    report = min_gap(result, 0, 1, (lo, hi))
+    # the gap is narrowest at that end point, which has no neighbour past it
+    assert report.omega_m_at_min == grid[end]
+    assert report.min_gap_mhz == grid_gaps(result)[end] * 1e3
+
+
+@pytest.mark.parametrize("grid, end", [(np.linspace(4.557, 4.657, 11), 0),
+                                       (np.linspace(4.463, 4.563, 11), -1)],
+                         ids=["first", "last"])
+def test_min_gap_at_a_window_end_refines_only_into_the_window(grid, end):
+    system = pair_device(4.56)  # the gap's true minimum lies 3 MHz inside the end point
+    result = sweep(system, grid)
+    gaps = grid_gaps(result)
+    assert int(np.argmin(gaps)) == end % grid.size
+    coarse = min_gap(result, 0, 1, (grid[0], grid[-1]), crossing_threshold_ghz=gaps[end])
+    assert (coarse.omega_m_at_min, coarse.min_gap_mhz) == (grid[end], gaps[end] * 1e3)
+    assert not coarse.is_crossing  # the threshold equals the gap: not below it
+    above = min_gap(result, 0, 1, (grid[0], grid[-1]),
+                    crossing_threshold_ghz=np.nextafter(gaps[end], 1.0))
+    assert above.is_crossing
+    exact = min_gap(result, 0, 1, (grid[0], grid[-1]), system=system)
+    inner = grid[1] if end == 0 else grid[-2]
+    assert min(grid[end], inner) < exact.omega_m_at_min < max(grid[end], inner)
+    assert abs(exact.omega_m_at_min - 4.56) < 1e-5
+    assert abs(exact.min_gap_mhz - 162.0) < 1e-6
+
+
+def test_min_gap_without_a_system_takes_the_vertex_of_the_parabola_through_three_gaps():
+    grid = np.linspace(4.0, 7.0, 299)
+    result = sweep(pair_device(4.56), grid)
+    gaps = grid_gaps(result)
+    k = int(np.argmin(gaps))
+    (x0, x1, x2), (y0, y1, y2) = grid[k - 1:k + 2], gaps[k - 1:k + 2]
+    # Lagrange form, independent of spectrum.parabola_vertex's Newton form
+    a = y0 / ((x0 - x1) * (x0 - x2)) + y1 / ((x1 - x0) * (x1 - x2)) + y2 / ((x2 - x0) * (x2 - x1))
+    b = (-y0 * (x1 + x2) / ((x0 - x1) * (x0 - x2)) - y1 * (x0 + x2) / ((x1 - x0) * (x1 - x2))
+         - y2 * (x0 + x1) / ((x2 - x0) * (x2 - x1)))
+    vertex = -b / (2 * a)
+    value = y1 + (vertex - x1) * (b + a * (vertex + x1))
+    report = min_gap(result, 0, 1, (4.0, 7.0))
+    assert abs(report.omega_m_at_min - vertex) < 1e-9
+    assert abs(report.min_gap_mhz - value * 1e3) < 1e-6
+    # the refinement moves the gap by far more than that tolerance
+    assert gaps[k] * 1e3 - report.min_gap_mhz > 0.01
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -496,6 +584,13 @@ def test_resonant_gap_table1_device_exact_block():
     gap = resonant_gap(table1_device(), "c2")
     want = 2.0 * math.sqrt(2) * 207.0
     assert abs(gap - want) <= want * 1e-9
+
+
+def test_resonant_gap_counts_an_eigenvalue_at_the_photon_frequency_as_below_it():
+    bare = SystemModel(modes=(ModeSpec("c1", "photon", 5.0), ModeSpec("m1", "magnon", 6.0)),
+                       edges=())
+    assert np.linalg.eigvalsh(build_hamiltonian(bare, 5.0).entries).tolist() == [5.0, 6.0]
+    assert resonant_gap(bare, "c1") == 1000.0
 
 
 def test_resonant_gap_validates_label():
