@@ -15,8 +15,9 @@ so it stays well defined when a dataset misses dark or weakly visible peaks.
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
+from itertools import chain
 from operator import add
 from typing import NamedTuple
 
@@ -55,7 +56,10 @@ class PeakRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class PeakDataset:
-    """Measured peak positions, all in GHz."""
+    """Measured peak positions, all in GHz: records of 2 or 3 values, each through float(),
+    then checked as one (N, 3) array in this order: finite, omega_m > 0, max(omega_m,
+    |omega_peak|) <= MAX_FREQUENCY_GHZ, sigma > 0, sigma >= MIN_SIGMA_GHZ.  The message
+    names the first failing record and the first of its checks to fail."""
 
     records: tuple
 
@@ -69,25 +73,24 @@ class PeakDataset:
             if len(r) not in (2, 3):
                 raise ValueError("record %d: expected 2 or 3 values" % k)
             records.append(PeakRecord(*map(float, r)))
-        records = tuple(records)
-        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "records", tuple(records))
         if not records:
             raise ValueError("dataset must contain at least one record")
-        for k, r in enumerate(records):
-            if not all(map(math.isfinite, r)):
-                raise ValueError("record %d: all values must be finite" % k)
-            if not r.omega_m > 0:
-                raise ValueError("record %d: omega_m must be > 0 GHz" % k)
-            if max(r.omega_m, abs(r.omega_peak)) > MAX_FREQUENCY_GHZ:
-                raise ValueError("record %d: frequencies must be <= %g GHz" % (k, MAX_FREQUENCY_GHZ))
-            if not r.sigma > 0:
-                raise ValueError("record %d: sigma must be > 0 GHz" % k)
-            if r.sigma < MIN_SIGMA_GHZ:
-                raise ValueError("record %d: sigma must be >= %g GHz" % (k, MIN_SIGMA_GHZ))
+        array = np.fromiter(chain.from_iterable(records), float, 3 * len(records)).reshape(-1, 3)
+        omega_m, peaks, sigmas = array.T
+        # one row per check, in the order each record is checked
+        failed = np.array([~np.isfinite(array).all(axis=1), ~(omega_m > 0),
+                           np.maximum(omega_m, np.abs(peaks)) > MAX_FREQUENCY_GHZ,
+                           ~(sigmas > 0), sigmas < MIN_SIGMA_GHZ])
+        if failed.any():
+            k = failed.any(axis=0).argmax()
+            messages = ("all values must be finite", "omega_m must be > 0 GHz",
+                        "frequencies must be <= %g GHz" % MAX_FREQUENCY_GHZ,
+                        "sigma must be > 0 GHz", "sigma must be >= %g GHz" % MIN_SIGMA_GHZ)
+            raise ValueError("record %d: %s" % (k, messages[failed[:, k].argmax()]))
         # _columns: sorted unique omega_m, each record's row among them, peaks, sigmas
-        array = np.array(records)
-        omegas, rows = np.unique(array[:, 0], return_inverse=True)
-        object.__setattr__(self, "_columns", (omegas, rows, array[:, 1].copy(), array[:, 2]))
+        omegas, rows = np.unique(omega_m, return_inverse=True)
+        object.__setattr__(self, "_columns", (omegas, rows, peaks.copy(), sigmas))
 
 
 def dataset_from_csv(text: str) -> PeakDataset:
@@ -112,7 +115,8 @@ class FitSpec:
     the fit: each hypothesis assigns the loop phases outright, in the order
     the gauge reduction reports them, and tree edges are held at zero phase.
     The spec reduces its base system once and keeps which loop each chord
-    edge carries; every objective and residual over it reads that map.
+    edge carries, and its base system with every edge at zero phase; every
+    objective and residual over it reads both.
 
     bounds maps names of the search vector ('omega_c:<label>', 'g:<label>',
     and 'theta:<k>' only in continuous mode) to finite (lower, upper) pairs;
@@ -129,15 +133,10 @@ class FitSpec:
     continuous_theta: bool = False
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "free_photon_frequencies", tuple(self.free_photon_frequencies)
-        )
+        object.__setattr__(self, "free_photon_frequencies", tuple(self.free_photon_frequencies))
         object.__setattr__(self, "free_couplings", tuple(self.free_couplings))
-        object.__setattr__(
-            self,
-            "theta_hypotheses",
-            tuple(tuple(float(t) for t in h) for h in self.theta_hypotheses),
-        )
+        object.__setattr__(self, "theta_hypotheses",
+                           tuple(tuple(float(t) for t in h) for h in self.theta_hypotheses))
         object.__setattr__(self, "bounds", dict(self.bounds))
         photons = set(self.base_system.photon_labels())
         for group in (self.free_photon_frequencies, self.free_couplings):
@@ -155,14 +154,16 @@ class FitSpec:
         # _chord_loop: each chord's edge index -> its loop's index, in reduction order
         loops = reduce_system(self.base_system).physical_phases
         object.__setattr__(self, "_chord_loop", {p.cycle.chord: k for k, p in enumerate(loops)})
+        # _untwisted: the base device with every edge at phase 0, the fit's template
+        base = self.base_system
+        untwisted = tuple(CouplingEdge(e.photon, e.magnon, e.strength, 0.0) for e in base.edges)
+        object.__setattr__(self, "_untwisted", replace(base, edges=untwisted))
         if not self.theta_hypotheses:
             raise ValueError("theta_hypotheses must contain at least one assignment")
         for k, hypothesis in enumerate(self.theta_hypotheses):
             _checked_thetas(self, hypothesis, "hypothesis %d: " % k)
         if self.continuous_theta and len(self.theta_hypotheses) != 1:
-            raise ValueError(
-                "continuous loop-phase mode takes exactly one seed assignment"
-            )
+            raise ValueError("continuous loop-phase mode takes exactly one seed assignment")
         valid = set(_search_names(self))
         for name, pair in self.bounds.items():
             if name not in valid:
@@ -251,16 +252,16 @@ def _residual_of_table(table: np.ndarray, data: PeakDataset) -> float:
     nearest = np.minimum.reduce(np.abs(distance, out=distance), axis=0)
     nearest /= sigmas
     nearest *= nearest
-    # cumsum adds in record order like a running total; np.sum's pairwise
-    # summation would differ in the last bits and steer the simplex elsewhere
-    return float(np.cumsum(nearest)[-1])
+    # add.accumulate (np.cumsum minus its wrapper's allocations) adds in record order; np.sum's
+    # pairwise summation would differ in the last bits and steer the simplex elsewhere
+    return float(np.add.accumulate(nearest)[-1])
 
 
 def _objective(spec: FitSpec, data: PeakDataset):
     """The residual as a function of (params, thetas), on Hamiltonians built once.
 
-    The template stack is hamiltonians of the base device with every edge at
-    zero phase: the gauge-reduced form of each edge that no free coupling or
+    The template stack is hamiltonians of the spec's base device with every
+    edge at zero phase: the gauge-reduced form of each edge that no free coupling or
     loop phase moves (a tree edge).  Each evaluation copies it, writes in the
     free photon frequencies, each checked as ModeSpec checks a mode's, and
     then only the moving edges in gauge-reduced form (tree edges at zero
@@ -270,9 +271,7 @@ def _objective(spec: FitSpec, data: PeakDataset):
     and exp(-i phase), so an unchanged phase is not rotated again.
     """
     base = spec.base_system
-    untwisted = tuple(CouplingEdge(e.photon, e.magnon, e.strength, 0.0) for e in base.edges)
-    template = hamiltonians(SystemModel(base.modes, untwisted, base.magnon_sweep_target),
-                            data._columns[0])
+    template = hamiltonians(spec._untwisted, data._columns[0])
     row = {m.label: i for i, m in enumerate(base.modes)}
     free_rows = tuple(row[label] for label in spec.free_photon_frequencies)
     slot = {label: len(free_rows) + k for k, label in enumerate(spec.free_couplings)}

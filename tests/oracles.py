@@ -1,5 +1,5 @@
-"""Independent oracles used by the test suite: an eigenvalue solver, a CSV reader
-and a fit objective.
+"""Independent oracles used by the test suite: an eigenvalue solver, a CSV reader,
+a fit objective and a peak dataset.
 
 Finds the eigenvalues of a complex Hermitian matrix by sign-change bisection on
 the characteristic polynomial p(lambda) = det(H - lambda*I).  The determinant is
@@ -21,13 +21,23 @@ The fit objective is calibrate._objective as it was before it wrote only the
 edges that move: every evaluation writes every edge through a new
 CouplingEdge, and the residual takes the nearest branch per record row by row.
 The package's objective must equal it bit for bit and raise its messages.
+
+The peak dataset is calibrate.PeakDataset as it was before its value checks
+ran as masks over one array: its __post_init__ checks each record in a Python
+loop, five checks in turn, and rebuilds an array from the records for its
+columns.  The package's dataset must accept, reject, raise the same exception
+with the same message, and hold equal records and columns with equal bits.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from loopmag.calibrate import MIN_SIGMA_GHZ, PeakRecord
 from loopmag.gauge import reduce_system
-from loopmag.model import (CouplingEdge, SchemaError, check_mode_frequency, hamiltonians,
-                           write_coupling)
+from loopmag.model import (MAX_FREQUENCY_GHZ, CouplingEdge, SchemaError, check_mode_frequency,
+                           hamiltonians, write_coupling)
 
 
 class OracleError(RuntimeError):
@@ -236,3 +246,40 @@ def fit_objective(spec, data):
         return float(np.cumsum((nearest / sigmas) ** 2)[-1])
 
     return objective
+
+
+@dataclass(frozen=True)
+class PeakDataset:
+    """Measured peak positions, all in GHz, checked record by record."""
+
+    records: tuple
+
+    def __post_init__(self):
+        records = []
+        for k, r in enumerate(self.records):
+            try:
+                r = tuple(r)
+            except TypeError:  # not iterable: no values at all
+                r = ()
+            if len(r) not in (2, 3):
+                raise ValueError("record %d: expected 2 or 3 values" % k)
+            records.append(PeakRecord(*map(float, r)))
+        records = tuple(records)
+        object.__setattr__(self, "records", records)
+        if not records:
+            raise ValueError("dataset must contain at least one record")
+        for k, r in enumerate(records):
+            if not all(map(math.isfinite, r)):
+                raise ValueError("record %d: all values must be finite" % k)
+            if not r.omega_m > 0:
+                raise ValueError("record %d: omega_m must be > 0 GHz" % k)
+            if max(r.omega_m, abs(r.omega_peak)) > MAX_FREQUENCY_GHZ:
+                raise ValueError("record %d: frequencies must be <= %g GHz" % (k, MAX_FREQUENCY_GHZ))
+            if not r.sigma > 0:
+                raise ValueError("record %d: sigma must be > 0 GHz" % k)
+            if r.sigma < MIN_SIGMA_GHZ:
+                raise ValueError("record %d: sigma must be >= %g GHz" % (k, MIN_SIGMA_GHZ))
+        # _columns: sorted unique omega_m, each record's row among them, peaks, sigmas
+        array = np.array(records)
+        omegas, rows = np.unique(array[:, 0], return_inverse=True)
+        object.__setattr__(self, "_columns", (omegas, rows, array[:, 1].copy(), array[:, 2]))

@@ -1,11 +1,15 @@
 """Tests for peak-data calibration: residuals, hypothesis fits, CSV input."""
 
+import contextlib
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loopmag import calibrate, model
 from loopmag.calibrate import (
@@ -34,7 +38,8 @@ from loopmag.model import (
 )
 from loopmag.spectrum import branch_frequencies
 from devices import fit_device, preset, random_system
-from oracles import fit_objective
+from oracles import PeakDataset as RecordLoopPeakDataset
+from oracles import fit_objective, read_numeric_csv as float_loop_read_numeric_csv
 
 
 # ====== device builders ======
@@ -339,6 +344,25 @@ def test_a_spec_reduces_its_device_once_and_no_residual_or_fit_reduces_again(mon
     assert reduced == [spec.base_system]
 
 
+def test_a_spec_builds_its_phase_zero_device_once_and_no_residual_or_fit_builds_one(
+        monkeypatch):
+    spec = two_tone_spec()
+    untwisted = tuple(dataclasses.replace(e, phase=0.0) for e in spec.base_system.edges)
+    assert spec._untwisted == dataclasses.replace(spec.base_system, edges=untwisted)
+    data = branch_records(fit_device(), ANTICROSSING_GRID[::5])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a device was built after the spec")
+
+    # on the classes, so that every way of building one raises, dataclasses.replace too
+    monkeypatch.setattr(model.SystemModel, "__post_init__", refuse)
+    monkeypatch.setattr(model.CouplingEdge, "__post_init__", refuse)
+    for thetas in ((math.pi,), (0.0,), (1.0,)):
+        residual(spec, TRUTH, thetas, data)
+    result = fit(spec, data, (4.52, 6.195, 0.078, 0.118), max_iterations=20)
+    assert result.theta_assignment == (math.pi,)
+
+
 # ====== the objective against its oracle ======
 
 
@@ -488,6 +512,115 @@ def test_peak_dataset_rejects_a_record_of_the_wrong_length_with_value_error(bad)
     # the length comes before every per-record check, of this record and of the others
     with pytest.raises(ValueError, match=r"^record 1: expected 2 or 3 values$"):
         PeakDataset(records=((-1.0, 4.5), bad))
+
+
+def test_a_record_failing_the_finite_and_the_sigma_checks_is_reported_not_finite():
+    for record in ((5.0, math.nan, 0.0), (math.inf, 4.5, 1e-12), (5.0, 4.5, -math.inf)):
+        with pytest.raises(ValueError, match=r"^record 1: all values must be finite$"):
+            PeakDataset(records=((5.0, 4.5), record))
+
+
+def test_the_first_failing_record_is_named_before_a_later_one_that_fails_an_earlier_check():
+    with pytest.raises(ValueError, match=r"^record 0: sigma must be >= 1e-09 GHz$"):
+        PeakDataset(records=((5.0, 4.5, 1e-10), (math.nan, 4.5)))
+    with pytest.raises(ValueError, match=r"^record 1: omega_m must be > 0 GHz$"):
+        PeakDataset(records=((5.0, 4.5), (-1.0, 4.5, 0.0), (5.0, math.inf)))
+
+
+def test_a_float_error_comes_before_a_later_records_length_error():
+    with pytest.raises(TypeError) as expected:
+        float(None)
+    with pytest.raises(TypeError) as got:
+        PeakDataset(records=((5.0, None), (1.0,)))
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("record, message", [
+    ((0.0, 4.5), "omega_m must be > 0 GHz"),
+    ((-0.0, 4.5), "omega_m must be > 0 GHz"),
+    ((math.nextafter(1e6, math.inf), 4.5), "frequencies must be <= 1e+06 GHz"),
+    ((5.0, math.nextafter(1e6, math.inf)), "frequencies must be <= 1e+06 GHz"),
+    ((5.0, math.nextafter(-1e6, -math.inf)), "frequencies must be <= 1e+06 GHz"),
+    ((5.0, 4.5, -0.0), "sigma must be > 0 GHz"),
+    ((5.0, 4.5, math.nextafter(MIN_SIGMA_GHZ, 0.0)), "sigma must be >= 1e-09 GHz"),
+])
+def test_a_value_one_step_past_its_limit_is_rejected(record, message):
+    with pytest.raises(ValueError, match="^record 1: %s$" % re.escape(message)):
+        PeakDataset(records=((5.0, 4.5), record))
+
+
+def test_values_at_their_limits_are_accepted():
+    records = ((5e-324, 4.5), (1e6, -1e6), (5.0, 1e6, MIN_SIGMA_GHZ), (5.0, -0.0, 5e-9))
+    data = PeakDataset(records=records)
+    assert data.records == tuple(PeakRecord(*r) for r in records)
+    np.testing.assert_array_equal(data._columns[0], [5e-324, 5.0, 1e6])
+
+
+MAX_GHZ = model.MAX_FREQUENCY_GHZ
+LIMITS = [0.0, -0.0, 5e-324, -5e-324, MIN_SIGMA_GHZ, math.nextafter(MIN_SIGMA_GHZ, 0.0),
+          math.nextafter(MIN_SIGMA_GHZ, 1.0), MAX_GHZ, -MAX_GHZ, math.nextafter(MAX_GHZ, 0.0),
+          math.nextafter(MAX_GHZ, math.inf), math.nextafter(-MAX_GHZ, -math.inf),
+          math.nan, math.inf, -math.inf]
+PLAIN_VALUES = st.floats(0.5, 9.5) | st.sampled_from([0.001, 0.013, DEFAULT_SIGMA_GHZ])
+ODD_VALUES = (st.integers(-2, 10**6 + 1) | st.booleans() | st.sampled_from([None, "x", " 5 ", "nan"])
+              | (PLAIN_VALUES | st.sampled_from(LIMITS)).map(repr))
+VALID_RECORDS = st.tuples(PLAIN_VALUES | st.sampled_from([5e-324, MAX_GHZ]),
+                          PLAIN_VALUES | st.sampled_from([0.0, -0.0, MAX_GHZ, -MAX_GHZ]),
+                          PLAIN_VALUES | st.sampled_from([MIN_SIGMA_GHZ]))
+
+
+@st.composite
+def peak_record_inputs(draw):
+    """One record as a caller may pass it: valid, at a limit, mistyped, of the wrong
+    length or not iterable, as a tuple, list, numpy row or PeakRecord."""
+    kind = draw(st.sampled_from(["valid"] * 8 + ["any"] * 8 + ["wrong length", "not iterable"]))
+    if kind == "not iterable":
+        return draw(st.sampled_from([None, 5.0, 7, "12", "1x"]))
+    value = st.one_of(PLAIN_VALUES, st.sampled_from(LIMITS), st.sampled_from(LIMITS), ODD_VALUES)
+    if kind == "valid":
+        values = list(draw(VALID_RECORDS))[:draw(st.sampled_from([2, 3]))]
+    else:
+        sizes = [2, 3] if kind == "any" else [0, 1, 4]
+        values = [draw(value) for _ in range(draw(st.sampled_from(sizes)))]
+    as_floats = all(type(v) is float for v in values)
+    row = np.array(values, dtype=np.float64 if as_floats else object)
+    shapes = [tuple(values), values, row] + ([PeakRecord(*values)] if len(values) in (2, 3) else [])
+    return draw(st.sampled_from(shapes))
+
+
+def dataset_outcome(build, argument):
+    """What build(argument) makes: its exception's type and message, or its records
+    and the bits of its columns."""
+    try:
+        data = build(argument)
+    except Exception as error:
+        return type(error), str(error)
+    return repr(data.records), [(a.dtype.str, a.shape, a.tobytes()) for a in data._columns]
+
+
+def record_loop_dataset_from_csv(text):
+    _, data = float_loop_read_numeric_csv(
+        text, ("omega_m_ghz,omega_peak_ghz", "omega_m_ghz,omega_peak_ghz,sigma_ghz"))
+    with model.anchored(""):
+        return RecordLoopPeakDataset(records=data.tolist())
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.lists(peak_record_inputs(), max_size=6))
+def test_peak_dataset_equals_the_record_loop_oracle(records):
+    assert (dataset_outcome(lambda r: PeakDataset(records=r), records)
+            == dataset_outcome(lambda r: RecordLoopPeakDataset(records=r), records))
+    rows = []
+    for record in records:
+        with contextlib.suppress(TypeError, ValueError):
+            values = tuple(map(float, record))
+            if len(values) in (2, 3):
+                rows.append(PeakRecord(*values))
+    for header, width in (("omega_m_ghz,omega_peak_ghz", 2),
+                          ("omega_m_ghz,omega_peak_ghz,sigma_ghz", 3)):
+        text = "".join("\n" + ",".join(map(repr, row[:width])) for row in rows)
+        assert (dataset_outcome(dataset_from_csv, header + text + "\n")
+                == dataset_outcome(record_loop_dataset_from_csv, header + text + "\n"))
 
 
 def test_dataset_from_csv_with_sigma_column():

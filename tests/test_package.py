@@ -190,3 +190,20 @@ def test_no_test_module_imports_another():
         names = [node.module or "" for node in nodes if isinstance(node, ast.ImportFrom)]
         names += [alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names]
         assert not [name for name in names if name.startswith("test_")], path.name
+
+
+README_NAME = re.compile(r"`(?:loopmag\.)?(calibrate|cli|fieldmap|gauge|model|spectrum|transmission)"
+                         r"\.([A-Za-z_]\w*)`(?: = (\d(?:[\d.e^+-]*\d)?))?")
+
+
+def test_every_module_name_in_the_readme_resolves_and_every_value_it_claims_holds():
+    found = README_NAME.findall((TESTS_DIR.parent / "README.md").read_text())
+    claims = [(module, name, value) for module, name, value in found if value]
+    assert found and claims
+    missing = [(module, name) for module, name, _ in found
+               if not hasattr(importlib.import_module("loopmag." + module), name)]
+    assert not missing, "README names what its module does not define: %s" % missing
+    for module, name, value in claims:
+        base, _, power = value.partition("^")
+        claimed = int(base) ** int(power) if power else float(value)
+        assert getattr(importlib.import_module("loopmag." + module), name) == claimed, name
