@@ -7,8 +7,10 @@ grid settings in the file are overridden by the long-form flags.
 
 Exit codes: 0 on success, 2 when inputs fail to load or validate, 1 when the
 computation fails on well-formed inputs or the payload cannot be written to
---out (or its sidecar); each failure prints one error: line.  Input
-validation is everything that happens before numerical work starts, in each
+--out (or its sidecar); each such failure prints one error: line.  An option
+that click rejects itself (an unknown preset, a flag value of the wrong type,
+a missing required option) exits 2 with click's usage block instead, ending
+in an Error: line.  Input validation is everything that happens before numerical work starts, in each
 command's load step; for example a field export whose transverse moments
 vanish parses fine but has no defined coupling phase, which is reported as
 a computation failure.

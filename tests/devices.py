@@ -1,8 +1,10 @@
 """The suite's devices and shared helpers, each defined once.
 
 The paper's devices are read from loopmag.cli.PRESETS; the rest are built here:
-the 5.36 GHz Table-1 variant, a photon-magnon chain, seeded random devices, a
-union-find component count and a loader for modules outside the package.
+the 5.36 GHz Table-1 variant, one photon-magnon pair, a photon-magnon chain,
+seeded random devices, the two-tone fit spec with its truth and the peak
+records of a device's branches, a union-find component count and a loader for
+modules outside the package.
 """
 
 import importlib.util
@@ -10,8 +12,10 @@ import math
 
 import numpy as np
 
+from loopmag.calibrate import DEFAULT_SIGMA_GHZ, FitSpec, PeakDataset, PeakRecord
 from loopmag.cli import PRESETS
 from loopmag.model import CouplingEdge, ModeSpec, SystemModel, system_from_document
+from loopmag.spectrum import branch_frequencies
 
 
 def preset(name) -> SystemModel:
@@ -43,6 +47,56 @@ def fit_device(phases=None) -> SystemModel:
     edges = tuple(CouplingEdge(e.photon, e.magnon, e.strength, phase)
                   for e, phase in zip(system.edges, phases, strict=True))
     return SystemModel(system.modes, edges, system.magnon_sweep_target)
+
+
+def single_pair_system(g_mhz=139.0, phase=-math.pi / 2, omega_c=4.524) -> SystemModel:
+    """Photon c1 at omega_c GHz coupled at g_mhz MHz and phase to the swept magnon m1 at
+    5 GHz: the branches come closest, 2 |g_mhz| MHz apart, at omega_m = omega_c."""
+    return SystemModel(
+        modes=(
+            ModeSpec("c1", "photon", omega_c),
+            ModeSpec("m1", "magnon", 5.0),
+        ),
+        edges=(CouplingEdge("c1", "m1", g_mhz, phase),),
+        magnon_sweep_target=frozenset({"m1"}),
+    )
+
+
+def two_tone_spec(**overrides) -> FitSpec:
+    """cavity-pi-fit with both photon frequencies and both couplings free, loop phase
+    pi or 0; overrides replace FitSpec fields."""
+    kwargs = dict(
+        base_system=fit_device(),
+        free_photon_frequencies=("c1", "c2"),
+        free_couplings=("c1", "c2"),
+        theta_hypotheses=((math.pi,), (0.0,)),
+    )
+    kwargs.update(overrides)
+    return FitSpec(**kwargs)
+
+
+# the cavity-pi-fit values of two_tone_spec's parameters, in its order
+FIT_TRUTH = (4.527, 6.19, 0.081, 0.120)
+
+
+def branch_records(system, omega_ms, sigma=None, noise=None, rng=None, branches=None):
+    """Branch frequencies of `system` at each omega_m, as peak records.
+
+    branches selects sorted-branch indices (default: all of them).
+    """
+    table = branch_frequencies(system, omega_ms)
+    records = []
+    for i, omega_m in enumerate(omega_ms):
+        row = table[i] if branches is None else table[i][list(branches)]
+        for peak in row:
+            value = float(peak)
+            if noise is not None:
+                value += noise * rng.standard_normal()
+            if sigma is None:
+                records.append(PeakRecord(float(omega_m), value, DEFAULT_SIGMA_GHZ))
+            else:
+                records.append(PeakRecord(float(omega_m), value, sigma))
+    return PeakDataset(records=tuple(records))
 
 
 def table1_device() -> SystemModel:

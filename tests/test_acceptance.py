@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from loopmag.calibrate import FitSpec, PeakDataset, PeakRecord, fit
+from loopmag.calibrate import fit
 from loopmag.fieldmap import (
     DEFAULT_CONSTANTS,
     FieldTable,
@@ -39,7 +39,16 @@ from loopmag.spectrum import (
     sweep,
 )
 from loopmag.transmission import PortSpec, s21_at
-from devices import component_count, fit_device, preset, preset_grid, random_system
+from devices import (
+    FIT_TRUTH,
+    branch_records,
+    component_count,
+    fit_device,
+    preset,
+    preset_grid,
+    random_system,
+    two_tone_spec,
+)
 from oracles import char_poly_eigenvalues
 from synthfields import circulating_field, pi_device_posts, sphere_grid
 
@@ -69,30 +78,6 @@ def cycle_sum(system, photon_a, photon_b) -> float:
         + phase[(photon_b, "m2")]
         - phase[(photon_a, "m2")]
     )
-
-
-FIT_TRUTH = (4.527, 6.19, 0.081, 0.120)
-
-
-def two_tone_fit_spec() -> FitSpec:
-    return FitSpec(
-        base_system=fit_device(),
-        free_photon_frequencies=("c1", "c2"),
-        free_couplings=("c1", "c2"),
-        theta_hypotheses=((math.pi,), (0.0,)),
-    )
-
-
-def synthetic_peaks(system, grid, noise=None, rng=None) -> PeakDataset:
-    table = branch_frequencies(system, grid)
-    records = []
-    for i, omega_m in enumerate(grid):
-        for peak in table[i]:
-            value = float(peak)
-            if noise is not None:
-                value += noise * rng.standard_normal()
-            records.append(PeakRecord(float(omega_m), value))
-    return PeakDataset(records=tuple(records))
 
 
 # ====== criteria ======
@@ -351,11 +336,11 @@ def test_acceptance_10_circulating_fields_realize_the_pi_device():
 
 def test_acceptance_11_fit_recovers_synthetic_devices():
     """fits recover synthetic truth exactly without noise and robustly with noise"""
-    spec = two_tone_fit_spec()
+    spec = two_tone_spec()
     grid = np.linspace(4.3, 6.4, 16)
     start = time.perf_counter()
 
-    clean = synthetic_peaks(fit_device(), grid)
+    clean = branch_records(fit_device(), grid)
     result = fit(spec, clean, (4.512, 6.205, 0.060, 0.100))
     assert result.theta_assignment == (math.pi,)
     for name, truth in zip(("omega_c:c1", "omega_c:c2", "g:c1", "g:c2"), FIT_TRUTH):
@@ -364,7 +349,7 @@ def test_acceptance_11_fit_recovers_synthetic_devices():
     rng = np.random.default_rng(5150)
     recovered = 0
     for _ in range(100):
-        noisy = synthetic_peaks(fit_device(), grid, noise=0.001, rng=rng)
+        noisy = branch_records(fit_device(), grid, noise=0.001, rng=rng)
         trial = fit(spec, noisy, (4.52, 6.195, 0.078, 0.118))
         errors = [
             abs(trial.params[name] - truth)

@@ -37,46 +37,12 @@ from loopmag.model import (
     fold_phase,
 )
 from loopmag.spectrum import branch_frequencies
-from devices import fit_device, preset, random_system
+from devices import FIT_TRUTH, branch_records, fit_device, preset, random_system, two_tone_spec
 from oracles import PeakDataset as RecordLoopPeakDataset
 from oracles import fit_objective, read_numeric_csv as float_loop_read_numeric_csv
 
 
 # ====== device builders ======
-
-
-def two_tone_spec(**overrides):
-    kwargs = dict(
-        base_system=fit_device(),
-        free_photon_frequencies=("c1", "c2"),
-        free_couplings=("c1", "c2"),
-        theta_hypotheses=((math.pi,), (0.0,)),
-    )
-    kwargs.update(overrides)
-    return FitSpec(**kwargs)
-
-
-TRUTH = (4.527, 6.19, 0.081, 0.120)
-
-
-def branch_records(system, omega_ms, sigma=None, noise=None, rng=None, branches=None):
-    """Branch frequencies of `system` at each omega_m, as peak records.
-
-    branches selects sorted-branch indices (default: all of them).
-    """
-    table = branch_frequencies(system, omega_ms)
-    records = []
-    for i, omega_m in enumerate(omega_ms):
-        row = table[i] if branches is None else table[i][list(branches)]
-        for peak in row:
-            value = float(peak)
-            if noise is not None:
-                value += noise * rng.standard_normal()
-            if sigma is None:
-                records.append(PeakRecord(float(omega_m), value, DEFAULT_SIGMA_GHZ))
-            else:
-                records.append(PeakRecord(float(omega_m), value, sigma))
-    return PeakDataset(records=tuple(records))
 
 
 ANTICROSSING_GRID = tuple(np.linspace(4.3, 6.4, 16))
@@ -239,7 +205,7 @@ def test_residual_rejects_a_free_frequency_above_the_ceiling_as_modespec_does():
 def test_residual_is_zero_on_exact_branch_data():
     system = fit_device()
     data = branch_records(system, ANTICROSSING_GRID)
-    assert residual(two_tone_spec(), TRUTH, (math.pi,), data) == 0.0
+    assert residual(two_tone_spec(), FIT_TRUTH, (math.pi,), data) == 0.0
 
 
 def test_residual_counts_uniform_sigma_offsets():
@@ -251,7 +217,7 @@ def test_residual_counts_uniform_sigma_offsets():
             for r in exact.records
         )
     )
-    value = residual(two_tone_spec(), TRUTH, (math.pi,), shifted)
+    value = residual(two_tone_spec(), FIT_TRUTH, (math.pi,), shifted)
     assert math.isclose(value, len(shifted.records), rel_tol=1e-9)
 
 
@@ -260,10 +226,10 @@ def test_residual_invariant_under_record_permutation():
     data = branch_records(
         system, ANTICROSSING_GRID, noise=0.002, rng=np.random.default_rng(7)
     )
-    forward = residual(two_tone_spec(), TRUTH, (math.pi,), data)
+    forward = residual(two_tone_spec(), FIT_TRUTH, (math.pi,), data)
     perm = np.random.default_rng(8).permutation(len(data.records))
     shuffled = PeakDataset(records=tuple(data.records[i] for i in perm))
-    backward = residual(two_tone_spec(), TRUTH, (math.pi,), shuffled)
+    backward = residual(two_tone_spec(), FIT_TRUTH, (math.pi,), shuffled)
     assert math.isclose(forward, backward, rel_tol=1e-12)
 
 
@@ -277,7 +243,7 @@ def test_residual_mean_tracks_noise_to_sigma_ratio():
     for _ in range(100):
         data = branch_records(system, ANTICROSSING_GRID, noise=0.001, rng=rng)
         per_record.append(
-            residual(spec, TRUTH, (math.pi,), data) / len(data.records)
+            residual(spec, FIT_TRUTH, (math.pi,), data) / len(data.records)
         )
     mean = float(np.mean(per_record))
     assert 0.5 * 0.16 < mean < 1.5 * 0.16
@@ -289,12 +255,12 @@ def test_residual_rejects_bad_vectors():
     with pytest.raises(ValueError, match="4 parameters"):
         residual(spec, (4.5, 6.2, 0.08), (math.pi,), data)
     with pytest.raises(ValueError, match="loop"):
-        residual(spec, TRUTH, (math.pi, 0.0), data)
+        residual(spec, FIT_TRUTH, (math.pi, 0.0), data)
     with pytest.raises(ValueError, match=r"^parameters must be finite$"):
         residual(spec, (4.5, math.nan, 0.08, 0.12), (math.pi,), data)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match=r"^loop phases must be finite$"):
-            residual(spec, TRUTH, (bad,), data)
+            residual(spec, FIT_TRUTH, (bad,), data)
 
 
 @pytest.mark.parametrize("hypotheses, message", [
@@ -318,7 +284,7 @@ def test_residual_keeps_the_loop_phase_messages_without_a_hypothesis_index():
                             ((), "expected 1 loop phase(s), got 0"),
                             ((math.nan, 0.0), "expected 1 loop phase(s), got 2")):
         with pytest.raises(ValueError) as got:
-            residual(spec, TRUTH, thetas, data)
+            residual(spec, FIT_TRUTH, thetas, data)
         assert str(got.value) == message
     # a device without a loop takes no loop phase
     loopless = FitSpec(edgeless_photon_template(), theta_hypotheses=((),))
@@ -338,7 +304,7 @@ def test_a_spec_reduces_its_device_once_and_no_residual_or_fit_reduces_again(mon
     assert reduced == [spec.base_system]
     data = branch_records(fit_device(), ANTICROSSING_GRID[::5])
     for thetas in ((math.pi,), (0.0,), (1.0,)):
-        residual(spec, TRUTH, thetas, data)
+        residual(spec, FIT_TRUTH, thetas, data)
     result = fit(spec, data, (4.52, 6.195, 0.078, 0.118), max_iterations=20)
     assert result.theta_assignment == (math.pi,)
     assert reduced == [spec.base_system]
@@ -358,7 +324,7 @@ def test_a_spec_builds_its_phase_zero_device_once_and_no_residual_or_fit_builds_
     monkeypatch.setattr(model.SystemModel, "__post_init__", refuse)
     monkeypatch.setattr(model.CouplingEdge, "__post_init__", refuse)
     for thetas in ((math.pi,), (0.0,), (1.0,)):
-        residual(spec, TRUTH, thetas, data)
+        residual(spec, FIT_TRUTH, thetas, data)
     result = fit(spec, data, (4.52, 6.195, 0.078, 0.118), max_iterations=20)
     assert result.theta_assignment == (math.pi,)
 
@@ -854,7 +820,7 @@ def test_an_iteration_cap_of_one_is_accepted():
 def test_fit_rejects_a_max_iterations_that_is_not_a_positive_int(bad):
     data = branch_records(fit_device(), (5.0,))
     with pytest.raises(ValueError, match=r"^max_iterations: expected a positive integer$"):
-        fit(two_tone_spec(), data, TRUTH, max_iterations=bad)
+        fit(two_tone_spec(), data, FIT_TRUTH, max_iterations=bad)
 
 
 def test_fit_is_deterministic():
@@ -878,7 +844,7 @@ def test_fit_with_noise_stays_near_truth():
     result = fit(two_tone_spec(), data, (4.52, 6.195, 0.078, 0.118))
     assert result.theta_assignment == (math.pi,)
     for name, truth_value in zip(
-        ("omega_c:c1", "omega_c:c2", "g:c1", "g:c2"), TRUTH
+        ("omega_c:c1", "omega_c:c2", "g:c1", "g:c2"), FIT_TRUTH
     ):
         assert abs(result.params[name] - truth_value) < 0.002
 

@@ -2,10 +2,12 @@
 
 import ast
 import copy
+import inspect
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -15,17 +17,23 @@ import pytest
 from click.testing import CliRunner
 
 import loopmag.cli
-from loopmag.calibrate import AMBIGUITY_RATIO, dataset_from_csv, fit_spec_from_document, residual
+from loopmag.calibrate import (
+    AMBIGUITY_RATIO,
+    dataset_from_csv,
+    fit,
+    fit_spec_from_document,
+    residual,
+)
 from loopmag.cli import PRESETS, main
-from loopmag.fieldmap import field_table_from_csv, regions_from_document
+from loopmag.fieldmap import coupling_strength, field_table_from_csv, regions_from_document
 from loopmag.model import (
     MAX_STACK_ENTRIES,
     SchemaError,
     SystemModel,
     system_from_document,
 )
-from loopmag.spectrum import branch_frequencies, sweep, sweep_to_csv
-from loopmag.transmission import PortSpec, map_to_csv, ports_from_document, s21_map
+from loopmag.spectrum import branch_frequencies, min_gap, sweep, sweep_to_csv
+from loopmag.transmission import PortSpec, map_to_csv, ports_from_document, s21_at, s21_map
 from devices import chain_document, fit_device, preset, preset_grid
 from synthfields import pi_device_exports
 
@@ -89,27 +97,6 @@ def test_gauge_writes_file_and_keeps_stdout_clean(tmp_path):
     assert result.exit_code == 0
     assert result.output == ""
     assert json.loads(out.read_text())["physical_phases"]
-
-
-def test_gauge_rejects_unknown_preset():
-    result = run("gauge", "--preset", "nope")
-    assert result.exit_code == 2
-
-
-def test_gauge_requires_exactly_one_source(tmp_path):
-    assert run("gauge").exit_code == 2
-    path = tmp_path / "d.json"
-    path.write_text("{}")
-    result = run("gauge", "--preset", "cavity-pi-table1", "--config", str(path))
-    assert result.exit_code == 2
-
-
-def test_gauge_schema_violation_exits_2(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"system": {"modes": [], "edges": []}}))
-    result = run("gauge", "--config", str(path))
-    assert result.exit_code == 2
-    assert "sweep" in result.output
 
 
 # ====== spectrum command ======
@@ -205,88 +192,17 @@ def test_spectrum_single_sphere_variant_drops_second_magnon():
     assert result.output == oracle
 
 
-def test_spectrum_empty_grid_exits_2():
-    result = run("spectrum", "--preset", "cavity-pi-fit", "--grid-points", "0")
-    assert result.exit_code == 2
+def edited(document, edit):
+    """A copy of the JSON document, changed in place by edit."""
+    document = json.loads(json.dumps(document))
+    edit(document)
+    return document
 
 
 def write_config(tmp_path, edit):
-    config = json.loads(json.dumps(PRESETS["cavity-pi-table1"]))
-    edit(config)
     path = tmp_path / "device.json"
-    path.write_text(json.dumps(config))
+    path.write_text(json.dumps(edited(PRESETS["cavity-pi-table1"], edit)))
     return path
-
-
-def write_preset_config(tmp_path, edit):
-    return write_config(tmp_path, lambda config: edit(config["system"]))
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_spectrum_non_finite_coupling_exits_2(tmp_path, bad):
-    def edit(system):
-        system["edges"][0]["g_mhz"] = bad
-
-    path = write_preset_config(tmp_path, edit)
-    assert ("NaN" if math.isnan(bad) else "Infinity") in path.read_text()
-    result = run("spectrum", "--config", str(path))
-    assert result.exit_code == 2
-    assert result.output == "error: edges[0].g_mhz: expected a finite number\n"
-
-
-def test_spectrum_non_label_sweep_entry_exits_2(tmp_path):
-    def edit(system):
-        system["sweep"] = [["m1"]]
-
-    result = run("spectrum", "--config", str(write_preset_config(tmp_path, edit)))
-    assert result.exit_code == 2
-    assert result.output == "error: sweep[0]: expected a mode label\n"
-
-
-@pytest.mark.parametrize(
-    "section, key, bad, message",
-    [
-        ("modes", "label", ["x"], "modes[0].label: expected a string"),
-        ("edges", "photon", {"label": "c1"}, "edges[0].photon: expected a string"),
-    ],
-)
-def test_spectrum_non_string_label_exits_2(tmp_path, section, key, bad, message):
-    def edit(system):
-        system[section][0][key] = bad
-
-    result = run("spectrum", "--config", str(write_preset_config(tmp_path, edit)))
-    assert result.exit_code == 2
-    assert result.output == "error: %s\n" % message
-
-
-@pytest.mark.parametrize(
-    "key, bad, message",
-    [
-        ("start_ghz", "4", "magnon_grid.start_ghz: expected a number"),
-        ("stop_ghz", math.inf, "magnon_grid.stop_ghz: expected a finite number"),
-        ("points", 121.0, "magnon_grid.points: expected an integer"),
-        ("points", "121", "magnon_grid.points: expected an integer"),
-        ("start_ghz", 0.0, "magnon_grid.start_ghz must be > 0"),
-        ("stop_ghz", 4.0, "magnon_grid: stop_ghz must exceed start_ghz"),
-        ("points", 0, "magnon_grid.points must be >= 1"),
-    ],
-)
-def test_spectrum_malformed_grid_setting_exits_2(tmp_path, key, bad, message):
-    def edit(config):
-        config["magnon_grid"][key] = bad
-
-    result = run("spectrum", "--config", str(write_config(tmp_path, edit)))
-    assert result.exit_code == 2
-    assert result.output == "error: %s\n" % message
-
-
-def test_spectrum_grid_that_is_not_an_object_exits_2(tmp_path):
-    def edit(config):
-        config["magnon_grid"] = [4.0, 7.0, 121]
-
-    result = run("spectrum", "--config", str(write_config(tmp_path, edit)))
-    assert result.exit_code == 2
-    assert result.output == "error: magnon_grid: expected an object\n"
 
 
 # a command, one of its grids, and flags that set all three of that grid's fields
@@ -296,17 +212,6 @@ GRID_FLAGS = [
     ("s21", "probe_grid", ("--probe-start-ghz", "4", "--probe-stop-ghz", "7",
                            "--probe-points", "5")),
 ]
-
-
-@pytest.mark.parametrize("command, key, flags", GRID_FLAGS)
-@pytest.mark.parametrize("falsy", [False, 0, [], ""])
-def test_falsy_grid_setting_is_not_an_absent_one(tmp_path, command, key, flags, falsy):
-    def edit(config):
-        config[key] = falsy
-
-    result = run(command, "--config", str(write_config(tmp_path, edit)), *flags)
-    assert result.exit_code == 2
-    assert result.output == "error: %s: expected an object\n" % key
 
 
 @pytest.mark.parametrize("command, key, flags", GRID_FLAGS)
@@ -362,6 +267,31 @@ def test_grids_at_their_caps_are_accepted(monkeypatch, command, args, sizes):
 
 
 @pytest.mark.parametrize(
+    "args",
+    [("spectrum", "--grid-start-ghz", "1e6", "--grid-points", "1"),
+     ("s21", "--probe-start-ghz", "999999", "--probe-stop-ghz", "1e6", "--probe-points", "2",
+      "--magnon-points", "1")],
+)
+def test_grids_ending_at_the_frequency_ceiling_are_accepted(args):
+    result = run(*args, "--preset", "cavity-pi-fit")
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[-1].startswith("1000000,")
+
+
+# a 64-mode chain at one grid point: its stack budget is 4096 grid points
+CHAIN_GRID = {"start_ghz": 4.0, "stop_ghz": 6.0, "points": 1}
+CHAIN_CONFIG = {"system": chain_document(), "magnon_grid": CHAIN_GRID, "probe_grid": CHAIN_GRID}
+CHAIN_SPEC = {"system": chain_document(), "free_photon_frequencies": ["c0"],
+              "theta_hypotheses": [[]], "initial": [5.0]}
+STACK_BUDGET = MAX_STACK_ENTRIES // len(CHAIN_CONFIG["system"]["modes"]) ** 2
+
+
+def unique_peaks_csv(points):
+    """A peak CSV of points distinct omega_m_ghz values."""
+    return "omega_m_ghz,omega_peak_ghz\n" + "".join("%d,5\n" % (k + 1) for k in range(points))
+
+
+@pytest.mark.parametrize(
     "command, args, where",
     [
         ("sweep", ("spectrum", "--config", "{config}", "--grid-points", "{points}"),
@@ -376,149 +306,20 @@ def test_grids_at_their_caps_are_accepted(monkeypatch, command, args, sizes):
 )
 def test_matrix_stacks_beyond_the_budget_exit_2_before_any_is_built(
         tmp_path, monkeypatch, command, args, where):
-    system = chain_document()
-    budget = MAX_STACK_ENTRIES // len(system["modes"]) ** 2  # 4096 grid points of 64 modes
-    grid = {"start_ghz": 4.0, "stop_ghz": 6.0, "points": 1}
     files = {name: tmp_path / name for name in ("config", "spec", "data")}
-    files["config"].write_text(json.dumps({"system": system, "magnon_grid": grid, "probe_grid": grid}))
-    files["spec"].write_text(json.dumps({"system": system, "free_photon_frequencies": ["c0"],
-                                         "theta_hypotheses": [[]], "initial": [5.0]}))
+    files["config"].write_text(json.dumps(CHAIN_CONFIG))
+    files["spec"].write_text(json.dumps(CHAIN_SPEC))
 
     def no_stack(*arguments):
         raise RuntimeError("stopped before building a stack")
 
     monkeypatch.setattr(loopmag.cli, command, no_stack)
-    for points, expected in ((budget, (1, "error: stopped before building a stack\n")),
-                             (budget + 1, (2, "error: %s * modes^2 must be <= %d\n"
-                                           % (where, MAX_STACK_ENTRIES)))):
-        files["data"].write_text("omega_m_ghz,omega_peak_ghz\n"
-                                 + "".join("%d,5\n" % (k + 1) for k in range(points)))
+    for points, expected in ((STACK_BUDGET, (1, "error: stopped before building a stack\n")),
+                             (STACK_BUDGET + 1, (2, "error: %s * modes^2 must be <= %d\n"
+                                                 % (where, MAX_STACK_ENTRIES)))):
+        files["data"].write_text(unique_peaks_csv(points))
         result = run(*(arg.format(points=points, **files) for arg in args))
         assert (result.exit_code, result.stdout, result.stderr) == (expected[0], "", expected[1])
-
-
-@pytest.mark.parametrize(
-    "args, message",
-    [
-        (("spectrum", "--grid-start-ghz", "1e300", "--grid-stop-ghz", "1.1e300",
-          "--grid-points", "2"), "magnon_grid.start_ghz must be <= 1e+06"),
-        (("spectrum", "--grid-start-ghz", "1e300", "--grid-points", "1"),
-         "magnon_grid.start_ghz must be <= 1e+06"),
-        (("s21", "--probe-stop-ghz", "2e6"), "probe_grid.stop_ghz must be <= 1e+06"),
-        (("s21", "--magnon-stop-ghz", "1e300"), "magnon_grid.stop_ghz must be <= 1e+06"),
-    ],
-)
-def test_grids_beyond_the_frequency_ceiling_exit_2_without_warnings(args, message):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = run(*args, "--preset", "cavity-pi-fit")
-    assert [str(w.message) for w in caught] == []
-    assert (result.exit_code, result.output) == (2, "error: %s\n" % message)
-
-
-@pytest.mark.parametrize(
-    "args, key",
-    [
-        (("spectrum", "--grid-start-ghz", "5", "--grid-stop-ghz", "5.000000000000001",
-          "--grid-points", "100"), "magnon_grid"),
-        (("s21", "--probe-start-ghz", "5", "--probe-stop-ghz", "5.000000000000001",
-          "--probe-points", "100"), "probe_grid"),
-        (("s21", "--magnon-start-ghz", "5", "--magnon-stop-ghz", "5.000000000000001",
-          "--magnon-points", "100"), "magnon_grid"),
-    ],
-)
-def test_grids_finer_than_float64_spacing_exit_2(args, key):
-    # linspace repeats values between start and stop one ulp apart
-    result = run(*args, "--preset", "cavity-pi-fit")
-    assert (result.exit_code, result.stdout, result.stderr) == (
-        2, "", "error: %s must be strictly increasing\n" % key)
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda config: config["magnon_grid"].update(stop_ghz=1e300),
-         "magnon_grid.stop_ghz must be <= 1e+06"),
-        (lambda config: config["system"]["modes"][1].update(frequency_ghz=1e300),
-         "modes[1]: mode 'c2': frequency must be <= 1e+06 GHz"),
-    ],
-)
-def test_configs_beyond_the_frequency_ceiling_exit_2_without_warnings(tmp_path, edit, message):
-    path = write_config(tmp_path, edit)
-    for command in ("spectrum", "s21"):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = run(command, "--config", str(path))
-        assert [str(w.message) for w in caught] == []
-        assert (result.exit_code, result.output) == (2, "error: %s\n" % message)
-
-
-@pytest.mark.parametrize(
-    "commands, edit, message",
-    [
-        (("spectrum", "s21"), lambda config: config["system"]["edges"][0].update(g_mhz=1e300),
-         "edges[0]: edge (c1, m1): strength must be within +-1e+09 MHz"),
-        (("spectrum", "s21"),
-         lambda config: config["system"]["modes"][2].update(intrinsic_loss_mhz=1e300),
-         "modes[2]: mode 'm1': intrinsic_loss must be <= 1e+09 MHz"),
-        (("spectrum", "s21"),
-         lambda config: config["system"]["modes"][0].update(external_loss_mhz=1e300),
-         "modes[0]: mode 'c1': external_loss must be <= 1e+09 MHz"),
-        (("s21",), lambda config: config.update(ports={"1": {"c1": 1e300}, "2": None}),
-         "port 1: external rate for 'c1' must be <= 1e+09 MHz"),
-    ],
-)
-def test_configs_beyond_the_rate_ceiling_exit_2_without_warnings(tmp_path, commands, edit, message):
-    path = write_config(tmp_path, edit)
-    for command in commands:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = run(command, "--config", str(path))
-        assert [str(w.message) for w in caught] == []
-        assert (result.exit_code, result.output) == (2, "error: %s\n" % message)
-
-
-def test_fit_coupling_bound_beyond_the_rate_ceiling_exits_2(tmp_path):
-    data, spec = write_fit_inputs(tmp_path)
-    spec.write_text(json.dumps({
-        "preset": "cavity-pi-fit", "free_couplings": ["c1"], "theta_hypotheses": [["pi"]],
-        "initial": [0.1], "bounds": {"g:c1": [0.0, 1e7]},
-    }))
-    result = run("fit", "--data", str(data), "--spec", str(spec))
-    assert (result.exit_code, result.output) == (
-        2, "error: bounds for 'g:c1' must be within +-1e+06 GHz\n")
-
-
-def test_s21_infinite_port_rate_exits_2(tmp_path):
-    def edit(config):
-        config["ports"] = {"1": {"c1": math.inf}, "2": None}
-
-    path = write_config(tmp_path, edit)
-    assert "Infinity" in path.read_text()
-    result = run("s21", "--config", str(path))
-    assert result.exit_code == 2
-    assert result.output == "error: ports.1.c1: expected a finite number\n"
-
-
-@pytest.mark.parametrize(
-    "ports, message",
-    [
-        ({"1": {"zz": 1.0}, "2": None}, "port 1: 'zz' is not a photon mode of the system"),
-        ({"1": {}, "2": None}, "port 1 couples to no photon mode"),
-        ({"1": {"c1": None}, "2": None}, "ports.1.c1: expected a number"),
-        ({"1": None, "2": {"c2": "5"}}, "ports.2.c2: expected a number"),
-        ({"1": {"c1": True}, "2": None}, "ports.1.c1: expected a number"),
-        ({"1": 5.0, "2": None}, "ports.1: expected null or a label->rate object"),
-        ({"1": None}, "ports: expected an object with exactly the keys '1' and '2'"),
-    ],
-)
-def test_s21_malformed_ports_exit_2(tmp_path, ports, message):
-    def edit(config):
-        config["ports"] = ports
-
-    result = run("s21", "--config", str(write_config(tmp_path, edit)))
-    assert result.exit_code == 2
-    assert result.output == "error: %s\n" % message
 
 
 def test_spectrum_eigensolver_failure_exits_1(monkeypatch):
@@ -673,48 +474,6 @@ def test_fieldmap_huge_field_or_weight_gives_the_unscaled_edge(tmp_path, old, ne
     assert abs(edge["phase_rad"]) < 1e-12
 
 
-def test_fieldmap_rejects_mode_without_frequency(tmp_path):
-    mode_file = tmp_path / "c9.csv"
-    mode_file.write_text(UNIFORM_FIELD_CSV)
-    config = tmp_path / "regions.json"
-    config.write_text(json.dumps(FIELDMAP_CONFIG))
-    result = run(
-        "fieldmap", "--mode-file", "c9=%s" % mode_file, "--config", str(config)
-    )
-    assert result.exit_code == 2
-    assert "frequency" in result.output
-
-
-def test_fieldmap_bad_csv_exits_2(tmp_path):
-    mode_file = tmp_path / "c1.csv"
-    mode_file.write_text("x,y\n1,2\n")
-    config = tmp_path / "regions.json"
-    config.write_text(json.dumps(FIELDMAP_CONFIG))
-    result = run(
-        "fieldmap", "--mode-file", "c1=%s" % mode_file, "--config", str(config)
-    )
-    assert result.exit_code == 2
-    assert result.output == (
-        "error: --mode-file c1: line 1: unrecognized header; expected "
-        "'x_m,y_m,z_m,hx_re,hx_im,hy_re,hy_im,hz_re,hz_im' or "
-        "'x_m,y_m,z_m,hx_re,hx_im,hy_re,hy_im,hz_re,hz_im,weight_m3'\n")
-
-
-def test_fieldmap_unweighted_export_in_a_flat_box_exits_2(tmp_path):
-    (tmp_path / "c1.csv").write_text(
-        "x_m,y_m,z_m,hx_re,hx_im,hy_re,hy_im,hz_re,hz_im\n"
-        "0,0,0,1,0,0,0,0,0\n"
-        "0.1,0.1,0,1,0,0,0,0,0\n"
-    )
-    (tmp_path / "regions.json").write_text(json.dumps(FIELDMAP_CONFIG))
-    result = run("fieldmap", "--mode-file", "c1=%s" % (tmp_path / "c1.csv"),
-                 "--config", str(tmp_path / "regions.json"))
-    assert (result.exit_code, result.stdout) == (2, "")
-    assert result.stderr == (
-        "error: --mode-file c1: "
-        "degenerate bounding box: cannot infer uniform weights, provide a weight_m3 column\n")
-
-
 def test_fieldmap_degenerate_phase_is_computation_failure(tmp_path):
     axial = (
         "x_m,y_m,z_m,hx_re,hx_im,hy_re,hy_im,hz_re,hz_im,weight_m3\n"
@@ -731,99 +490,16 @@ def test_fieldmap_degenerate_phase_is_computation_failure(tmp_path):
     assert result.exit_code == 1
 
 
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda c: c.update(regions=5), "regions: expected a list"),
-        (lambda c: c.update(mode_frequencies_ghz=[1]),
-         "mode_frequencies_ghz: expected a label->GHz object"),
-        (lambda c: c["mode_frequencies_ghz"].update(c1=math.nan),
-         "mode_frequencies_ghz.c1: expected a finite number"),
-        (lambda c: c["mode_frequencies_ghz"].update(c1=-4.524),
-         "mode_frequencies_ghz.c1 must be > 0"),
-        pytest.param(lambda c: c["mode_frequencies_ghz"].update(c1=0.0),
-                     "mode_frequencies_ghz.c1 must be > 0", id="zero-frequency"),
-        (lambda c: c["regions"][0]["center_m"].__setitem__(1, math.nan),
-         "regions[0].center_m[1]: expected a finite number"),
-        (lambda c: c["regions"].append(c["regions"][0]),
-         "regions[1].label: duplicate region label 'm1'"),
-        (lambda c: c["regions"][0].update(label=[1]), "regions[0].label: expected a string"),
-        (lambda c: c["regions"][0].update(radius_m="1"), "regions[0].radius_m: expected a number"),
-        (lambda c: c["regions"][0].update(radius_m=-1.0),
-         "regions[0]: radius must be finite and > 0 m"),
-        (lambda c: c["regions"][0].pop("center_m"), "regions[0].center_m: missing required key"),
-        (lambda c: c["regions"][0].update(center_m=[0.0, 0.0]),
-         "regions[0].center_m: expected a list of three numbers"),
-        (lambda c: c["regions"][0].update(center_m=[1e200, 0, 0]),
-         "regions[0]: center must be within +-1e+06 m"),
-        (lambda c: c["regions"][0].update(radius_m=1e300), "regions[0]: radius must be <= 1e+06 m"),
-        (lambda c: c["mode_frequencies_ghz"].update(c1=1e300),
-         "mode_frequencies_ghz.c1 must be <= 1e+06"),
-        (lambda c: c["mode_frequencies_ghz"].update(c1=1e7),
-         "mode_frequencies_ghz.c1 must be <= 1e+06"),
-        (lambda c: c["mode_frequencies_ghz"].pop("c1"), "no frequency given for mode 'c1'"),
-        (lambda c: c.pop("regions"),
-         "config: 'regions' and 'mode_frequencies_ghz' are both required"),
-        # a region labelled like a photon would make the edge (c1, c1)
-        (lambda c: c["regions"][0].update(label="c1"),
-         "regions[0].label: 'c1' is a photon label of mode_frequencies_ghz"),
-    ],
-)
-def test_fieldmap_malformed_config_exits_2(tmp_path, edit, message):
-    config = json.loads(json.dumps(FIELDMAP_CONFIG))
-    edit(config)
-    (tmp_path / "regions.json").write_text(json.dumps(config))
-    (tmp_path / "c1.csv").write_text(UNIFORM_FIELD_CSV)
-    result = run(
-        "fieldmap", "--mode-file", "c1=%s" % (tmp_path / "c1.csv"),
-        "--config", str(tmp_path / "regions.json"),
-    )
-    assert result.exit_code == 2
-    assert result.output == "error: %s\n" % message
-
-
-@pytest.mark.parametrize("bad", ["nan", "inf"])
-def test_fieldmap_non_finite_sample_exits_2_without_a_warning(tmp_path, bad):
-    (tmp_path / "c1.csv").write_text(UNIFORM_FIELD_CSV.replace("-0.1,0,0,1", "-0.1,0,0," + bad))
-    (tmp_path / "regions.json").write_text(json.dumps(FIELDMAP_CONFIG))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = run(
-            "fieldmap", "--mode-file", "c1=%s" % (tmp_path / "c1.csv"),
-            "--config", str(tmp_path / "regions.json"),
-        )
-    assert result.exit_code == 2
-    assert result.output == "error: --mode-file c1: line 3: expected finite numbers\n"
-    assert [str(w.message) for w in caught] == []
-
-
-UNWEIGHTED_FIELD_CSV = (
-    "x_m,y_m,z_m,hx_re,hx_im,hy_re,hy_im,hz_re,hz_im\n"
-    "-1e308,-1e200,-1e200,1,0,0,0,0,0\n"
-    "1e308,1e200,1e200,1,0,0,0,0,0\n"
-)
-
-
-@pytest.mark.parametrize(
-    "csv",
-    [UNIFORM_FIELD_CSV.replace("\n0.1,0,0", "\n1e200,0,0"), UNWEIGHTED_FIELD_CSV],
-    ids=["weighted", "unweighted"],
-)
-def test_fieldmap_export_beyond_the_length_ceiling_exits_2_without_warnings(tmp_path, csv):
-    (tmp_path / "regions.json").write_text(json.dumps(FIELDMAP_CONFIG))
-    (tmp_path / "c1.csv").write_text(csv)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = run(
-            "fieldmap", "--mode-file", "c1=%s" % (tmp_path / "c1.csv"),
-            "--config", str(tmp_path / "regions.json"),
-        )
-    assert [str(w.message) for w in caught] == []
-    assert (result.exit_code, result.output) == (
-        2, "error: --mode-file c1: positions must be within +-1e+06 m\n")
-
-
 # ====== fit command ======
+
+
+FIT_SPEC = {
+    "preset": "cavity-pi-fit",
+    "free_photon_frequencies": ["c1", "c2"],
+    "free_couplings": ["c1", "c2"],
+    "theta_hypotheses": [["pi"], [0]],
+    "initial": [4.52, 6.195, 0.078, 0.118],
+}
 
 
 def write_fit_inputs(tmp_path):
@@ -835,15 +511,8 @@ def write_fit_inputs(tmp_path):
             lines.append("%.12g,%.12g" % (omega_m, peak))
     data = tmp_path / "peaks.csv"
     data.write_text("\n".join(lines) + "\n")
-    fitspec = {
-        "preset": "cavity-pi-fit",
-        "free_photon_frequencies": ["c1", "c2"],
-        "free_couplings": ["c1", "c2"],
-        "theta_hypotheses": [["pi"], [0]],
-        "initial": [4.52, 6.195, 0.078, 0.118],
-    }
     spec = tmp_path / "fitspec.json"
-    spec.write_text(json.dumps(fitspec))
+    spec.write_text(json.dumps(FIT_SPEC))
     return data, spec
 
 
@@ -895,81 +564,7 @@ def test_fit_command_is_deterministic(tmp_path):
     assert json.loads(json.dumps(document)) == document
 
 
-def test_fit_command_rejects_malformed_peaks(tmp_path):
-    _, spec = write_fit_inputs(tmp_path)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("frequency,peak\n1,2\n")
-    result = run("fit", "--data", str(bad), "--spec", str(spec))
-    assert result.exit_code == 2
-    assert "header" in result.output
-
-
-def test_fit_initial_value_outside_its_bounds_exits_2(tmp_path):
-    data, spec = write_fit_inputs(tmp_path)
-    spec.write_text(json.dumps({
-        "preset": "cavity-pi-fit", "free_couplings": ["c1"],
-        "theta_hypotheses": [["pi"]], "initial": [5.0],
-    }))
-    result = run("fit", "--data", str(data), "--spec", str(spec))
-    assert result.exit_code == 2
-    assert result.output == "error: initial value 5 for 'g:c1' is outside its bounds [0, 2]\n"
-
-
-def test_fit_frequency_bound_at_or_below_zero_exits_2_at_load(tmp_path):
-    data = tmp_path / "peaks.csv"
-    data.write_text("omega_m_ghz,omega_peak_ghz\n5.0,-1.0\n5.1,-1.0\n5.2,-1.1\n")
-    spec = tmp_path / "fitspec.json"
-    spec.write_text(json.dumps({
-        "preset": "cavity-pi-fit", "free_photon_frequencies": ["c1"],
-        "theta_hypotheses": [["pi"]], "initial": [0.5], "bounds": {"omega_c:c1": [-5, 5]},
-    }))
-    result = run("fit", "--data", str(data), "--spec", str(spec))
-    assert (result.exit_code, result.stdout) == (2, "")
-    assert result.stderr == "error: bounds for 'omega_c:c1' must be > 0 GHz\n"
-
-
-def test_fit_sigma_below_one_hz_exits_2_without_warnings(tmp_path):
-    _, spec = write_fit_inputs(tmp_path)
-    data = tmp_path / "peaks.csv"
-    data.write_text("omega_m_ghz,omega_peak_ghz,sigma_ghz\n5.0,4.5,1e-300\n5.1,4.6,1e-300\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = run("fit", "--data", str(data), "--spec", str(spec))
-    assert [str(w.message) for w in caught] == []
-    assert (result.exit_code, result.stdout) == (2, "")
-    assert result.stderr == "error: record 0: sigma must be >= 1e-09 GHz\n"
-
-
-def test_fit_command_rejects_bad_spec(tmp_path):
-    data, _ = write_fit_inputs(tmp_path)
-    spec = tmp_path / "fitspec.json"
-    spec.write_text(json.dumps({"preset": "cavity-pi-fit", "initial": []}))
-    result = run("fit", "--data", str(data), "--spec", str(spec))
-    assert (result.exit_code, result.stdout) == (2, "")
-    assert result.stderr == "error: fit spec: 'theta_hypotheses' and 'initial' are required\n"
-
-
 PEAK_HEADERS = "'omega_m_ghz,omega_peak_ghz' or 'omega_m_ghz,omega_peak_ghz,sigma_ghz'"
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("", "CSV is empty; expected the header " + PEAK_HEADERS),
-        ("\n \nomega_m,peak\n5.0,4.5\n", "line 3: unrecognized header; expected " + PEAK_HEADERS),
-        ("omega_m_ghz,omega_peak_ghz\n\n", "CSV contains no data rows"),
-        ("omega_m_ghz,omega_peak_ghz\n5.0,4.5\n\n5.1,4.6,0.001\n",
-         "line 4: expected 2 columns, got 3"),
-        ("omega_m_ghz,omega_peak_ghz\n5.0,4.5\n5.1,x\n", "line 3: could not parse a numeric value"),
-    ],
-)
-def test_fit_malformed_peak_csv_exits_2_naming_its_line(tmp_path, text, message):
-    _, spec = write_fit_inputs(tmp_path)
-    data = tmp_path / "bad.csv"
-    data.write_text(text)
-    result = run("fit", "--data", str(data), "--spec", str(spec))
-    assert (result.exit_code, result.stdout) == (2, "")
-    assert result.stderr == "error: %s\n" % message
 
 
 def loop_phase_spec(**fields):
@@ -984,37 +579,6 @@ def test_fit_loop_phase_bound_keeps_the_continuous_fit_inside_its_box(tmp_path):
     result = run("fit", "--data", str(data), "--spec", str(spec))
     assert result.exit_code == 0, result.output
     assert 2.49 < json.loads(result.stdout)["theta_assignment_rad"][0] <= 2.5
-
-
-@pytest.mark.parametrize(
-    "key, bad, message",
-    [
-        ("theta_hypotheses", 5, "fit spec.theta_hypotheses: expected a list of loop-phase lists"),
-        ("theta_hypotheses", ["pi", "0"],
-         "fit spec.theta_hypotheses[0]: expected a list of loop phases"),
-        ("theta_hypotheses", [["x"], [0]], "fit spec.theta_hypotheses[0]: "
-         "phase_rad: unknown phase string 'x' (allowed: -pi/2, 0, pi, pi/2)"),
-        ("free_couplings", 5, "fit spec.free_couplings: expected a list of labels"),
-        ("free_couplings", [["c1"]], "fit spec.free_couplings[0]: expected a string"),
-        ("initial", 5, "fit spec.initial: expected a list of numbers"),
-        ("initial", [4.52, "6.195", 0.078, 0.118], "fit spec.initial[1]: expected a number"),
-        ("bounds", [1, 2], "fit spec.bounds: expected an object of [lower, upper] pairs"),
-        ("bounds", {"g:c1": 0.1}, "fit spec.bounds.g:c1: expected a [lower, upper] pair"),
-        ("bounds", {"g:c1": [0.0, None]}, "fit spec.bounds.g:c1[1]: expected a number"),
-        ("preset", ["x"], "fit spec.preset: expected a string"),
-        ("max_iterations", [1], "fit spec.max_iterations: expected a positive integer"),
-        ("continuous_theta", "false", "fit spec.continuous_theta: expected true or false"),
-        ("initial", [4.52], "fit spec: 'initial' must hold 4 value(s), got 1"),
-    ],
-)
-def test_fit_command_rejects_mistyped_spec_fields(tmp_path, key, bad, message):
-    data, spec = write_fit_inputs(tmp_path)
-    document = json.loads(spec.read_text())
-    document[key] = bad
-    spec.write_text(json.dumps(document))
-    result = run("fit", "--data", str(data), "--spec", str(spec))
-    assert result.exit_code == 2
-    assert result.output == "error: %s\n" % message
 
 
 @pytest.mark.parametrize("key", ["bounds", "continuous_theta", "max_iterations",
@@ -1034,29 +598,23 @@ def test_null_fit_spec_key_is_an_absent_one(tmp_path, key):
     assert outputs[0] == outputs[1] and '"per_hypothesis"' in outputs[0]
 
 
-@pytest.mark.parametrize("bad", [0, -3, True, 2.5])
-def test_fit_command_rejects_a_max_iterations_that_is_not_a_positive_integer(tmp_path, bad):
-    data, spec = write_fit_inputs(tmp_path)
-    spec.write_text(json.dumps(loop_phase_spec(max_iterations=bad)))
-    result = run("fit", "--data", str(data), "--spec", str(spec))
-    assert (result.exit_code, result.stdout) == (2, "")
-    assert result.stderr == "error: fit spec.max_iterations: expected a positive integer\n"
+# a fit spec whose photon c2 has no coupling edge
+EDGELESS_C2_SPEC = {
+    "system": {"modes": [{"label": "c1", "kind": "photon", "frequency_ghz": 4.5},
+                         {"label": "c2", "kind": "photon", "frequency_ghz": 6.0},
+                         {"label": "m1", "kind": "magnon", "frequency_ghz": 5.0}],
+               "edges": [{"photon": "c1", "magnon": "m1", "g_mhz": 50.0, "phase_rad": 0}],
+               "sweep": ["m1"]},
+    "theta_hypotheses": [[]], "initial": [0.05],
+}
 
 
 def test_fit_command_rejects_a_free_coupling_on_a_photon_without_an_edge(tmp_path):
-    data, spec = write_fit_inputs(tmp_path)
-    system = {"modes": [{"label": "c1", "kind": "photon", "frequency_ghz": 4.5},
-                        {"label": "c2", "kind": "photon", "frequency_ghz": 6.0},
-                        {"label": "m1", "kind": "magnon", "frequency_ghz": 5.0}],
-              "edges": [{"photon": "c1", "magnon": "m1", "g_mhz": 50.0, "phase_rad": 0}],
-              "sweep": ["m1"]}
-    document = {"system": system, "theta_hypotheses": [[]], "initial": [0.05]}
-    spec.write_text(json.dumps({**document, "free_couplings": ["c2"]}))
-    result = run("fit", "--data", str(data), "--spec", str(spec))
-    assert (result.exit_code, result.stdout) == (2, "")
-    assert result.stderr == "error: free coupling 'c2': the photon has no coupling edge\n"
+    # the rejection is a row of test_malformed_inputs_exit_2_with_one_error_line;
     # a free frequency on that photon still fits
-    spec.write_text(json.dumps({**document, "free_photon_frequencies": ["c2"], "initial": [6.0]}))
+    data, spec = write_fit_inputs(tmp_path)
+    spec.write_text(json.dumps({**EDGELESS_C2_SPEC, "free_photon_frequencies": ["c2"],
+                                "initial": [6.0]}))
     result = run("fit", "--data", str(data), "--spec", str(spec))
     assert result.exit_code == 0, result.output
     assert list(json.loads(result.stdout)["params"]) == ["omega_c:c2"]
@@ -1391,80 +949,313 @@ def test_json_nested_too_deep_exits_2_with_one_error_line(tmp_path, command):
     assert proc.stderr == "error: %s: JSON nesting is too deep\n" % deep
 
 
-@pytest.mark.parametrize(
-    "command, flag",
-    [("gauge", "--config"), ("fieldmap", "--config"), ("fieldmap", "--mode-file"),
-     ("fit", "--spec"), ("fit", "--data")],
-)
-def test_an_input_file_that_is_not_utf8_exits_2_naming_the_file(tmp_path, command, flag):
-    bad = tmp_path / "bad.txt"
-    bad.write_bytes(b"{\xff}")
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(FIELDMAP_CONFIG))
-    (tmp_path / "c1.csv").write_text(UNIFORM_FIELD_CSV)
-    data, spec = write_fit_inputs(tmp_path)
-    files = {"gauge": {"--config": config},
-             "fieldmap": {"--mode-file": tmp_path / "c1.csv", "--config": config},
-             "fit": {"--data": data, "--spec": spec}}[command]
-    files[flag] = bad
-    args = [arg for option, path in files.items()
-            for arg in (option, "c1=%s" % path if option == "--mode-file" else str(path))]
-    result = run(command, *args)
-    assert (result.exit_code, result.stdout, result.stderr) == (
-        2, "", "error: %s: not UTF-8 text at byte 1\n" % bad)
+
+
+# ====== rejected inputs ======
 
 
 @pytest.mark.parametrize(
-    "args, document, message",
+    "args, last_line",
     [
-        (("gauge",), {}, "give exactly one of --preset or --config"),
-        (("gauge", "--config", "{config}"), [], "{config}: expected a JSON object at top level"),
-        (("gauge", "--config", "{config}"), {}, "config: missing required key 'system'"),
-        (("gauge", "--config", "{config}"), {"system": {"modes": [], "edges": [], "sweep": "m1"}},
-         "sweep: expected a list"),
-        (("spectrum", "--single-sphere", "--config", "{config}"),
-         {"system": {"modes": [{"label": "c1", "kind": "photon", "frequency_ghz": 4.5}],
-                     "edges": [], "sweep": []}},
-         "--single-sphere requires at least one magnon mode"),
-        (("spectrum", "--config", "{config}"), {"system": PRESETS["cavity-pi-fit"]["system"]},
-         "magnon_grid.start_ghz: missing (set it in the config or by flag)"),
-        (("fieldmap", "--mode-file", "c1", "--config", "{config}"), FIELDMAP_CONFIG,
-         "--mode-file 'c1': expected label=path.csv"),
-        (("fieldmap", "--mode-file", "c1={csv}", "--mode-file", "c1={csv}", "--config", "{config}"),
-         FIELDMAP_CONFIG, "--mode-file: duplicate label 'c1'"),
-        (("fit", "--data", "{data}", "--spec", "{config}"), {},
-         "fit spec: give exactly one of 'preset' or 'system'"),
-        (("fit", "--data", "{data}", "--spec", "{config}"), {"preset": "nope"},
-         "fit spec: unknown preset 'nope'"),
-        (("gauge", "--config", "{config}"),
-         {"system": {**PRESETS["cavity-pi-fit"]["system"],
-                     "edges": [{"photon": "c1", "magnon": "m1", "g_mhz": 81.0}]}},
-         "edges[0].phase_rad: missing required key"),
-        (("gauge", "--config", "{config}"),
-         {"system": {**PRESETS["cavity-pi-fit"]["system"],
-                     "edges": [{"photon": "c1", "magnon": "m1", "g_mhz": 81.0, "phase_rad": [1]}]}},
-         "edges[0].phase_rad: expected number or phase string, got [1]"),
-        (("gauge", "--config", "{config}"), {"system": {"modes": {}, "edges": [], "sweep": []}},
-         "modes: expected a list"),
-        (("gauge", "--config", "{config}"), {"system": {"modes": [], "edges": {}, "sweep": []}},
-         "edges: expected a list"),
-        (("fit", "--data", "{data}", "--spec", "{config}"),
-         loop_phase_spec(theta_hypotheses=[[7.0]], continuous_theta=True),
-         "initial value 7 for 'theta:0' is outside its bounds [-6.28319, 6.28319]"),
-        (("fit", "--data", "{data}", "--spec", "{config}"),
-         loop_phase_spec(theta_hypotheses=[[2.0]], continuous_theta=True,
-                         bounds={"theta:0": [2.5, 3.0]}),
-         "initial value 2 for 'theta:0' is outside its bounds [2.5, 3]"),
-        (("fit", "--data", "{data}", "--spec", "{config}"),
-         loop_phase_spec(bounds={"theta:0": [0, 1]}),
-         "bound 'theta:0' is not a parameter of this fit"),
+        (("gauge", "--preset", "nope"), "Error: Invalid value for '--preset': 'nope' is not one of "
+         "'cavity-pi-fit', 'cavity-pi-table1', 'cavity-pi0-table2'."),
+        (("spectrum", "--preset", "cavity-pi-fit", "--grid-points", "abc"),
+         "Error: Invalid value for '--grid-points': 'abc' is not a valid integer."),
+        (("fieldmap", "--config", "x.json"), "Error: Missing option '--mode-file'."),
     ],
 )
-def test_malformed_inputs_exit_2_with_one_error_line(tmp_path, args, document, message):
-    files = {"config": tmp_path / "config.json", "csv": tmp_path / "c1.csv",
-             "data": write_fit_inputs(tmp_path)[0]}
-    files["config"].write_text(json.dumps(document))
-    files["csv"].write_text(UNIFORM_FIELD_CSV)
-    result = run(*(arg.format(**files) for arg in args))
+def test_options_click_rejects_exit_2_with_its_usage_block(args, last_line):
+    result = run(*args)
     assert (result.exit_code, result.stdout) == (2, "")
-    assert result.stderr == "error: %s\n" % message.format(**files)
+    assert result.stderr.startswith("Usage: ")
+    assert result.stderr.splitlines()[-1] == last_line
+
+
+def table1(edit):
+    return {"config": edited(PRESETS["cavity-pi-table1"], edit)}
+
+
+def regions(edit):
+    return {"regions": edited(FIELDMAP_CONFIG, edit)}
+
+
+# each command with its input files as placeholders; a row's files replace the
+# defaults: the cavity-pi-table1 config, FIELDMAP_CONFIG, UNIFORM_FIELD_CSV and
+# write_fit_inputs' peaks and spec
+GAUGE = ("gauge", "--config", "{config}")
+SPECTRUM = ("spectrum", "--config", "{config}")
+S21 = ("s21", "--config", "{config}")
+FIELDMAP = ("fieldmap", "--mode-file", "c1={csv}", "--config", "{regions}")
+FIT = ("fit", "--data", "{data}", "--spec", "{spec}")
+FIT_PRESET = ("--preset", "cavity-pi-fit")
+NOT_UTF8 = b"{\xff}"
+FIELD_HEADER = "x_m,y_m,z_m,hx_re,hx_im,hy_re,hy_im,hz_re,hz_im"
+PEAK_HEADER = "omega_m_ghz,omega_peak_ghz"
+
+# (arguments, files by placeholder, the message of the one error: line)
+MALFORMED_INPUTS = [
+    # ---- gauge: the device document ----
+    (("gauge",), {}, "give exactly one of --preset or --config"),
+    (("gauge", "--preset", "cavity-pi-table1", "--config", "{config}"), {"config": {}},
+     "give exactly one of --preset or --config"),
+    (GAUGE, {"config": []}, "{config}: expected a JSON object at top level"),
+    (GAUGE, {"config": NOT_UTF8}, "{config}: not UTF-8 text at byte 1"),
+    (GAUGE, {"config": {}}, "config: missing required key 'system'"),
+    (GAUGE, {"config": {"system": {"modes": [], "edges": []}}},
+     "document.sweep: missing required key"),
+    (GAUGE, {"config": {"system": {"modes": [], "edges": [], "sweep": "m1"}}},
+     "sweep: expected a list"),
+    (GAUGE, {"config": {"system": {"modes": {}, "edges": [], "sweep": []}}},
+     "modes: expected a list"),
+    (GAUGE, {"config": {"system": {"modes": [], "edges": {}, "sweep": []}}},
+     "edges: expected a list"),
+    (GAUGE, {"config": {"system": {"modes": [5], "edges": [], "sweep": []}}},
+     "modes[0]: expected an object"),
+    (GAUGE, {"config": {"system": {**PRESETS["cavity-pi-fit"]["system"],
+                                   "edges": [{"photon": "c1", "magnon": "m1", "g_mhz": 81.0}]}}},
+     "edges[0].phase_rad: missing required key"),
+    (GAUGE, {"config": {"system": {**PRESETS["cavity-pi-fit"]["system"], "edges": [
+        {"photon": "c1", "magnon": "m1", "g_mhz": 81.0, "phase_rad": [1]}]}}},
+     "edges[0].phase_rad: expected number or phase string, got [1]"),
+    # ---- spectrum and s21: the device and its grids ----
+    (("spectrum", "--single-sphere", "--config", "{config}"),
+     {"config": {"system": {"modes": [{"label": "c1", "kind": "photon", "frequency_ghz": 4.5}],
+                            "edges": [], "sweep": []}}},
+     "--single-sphere requires at least one magnon mode"),
+    (SPECTRUM, {"config": {"system": PRESETS["cavity-pi-fit"]["system"]}},
+     "magnon_grid.start_ghz: missing (set it in the config or by flag)"),
+    *[(SPECTRUM, table1(lambda c: c["system"]["edges"][0].update(g_mhz=bad)),
+       "edges[0].g_mhz: expected a finite number") for bad in (math.nan, math.inf)],
+    (SPECTRUM, table1(lambda c: c["system"].update(sweep=[["m1"]])),
+     "sweep[0]: expected a mode label"),
+    (SPECTRUM, table1(lambda c: c["system"]["modes"][0].update(label=["x"])),
+     "modes[0].label: expected a string"),
+    (SPECTRUM, table1(lambda c: c["system"]["edges"][0].update(photon={"label": "c1"})),
+     "edges[0].photon: expected a string"),
+    *[(SPECTRUM, table1(lambda c: c["magnon_grid"].update({key: bad})), message)
+      for key, bad, message in [
+          ("start_ghz", "4", "magnon_grid.start_ghz: expected a number"),
+          ("stop_ghz", math.inf, "magnon_grid.stop_ghz: expected a finite number"),
+          ("points", 121.0, "magnon_grid.points: expected an integer"),
+          ("points", "121", "magnon_grid.points: expected an integer"),
+          ("start_ghz", 0.0, "magnon_grid.start_ghz must be > 0"),
+          ("stop_ghz", 4.0, "magnon_grid: stop_ghz must exceed start_ghz"),
+          ("points", 0, "magnon_grid.points must be >= 1"),
+      ]],
+    (SPECTRUM, table1(lambda c: c.update(magnon_grid=[4.0, 7.0, 121])),
+     "magnon_grid: expected an object"),
+    # a falsy grid is not an absent one, though flags set all of its fields
+    *[((command, "--config", "{config}", *flags), table1(lambda c: c.update({key: falsy})),
+       "%s: expected an object" % key)
+      for command, key, flags in GRID_FLAGS for falsy in (False, 0, [], "")],
+    (("spectrum", "--grid-points", "0", *FIT_PRESET), {}, "magnon_grid.points must be >= 1"),
+    (("spectrum", "--grid-points", "100001", *FIT_PRESET), {},
+     "magnon_grid.points must be <= 100000"),
+    (("spectrum", "--config", "{config}", "--grid-points", str(STACK_BUDGET + 1)),
+     {"config": CHAIN_CONFIG}, "magnon_grid.points * modes^2 must be <= 16777216"),
+    (("spectrum", "--grid-start-ghz", "1e300", "--grid-stop-ghz", "1.1e300", "--grid-points", "2",
+      *FIT_PRESET), {}, "magnon_grid.start_ghz must be <= 1e+06"),
+    (("spectrum", "--grid-start-ghz", "1e300", "--grid-points", "1", *FIT_PRESET), {},
+     "magnon_grid.start_ghz must be <= 1e+06"),
+    (("s21", "--probe-stop-ghz", "2e6", *FIT_PRESET), {}, "probe_grid.stop_ghz must be <= 1e+06"),
+    (("s21", "--magnon-stop-ghz", "1e300", *FIT_PRESET), {},
+     "magnon_grid.stop_ghz must be <= 1e+06"),
+    # linspace repeats values between start and stop one ulp apart
+    *[((command, "--%s-start-ghz" % flag, "5", "--%s-stop-ghz" % flag, "5.000000000000001",
+        "--%s-points" % flag, "100", *FIT_PRESET), {}, "%s must be strictly increasing" % key)
+      for command, flag, key in [("spectrum", "grid", "magnon_grid"),
+                                 ("s21", "probe", "probe_grid"), ("s21", "magnon", "magnon_grid")]],
+    # the frequency and rate ceilings, in both commands that read a device's grids
+    *[((command, "--config", "{config}"), table1(edit), message)
+      for command in ("spectrum", "s21") for edit, message in [
+          (lambda c: c["magnon_grid"].update(stop_ghz=1e300),
+           "magnon_grid.stop_ghz must be <= 1e+06"),
+          (lambda c: c["system"]["modes"][1].update(frequency_ghz=1e300),
+           "modes[1]: mode 'c2': frequency must be <= 1e+06 GHz"),
+          (lambda c: c["system"]["edges"][0].update(g_mhz=1e300),
+           "edges[0]: edge (c1, m1): strength must be within +-1e+09 MHz"),
+          (lambda c: c["system"]["modes"][2].update(intrinsic_loss_mhz=1e300),
+           "modes[2]: mode 'm1': intrinsic_loss must be <= 1e+09 MHz"),
+          (lambda c: c["system"]["modes"][0].update(external_loss_mhz=1e300),
+           "modes[0]: mode 'c1': external_loss must be <= 1e+09 MHz"),
+      ]],
+    # ---- s21: the ports ----
+    *[(S21, table1(lambda c: c.update(ports=ports)), message) for ports, message in [
+        ({"1": {"c1": 1e300}, "2": None}, "port 1: external rate for 'c1' must be <= 1e+09 MHz"),
+        ({"1": {"c1": math.inf}, "2": None}, "ports.1.c1: expected a finite number"),
+        ({"1": {"zz": 1.0}, "2": None}, "port 1: 'zz' is not a photon mode of the system"),
+        ({"1": {}, "2": None}, "port 1 couples to no photon mode"),
+        ({"1": {"c1": None}, "2": None}, "ports.1.c1: expected a number"),
+        ({"1": None, "2": {"c2": "5"}}, "ports.2.c2: expected a number"),
+        ({"1": {"c1": True}, "2": None}, "ports.1.c1: expected a number"),
+        ({"1": 5.0, "2": None}, "ports.1: expected null or a label->rate object"),
+        ({"1": None}, "ports: expected an object with exactly the keys '1' and '2'"),
+    ]],
+    # ---- fieldmap: the mode files and the regions ----
+    (("fieldmap", "--mode-file", "c1", "--config", "{regions}"), {},
+     "--mode-file 'c1': expected label=path.csv"),
+    (("fieldmap", "--mode-file", "c1={csv}", "--mode-file", "c1={csv}", "--config", "{regions}"),
+     {}, "--mode-file: duplicate label 'c1'"),
+    (("fieldmap", "--mode-file", "c9={csv}", "--config", "{regions}"), {},
+     "no frequency given for mode 'c9'"),
+    (FIELDMAP, {"csv": NOT_UTF8}, "{csv}: not UTF-8 text at byte 1"),
+    (FIELDMAP, {"regions": NOT_UTF8}, "{regions}: not UTF-8 text at byte 1"),
+    (FIELDMAP, {"csv": "x,y\n1,2\n"}, "--mode-file c1: line 1: unrecognized header; "
+     "expected '%s' or '%s,weight_m3'" % (FIELD_HEADER, FIELD_HEADER)),
+    (FIELDMAP, {"csv": FIELD_HEADER + "\n0,0,0,1,0,0,0,0,0\n0.1,0.1,0,1,0,0,0,0,0\n"},
+     "--mode-file c1: "
+     "degenerate bounding box: cannot infer uniform weights, provide a weight_m3 column"),
+    *[(FIELDMAP, {"csv": UNIFORM_FIELD_CSV.replace("-0.1,0,0,1", "-0.1,0,0," + bad)},
+       "--mode-file c1: line 3: expected finite numbers") for bad in ("nan", "inf")],
+    *[(FIELDMAP, {"csv": csv}, "--mode-file c1: positions must be within +-1e+06 m") for csv in (
+        UNIFORM_FIELD_CSV.replace("\n0.1,0,0", "\n1e200,0,0"),
+        FIELD_HEADER + "\n-1e308,-1e200,-1e200,1,0,0,0,0,0\n1e308,1e200,1e200,1,0,0,0,0,0\n")],
+    *[(FIELDMAP, regions(edit), message) for edit, message in [
+        (lambda c: c.update(regions=5), "regions: expected a list"),
+        (lambda c: c.update(mode_frequencies_ghz=[1]),
+         "mode_frequencies_ghz: expected a label->GHz object"),
+        (lambda c: c["mode_frequencies_ghz"].update(c1=math.nan),
+         "mode_frequencies_ghz.c1: expected a finite number"),
+        (lambda c: c["mode_frequencies_ghz"].update(c1=-4.524),
+         "mode_frequencies_ghz.c1 must be > 0"),
+        (lambda c: c["mode_frequencies_ghz"].update(c1=0.0), "mode_frequencies_ghz.c1 must be > 0"),
+        (lambda c: c["regions"][0]["center_m"].__setitem__(1, math.nan),
+         "regions[0].center_m[1]: expected a finite number"),
+        (lambda c: c["regions"].append(c["regions"][0]),
+         "regions[1].label: duplicate region label 'm1'"),
+        (lambda c: c["regions"][0].update(label=[1]), "regions[0].label: expected a string"),
+        (lambda c: c["regions"][0].update(radius_m="1"), "regions[0].radius_m: expected a number"),
+        (lambda c: c["regions"][0].update(radius_m=-1.0),
+         "regions[0]: radius must be finite and > 0 m"),
+        (lambda c: c["regions"][0].pop("center_m"), "regions[0].center_m: missing required key"),
+        (lambda c: c["regions"][0].update(center_m=[0.0, 0.0]),
+         "regions[0].center_m: expected a list of three numbers"),
+        (lambda c: c["regions"][0].update(center_m=[1e200, 0, 0]),
+         "regions[0]: center must be within +-1e+06 m"),
+        (lambda c: c["regions"][0].update(radius_m=1e300), "regions[0]: radius must be <= 1e+06 m"),
+        (lambda c: c["mode_frequencies_ghz"].update(c1=1e300),
+         "mode_frequencies_ghz.c1 must be <= 1e+06"),
+        (lambda c: c["mode_frequencies_ghz"].update(c1=1e7),
+         "mode_frequencies_ghz.c1 must be <= 1e+06"),
+        (lambda c: c["mode_frequencies_ghz"].pop("c1"), "no frequency given for mode 'c1'"),
+        (lambda c: c.pop("regions"),
+         "config: 'regions' and 'mode_frequencies_ghz' are both required"),
+        # a region labelled like a photon would make the edge (c1, c1)
+        (lambda c: c["regions"][0].update(label="c1"),
+         "regions[0].label: 'c1' is a photon label of mode_frequencies_ghz"),
+    ]],
+    # ---- fit: the peak CSV ----
+    (FIT, {"data": NOT_UTF8}, "{data}: not UTF-8 text at byte 1"),
+    *[(FIT, {"data": text}, message) for text, message in [
+        ("", "CSV is empty; expected the header " + PEAK_HEADERS),
+        ("frequency,peak\n1,2\n", "line 1: unrecognized header; expected " + PEAK_HEADERS),
+        ("\n \nomega_m,peak\n5.0,4.5\n", "line 3: unrecognized header; expected " + PEAK_HEADERS),
+        (PEAK_HEADER + "\n\n", "CSV contains no data rows"),
+        (PEAK_HEADER + "\n5.0,4.5\n\n5.1,4.6,0.001\n", "line 4: expected 2 columns, got 3"),
+        (PEAK_HEADER + "\n5.0,4.5\n5.1,x\n", "line 3: could not parse a numeric value"),
+        (PEAK_HEADER + ",sigma_ghz\n5.0,4.5,1e-300\n5.1,4.6,1e-300\n",
+         "record 0: sigma must be >= 1e-09 GHz"),
+    ]],
+    (FIT, {"data": unique_peaks_csv(STACK_BUDGET + 1), "spec": CHAIN_SPEC},
+     "--data: unique omega_m_ghz values * modes^2 must be <= 16777216"),
+    # ---- fit: the spec ----
+    (FIT, {"spec": NOT_UTF8}, "{spec}: not UTF-8 text at byte 1"),
+    (FIT, {"spec": {}}, "fit spec: give exactly one of 'preset' or 'system'"),
+    (FIT, {"spec": {"preset": "nope"}}, "fit spec: unknown preset 'nope'"),
+    (FIT, {"spec": {"preset": "cavity-pi-fit", "initial": []}},
+     "fit spec: 'theta_hypotheses' and 'initial' are required"),
+    *[(FIT, {"spec": {**FIT_SPEC, key: bad}}, message) for key, bad, message in [
+        ("theta_hypotheses", 5, "fit spec.theta_hypotheses: expected a list of loop-phase lists"),
+        ("theta_hypotheses", ["pi", "0"],
+         "fit spec.theta_hypotheses[0]: expected a list of loop phases"),
+        ("theta_hypotheses", [["x"], [0]], "fit spec.theta_hypotheses[0]: "
+         "phase_rad: unknown phase string 'x' (allowed: -pi/2, 0, pi, pi/2)"),
+        ("free_couplings", 5, "fit spec.free_couplings: expected a list of labels"),
+        ("free_couplings", [["c1"]], "fit spec.free_couplings[0]: expected a string"),
+        ("initial", 5, "fit spec.initial: expected a list of numbers"),
+        ("initial", None, "fit spec.initial: expected a list of numbers"),
+        ("initial", [4.52, "6.195", 0.078, 0.118], "fit spec.initial[1]: expected a number"),
+        ("bounds", [1, 2], "fit spec.bounds: expected an object of [lower, upper] pairs"),
+        ("bounds", {"g:c1": 0.1}, "fit spec.bounds.g:c1: expected a [lower, upper] pair"),
+        ("bounds", {"g:c1": [0.0, None]}, "fit spec.bounds.g:c1[1]: expected a number"),
+        ("preset", ["x"], "fit spec.preset: expected a string"),
+        ("max_iterations", [1], "fit spec.max_iterations: expected a positive integer"),
+        ("continuous_theta", "false", "fit spec.continuous_theta: expected true or false"),
+        ("initial", [4.52], "fit spec: 'initial' must hold 4 value(s), got 1"),
+    ]],
+    *[(FIT, {"spec": loop_phase_spec(max_iterations=bad)},
+       "fit spec.max_iterations: expected a positive integer") for bad in (0, -3, True, 2.5)],
+    (FIT, {"spec": {**EDGELESS_C2_SPEC, "free_couplings": ["c2"]}},
+     "free coupling 'c2': the photon has no coupling edge"),
+    (FIT, {"spec": loop_phase_spec(initial=[5.0])},
+     "initial value 5 for 'g:c1' is outside its bounds [0, 2]"),
+    (FIT, {"spec": loop_phase_spec(initial=[0.1], bounds={"g:c1": [0.0, 1e7]})},
+     "bounds for 'g:c1' must be within +-1e+06 GHz"),
+    (FIT, {"spec": {"preset": "cavity-pi-fit", "free_photon_frequencies": ["c1"],
+                    "theta_hypotheses": [["pi"]], "initial": [0.5],
+                    "bounds": {"omega_c:c1": [-5, 5]}},
+           "data": PEAK_HEADER + "\n5.0,-1.0\n5.1,-1.0\n5.2,-1.1\n"},
+     "bounds for 'omega_c:c1' must be > 0 GHz"),
+    (FIT, {"spec": loop_phase_spec(theta_hypotheses=[[7.0]], continuous_theta=True)},
+     "initial value 7 for 'theta:0' is outside its bounds [-6.28319, 6.28319]"),
+    (FIT, {"spec": loop_phase_spec(theta_hypotheses=[[2.0]], continuous_theta=True,
+                                   bounds={"theta:0": [2.5, 3.0]})},
+     "initial value 2 for 'theta:0' is outside its bounds [2.5, 3]"),
+    (FIT, {"spec": loop_phase_spec(bounds={"theta:0": [0, 1]})},
+     "bound 'theta:0' is not a parameter of this fit"),
+]
+
+
+@pytest.mark.parametrize("args, files, message", MALFORMED_INPUTS)
+def test_malformed_inputs_exit_2_with_one_error_line(tmp_path, args, files, message):
+    paths = dict(zip(("data", "spec"), write_fit_inputs(tmp_path)))
+    for name, content in {"config": PRESETS["cavity-pi-table1"], "regions": FIELDMAP_CONFIG,
+                          "csv": UNIFORM_FIELD_CSV, **files}.items():
+        path = paths[name] = tmp_path / name
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(*(arg.format(**paths) for arg in args))
+    assert [str(w.message) for w in caught] == []
+    assert (result.exit_code, result.stdout, result.stderr) == (
+        2, "", "error: %s\n" % message.format(**paths))
+
+
+def test_every_message_the_readme_quotes_comes_from_a_table_row_or_a_library_call():
+    result = sweep(fit_device(), preset_grid("cavity-pi-fit", "magnon_grid"))
+    spec, initial, _ = fit_spec_from_document(FIT_SPEC, preset("cavity-pi-fit"))
+    data = dataset_from_csv(PEAK_HEADER + "\n5,5\n")
+    library = {
+        "branch_a: expected an integer, got 1.5": lambda: min_gap(result, 1.5, 2, (5.1, 5.6)),
+        "crossing_threshold_ghz must be finite":
+            lambda: min_gap(result, 1, 2, (5.1, 5.6), crossing_threshold_ghz=math.nan),
+        "omega must be within +-1e+06 GHz":
+            lambda: s21_at(fit_device(), (PortSpec(1), PortSpec(2)), 1e7, 5.0),
+        "omega_ghz must be <= 1e+06 GHz": lambda: coupling_strength(0.0, 1e300),
+        "max_iterations: expected a positive integer":
+            lambda: fit(spec, data, initial, max_iterations=0),
+        "mode 'c1': frequency must be <= 1e+06 GHz":
+            lambda: residual(spec, (1e300, *initial[1:]), (math.pi,), data),
+    }
+    for message, call in library.items():
+        with pytest.raises(ValueError) as error:
+            call()
+        assert str(error.value) == message
+    messages = [message for _, _, message in MALFORMED_INPUTS] + list(library)
+    readme = re.sub(r"```.*?```", "", (SRC_DIR.parent / "README.md").read_text(), flags=re.S)
+    unmatched = []
+    for quote in re.findall("`([^`]*)`", readme):
+        quote = " ".join(quote.split())
+        if quote == "error:" or not re.search("must|expected|error:", quote):  # not a message
+            continue
+        pattern = re.escape(quote.removeprefix("error: "))
+        pattern = pattern.replace("<path>", ".+").replace("<k>", ".+")
+        if not any(re.fullmatch(pattern, message) for message in messages):
+            unmatched.append(quote)
+    # only a fresh process shows this one, in the test it names
+    assert unmatched == ["error: <path>: JSON nesting is too deep"]
+    fresh = inspect.getsource(test_json_nested_too_deep_exits_2_with_one_error_line)
+    assert '"error: %s: JSON nesting is too deep\\n"' in fresh

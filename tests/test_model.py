@@ -39,22 +39,11 @@ from loopmag.model import (
 )
 from loopmag.spectrum import branch_frequencies, sweep
 from loopmag.transmission import S21_FLOOR, PortSpec, s21_map
-from devices import chain_document, fit_device, random_system
+from devices import chain_document, fit_device, random_system, single_pair_system
 from oracles import OracleError, char_poly_eigenvalues
 from oracles import read_numeric_csv as float_loop_read_numeric_csv
 
 PI = math.pi
-
-
-def single_pair_system(g_mhz=139.0, phase=-PI / 2, omega_c=4.524):
-    return SystemModel(
-        modes=(
-            ModeSpec("c1", "photon", omega_c),
-            ModeSpec("m1", "magnon", 5.0),
-        ),
-        edges=(CouplingEdge("c1", "m1", g_mhz, phase),),
-        magnon_sweep_target=frozenset({"m1"}),
-    )
 
 
 # ====== phase folding ======
@@ -159,6 +148,13 @@ def test_system_model_validation():
         SystemModel((c1, m1), (), frozenset({"c1"}))
 
 
+def test_mode_looks_up_a_label_and_rejects_an_unknown_one():
+    system = single_pair_system()
+    assert system.mode("m1") is system.modes[1]
+    with pytest.raises(ValueError, match="^unknown mode label 'nope'$"):
+        system.mode("nope")
+
+
 def test_hermitian_matrix_rejects_asymmetric():
     bad = np.array([[1.0, 0.5], [0.0, 2.0]], dtype=complex)
     with pytest.raises(ValueError):
@@ -169,6 +165,13 @@ def test_hermitian_matrix_rejects_entries_that_are_not_one_square_row_per_label(
     for labels, entries in ((("a", "b"), np.eye(3)), (("a", "b"), np.ones(2)), (("a",), [[1, 0]])):
         with pytest.raises(ValueError, match="^entries must be square with one row per label$"):
             HermitianMatrixGHz(labels, entries)
+
+
+def test_hermitian_matrix_accepts_an_asymmetry_of_exactly_its_tolerance():
+    at = 1e-12 / 2  # entries - entries^H is 2j * at: 1e-12 of the norm 1
+    HermitianMatrixGHz(("a",), [[1 + at * 1j]])
+    with pytest.raises(ValueError, match="^matrix is not Hermitian to 1e-12 relative$"):
+        HermitianMatrixGHz(("a",), [[1 + math.nextafter(at, 1) * 1j]])
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, complex(0, math.inf)])
@@ -478,6 +481,11 @@ def test_rwa_table_values():
     strong = check_rwa(single_pair_system(g_mhz=500.0, omega_c=4.5))
     assert strong[0].ratio == pytest.approx(0.5 / 4.5, rel=1e-12)
     assert not strong[0].ok
+
+
+def test_an_edge_at_the_rwa_limit_is_not_ok():
+    (check,) = check_rwa(single_pair_system(g_mhz=500.0, omega_c=5.0))
+    assert (check.ratio, check.ok) == (RWA_LIMIT, False)
 
 
 def test_rwa_ratios_need_no_mode_lookup_per_edge(monkeypatch):

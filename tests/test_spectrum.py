@@ -20,7 +20,7 @@ from loopmag.spectrum import (
     sweep,
     sweep_to_csv,
 )
-from devices import fit_device, preset, preset_grid, table1_device
+from devices import fit_device, preset, preset_grid, single_pair_system, table1_device
 from oracles import OracleError, char_poly_eigenvalues
 
 PI = math.pi
@@ -376,22 +376,13 @@ def test_branch_frequencies_matches_sweep_on_each_preset(name):
 PAD_GHZ = 1e-12  # min_gap's slack at the window ends
 
 
-def pair_device(omega_c):
-    """Photon c1 at omega_c GHz coupled at 81 MHz to the swept magnon m1: gap 162 MHz at omega_c."""
-    return SystemModel(
-        modes=(ModeSpec("c1", "photon", omega_c), ModeSpec("m1", "magnon", 5.0)),
-        edges=(CouplingEdge("c1", "m1", 81.0, 0.0),),
-        magnon_sweep_target=frozenset({"m1"}),
-    )
-
-
 def grid_gaps(result):
     """|branch 1 - branch 0| at each grid point, in GHz."""
     return np.abs(result.branches[:, 1] - result.branches[:, 0])
 
 
 def test_min_gap_single_pair_closed_form():
-    system = pair_device(4.56)
+    system = single_pair_system(81.0, 0.0, 4.56)
     grid = np.linspace(4.0, 7.0, 299)  # 4.56 is not a grid point
     result = sweep(system, grid)
     report = min_gap(result, 0, 1, (4.0, 7.0), system=system)
@@ -465,7 +456,7 @@ def test_min_gap_rejects_a_non_finite_threshold_after_the_branch_and_window_chec
 
 def test_min_gap_accepts_a_window_out_to_the_grid_ends_plus_the_pad():
     grid = np.linspace(5.0, 6.0, 5)
-    result = sweep(pair_device(4.0), grid)
+    result = sweep(single_pair_system(81.0, 0.0, 4.0), grid)
     report = min_gap(result, 0, 1, (grid[0] - PAD_GHZ, grid[-1] + PAD_GHZ))
     assert report.omega_m_at_min == grid[0]
     for window in ((np.nextafter(grid[0] - PAD_GHZ, 0.0), 6.0),
@@ -479,7 +470,7 @@ def test_min_gap_counts_grid_points_exactly_one_pad_outside_the_window(omega_c, 
     lo, hi = 5.0, 6.0
     grid = np.array([lo - PAD_GHZ, 5.25, 5.5, 5.75, hi + PAD_GHZ])
     assert grid[0] + PAD_GHZ == lo and grid[-1] - PAD_GHZ == hi
-    result = sweep(pair_device(omega_c), grid)
+    result = sweep(single_pair_system(81.0, 0.0, omega_c), grid)
     report = min_gap(result, 0, 1, (lo, hi))
     # the gap is narrowest at that end point, which has no neighbour past it
     assert report.omega_m_at_min == grid[end]
@@ -490,7 +481,8 @@ def test_min_gap_counts_grid_points_exactly_one_pad_outside_the_window(omega_c, 
                                        (np.linspace(4.463, 4.563, 11), -1)],
                          ids=["first", "last"])
 def test_min_gap_at_a_window_end_refines_only_into_the_window(grid, end):
-    system = pair_device(4.56)  # the gap's true minimum lies 3 MHz inside the end point
+    # the gap's true minimum lies 3 MHz inside the end point
+    system = single_pair_system(81.0, 0.0, 4.56)
     result = sweep(system, grid)
     gaps = grid_gaps(result)
     assert int(np.argmin(gaps)) == end % grid.size
@@ -509,7 +501,7 @@ def test_min_gap_at_a_window_end_refines_only_into_the_window(grid, end):
 
 def test_min_gap_without_a_system_takes_the_vertex_of_the_parabola_through_three_gaps():
     grid = np.linspace(4.0, 7.0, 299)
-    result = sweep(pair_device(4.56), grid)
+    result = sweep(single_pair_system(81.0, 0.0, 4.56), grid)
     gaps = grid_gaps(result)
     k = int(np.argmin(gaps))
     (x0, x1, x2), (y0, y1, y2) = grid[k - 1:k + 2], gaps[k - 1:k + 2]
