@@ -281,10 +281,13 @@ def hamiltonians(system: SystemModel, omega_m_grid: np.ndarray) -> np.ndarray:
 
     Built once at the first grid point, then the swept diagonal is overwritten,
     so each slice equals build_hamiltonian at its grid point bit for bit.
-    Raises ValueError before allocating a stack beyond MAX_STACK_ENTRIES.
+    Raises ValueError before allocating a stack beyond MAX_STACK_ENTRIES, and
+    build_hamiltonian's for the first point outside (0, MAX_FREQUENCY_GHZ].
     """
     check_stack(len(omega_m_grid), len(system.modes), "len(omega_m_grid)")
-    base = build_hamiltonian(system, float(omega_m_grid[0])).entries
+    grid = np.asarray(omega_m_grid)
+    outside = np.flatnonzero(~((grid > 0) & (grid <= MAX_FREQUENCY_GHZ)))
+    base = build_hamiltonian(system, float(grid[outside[0] if outside.size else 0])).entries
     mats = np.broadcast_to(base, (len(omega_m_grid), *base.shape)).copy()
     for k, mode in enumerate(system.modes):
         if mode.label in system.magnon_sweep_target:
@@ -408,9 +411,12 @@ def system_from_document(doc: dict) -> SystemModel:
     Raises:
         SchemaError: with a path-anchored message on any schema violation.
     """
-    modes_doc = require(doc, "modes", "document")
-    edges_doc = require(doc, "edges", "document")
-    sweep_doc = require(doc, "sweep", "document")
+    if not isinstance(doc, dict):
+        raise SchemaError("document: expected an object")
+    for key in ("modes", "edges", "sweep"):
+        if key not in doc:
+            raise SchemaError("%s: missing required key" % key)
+    modes_doc, edges_doc, sweep_doc = doc["modes"], doc["edges"], doc["sweep"]
     for key, value in (("modes", modes_doc), ("edges", edges_doc), ("sweep", sweep_doc)):
         if not isinstance(value, list):
             raise SchemaError("%s: expected a list" % key)

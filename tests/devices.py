@@ -3,14 +3,17 @@
 The paper's devices are read from loopmag.cli.PRESETS; the rest are built here:
 the 5.36 GHz Table-1 variant, one photon-magnon pair, a photon-magnon chain,
 seeded random devices, the two-tone fit spec with its truth and the peak
-records of a device's branches, a union-find component count and a loader for
-modules outside the package.
+records of a device's branches, a union-find component count, a loader for
+modules outside the package, the one check of a rejected call (raises_exactly)
+and the test that runs a module's table of such calls (rejected_calls).
 """
 
+import contextlib
 import importlib.util
 import math
 
 import numpy as np
+import pytest
 
 from loopmag.calibrate import DEFAULT_SIGMA_GHZ, FitSpec, PeakDataset, PeakRecord
 from loopmag.cli import PRESETS
@@ -148,3 +151,21 @@ def load(name, path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@contextlib.contextmanager
+def raises_exactly(error_type, message):
+    """The block must raise error_type itself, not a subclass, with exactly message."""
+    with pytest.raises(error_type) as info:
+        yield
+    assert type(info.value) is error_type, repr(info.value)
+    assert str(info.value) == message, str(info.value)
+
+
+def rejected_calls(rows):
+    """The test of a module's table of rows (call, exception type, exact message)."""
+    @pytest.mark.parametrize("call, error_type, message", rows)
+    def test_rejected_calls(call, error_type, message):
+        with raises_exactly(error_type, message):
+            call()
+    return test_rejected_calls

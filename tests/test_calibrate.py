@@ -3,7 +3,6 @@
 import contextlib
 import dataclasses
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -37,7 +36,8 @@ from loopmag.model import (
     fold_phase,
 )
 from loopmag.spectrum import branch_frequencies
-from devices import FIT_TRUTH, branch_records, fit_device, preset, random_system, two_tone_spec
+from devices import (FIT_TRUTH, branch_records, fit_device, preset, raises_exactly, random_system,
+                     rejected_calls, two_tone_spec)
 from oracles import PeakDataset as RecordLoopPeakDataset
 from oracles import fit_objective, read_numeric_csv as float_loop_read_numeric_csv
 
@@ -182,23 +182,14 @@ def test_residual_equals_the_validated_dataclass_path(make_spec):
     )
 
 
-def test_residual_rejects_a_non_positive_free_frequency():
-    spec = two_tone_spec()
-    data = branch_records(fit_device(), (5.0,))
-    for bad in (0.0, -4.5):
-        with pytest.raises(ValueError, match="'c1': frequency must be finite and > 0"):
-            residual(spec, (bad, 6.19, 0.081, 0.120), (math.pi,), data)
-
-
 def test_residual_rejects_a_free_frequency_above_the_ceiling_as_modespec_does():
     spec = two_tone_spec()
     data = branch_records(fit_device(), (5.0,))
-    with pytest.raises(ValueError) as modespec:
-        ModeSpec("c1", "photon", 1e300)
-    with pytest.raises(ValueError) as objective:
-        residual(spec, (1e300, 6.19, 0.081, 0.120), (math.pi,), data)
     message = "mode 'c1': frequency must be <= 1e+06 GHz"
-    assert str(objective.value) == str(modespec.value) == message
+    with raises_exactly(ValueError, message):
+        ModeSpec("c1", "photon", 1e300)
+    with raises_exactly(ValueError, message):
+        residual(spec, (1e300, 6.19, 0.081, 0.120), (math.pi,), data)
     assert math.isfinite(residual(spec, (1e6, 6.19, 0.081, 0.120), (math.pi,), data))
 
 
@@ -249,20 +240,6 @@ def test_residual_mean_tracks_noise_to_sigma_ratio():
     assert 0.5 * 0.16 < mean < 1.5 * 0.16
 
 
-def test_residual_rejects_bad_vectors():
-    spec = two_tone_spec()
-    data = branch_records(fit_device(), (5.0,))
-    with pytest.raises(ValueError, match="4 parameters"):
-        residual(spec, (4.5, 6.2, 0.08), (math.pi,), data)
-    with pytest.raises(ValueError, match="loop"):
-        residual(spec, FIT_TRUTH, (math.pi, 0.0), data)
-    with pytest.raises(ValueError, match=r"^parameters must be finite$"):
-        residual(spec, (4.5, math.nan, 0.08, 0.12), (math.pi,), data)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match=r"^loop phases must be finite$"):
-            residual(spec, FIT_TRUTH, (bad,), data)
-
-
 @pytest.mark.parametrize("hypotheses, message", [
     (((math.pi, 0.0),), "hypothesis 0: expected 1 loop phase(s), got 2"),
     (((math.pi,), ()), "hypothesis 1: expected 1 loop phase(s), got 0"),
@@ -272,9 +249,8 @@ def test_residual_rejects_bad_vectors():
     (((0.0,), (math.nan, math.nan)), "hypothesis 1: expected 1 loop phase(s), got 2"),
 ], ids=["too-many", "too-few", "nan", "minus-inf", "count-first"])
 def test_fitspec_names_the_hypothesis_that_breaks_the_loop_phase_rule(hypotheses, message):
-    with pytest.raises(ValueError) as got:
+    with raises_exactly(ValueError, message):
         two_tone_spec(theta_hypotheses=hypotheses)
-    assert str(got.value) == message
 
 
 def test_residual_keeps_the_loop_phase_messages_without_a_hypothesis_index():
@@ -283,17 +259,14 @@ def test_residual_keeps_the_loop_phase_messages_without_a_hypothesis_index():
     for thetas, message in (((math.pi, 0.0), "expected 1 loop phase(s), got 2"),
                             ((), "expected 1 loop phase(s), got 0"),
                             ((math.nan, 0.0), "expected 1 loop phase(s), got 2")):
-        with pytest.raises(ValueError) as got:
+        with raises_exactly(ValueError, message):
             residual(spec, FIT_TRUTH, thetas, data)
-        assert str(got.value) == message
     # a device without a loop takes no loop phase
     loopless = FitSpec(edgeless_photon_template(), theta_hypotheses=((),))
-    with pytest.raises(ValueError) as got:
+    with raises_exactly(ValueError, "expected 0 loop phase(s), got 1"):
         residual(loopless, (), (0.0,), data)
-    assert str(got.value) == "expected 0 loop phase(s), got 1"
-    with pytest.raises(ValueError) as got:
+    with raises_exactly(ValueError, "hypothesis 1: expected 0 loop phase(s), got 1"):
         FitSpec(edgeless_photon_template(), theta_hypotheses=((), (0.0,)))
-    assert str(got.value) == "hypothesis 1: expected 0 loop phase(s), got 1"
 
 
 def test_a_spec_reduces_its_device_once_and_no_residual_or_fit_reduces_again(monkeypatch):
@@ -381,28 +354,28 @@ def oracle_residual(spec, params, thetas, data):
                                      calibrate._checked_thetas(spec, thetas))
 
 
-@pytest.mark.parametrize("params, thetas, message", [
-    ((4.5, 6.2, math.nan, 0.12), (math.pi,), "parameters must be finite"),
-    ((4.5, 6.2, 2e6, 0.12), (math.pi,), "edge (c1, m1): strength must be within +-1e+09 MHz"),
-    ((4.5, 6.2, 0.08, -1e306), (math.pi,), "edge (c2, m1): strength and phase must be finite"),
-    ((0.0, 6.2, 0.08, 0.12), (math.pi,), "mode 'c1': frequency must be finite and > 0 GHz"),
-    ((4.5, 2e6, 0.08, 0.12), (math.pi,), "mode 'c2': frequency must be <= 1e+06 GHz"),
+@pytest.mark.parametrize("params, thetas, message, objective_message", [
+    # the objective itself checks no vector: a NaN coupling reaches the edge rule
+    ((4.5, 6.2, math.nan, 0.12), (math.pi,), "parameters must be finite",
+     "edge (c1, m1): strength and phase must be finite"),
+    ((4.5, 6.2, 2e6, 0.12), (math.pi,),
+     *["edge (c1, m1): strength must be within +-1e+09 MHz"] * 2),
+    ((4.5, 6.2, 0.08, -1e306), (math.pi,),
+     *["edge (c2, m1): strength and phase must be finite"] * 2),
+    ((0.0, 6.2, 0.08, 0.12), (math.pi,), *["mode 'c1': frequency must be finite and > 0 GHz"] * 2),
+    ((4.5, 2e6, 0.08, 0.12), (math.pi,), *["mode 'c2': frequency must be <= 1e+06 GHz"] * 2),
 ], ids=["nan-coupling", "coupling-over-cap", "coupling-overflow", "frequency-zero",
         "frequency-over-cap"])
-def test_residual_and_the_objective_raise_the_oracles_messages(params, thetas, message):
+def test_residual_and_the_objective_raise_the_oracles_messages(params, thetas, message,
+                                                               objective_message):
     spec = two_tone_spec()
     data = branch_records(fit_device(), (5.0,))
-    with pytest.raises(ValueError) as got:
-        residual(spec, params, thetas, data)
-    with pytest.raises(ValueError) as want:
-        oracle_residual(spec, params, thetas, data)
-    assert str(got.value) == str(want.value) == message
-    # the objective itself checks no vector: a NaN coupling reaches the edge rule
-    with pytest.raises(ValueError) as got:
-        calibrate._objective(spec, data)(params, thetas)
-    with pytest.raises(ValueError) as want:
-        fit_objective(spec, data)(params, thetas)
-    assert str(got.value) == str(want.value)
+    for check in (residual, oracle_residual):
+        with raises_exactly(ValueError, message):
+            check(spec, params, thetas, data)
+    for objective in (calibrate._objective(spec, data), fit_objective(spec, data)):
+        with raises_exactly(ValueError, objective_message):
+            objective(params, thetas)
 
 
 def test_an_evaluation_writes_only_moving_edges_and_rotates_only_new_phases(monkeypatch):
@@ -445,60 +418,45 @@ def test_an_evaluation_writes_only_moving_edges_and_rotates_only_new_phases(monk
 # ====== dataset construction and CSV input ======
 
 
-def test_peak_record_validation():
-    with pytest.raises(ValueError, match="sigma"):
-        PeakDataset(records=(PeakRecord(5.0, 5.0, 0.0),))
-    with pytest.raises(ValueError, match="omega_m"):
-        PeakDataset(records=(PeakRecord(-1.0, 5.0, 0.001),))
-    with pytest.raises(ValueError, match="finite"):
-        PeakDataset(records=(PeakRecord(5.0, math.inf, 0.001),))
-    with pytest.raises(ValueError, match="at least one"):
-        PeakDataset(records=())
-    for record in ((1e300, 5.9), (6.0, 1e300), (6.0, -2e6)):
-        with pytest.raises(ValueError, match=r"^record 0: frequencies must be <= 1e\+06 GHz$"):
-            PeakDataset(records=(PeakRecord(*record),))
-
-
 def test_peak_dataset_rejects_sigma_below_one_hz_after_the_sign_check():
     for sigma in (1e-300, 0.99e-9):
-        with pytest.raises(ValueError, match=r"^record 0: sigma must be >= 1e-09 GHz$"):
+        with raises_exactly(ValueError, "record 0: sigma must be >= 1e-09 GHz"):
             PeakDataset(records=(PeakRecord(5.0, 5.0, sigma),))
     for sigma in (0.0, -1.0):
-        with pytest.raises(ValueError, match=r"^record 0: sigma must be > 0 GHz$"):
+        with raises_exactly(ValueError, "record 0: sigma must be > 0 GHz"):
             PeakDataset(records=(PeakRecord(5.0, 5.0, sigma),))
     assert PeakDataset(records=((5.0, 5.0, MIN_SIGMA_GHZ),)).records[0].sigma == 1e-9
-    with pytest.raises(SchemaError, match=r"^record 1: sigma must be >= 1e-09 GHz$"):
+    with raises_exactly(SchemaError, "record 1: sigma must be >= 1e-09 GHz"):
         dataset_from_csv("omega_m_ghz,omega_peak_ghz,sigma_ghz\n5.0,4.5,0.001\n5.1,4.6,1e-300\n")
 
 
 @pytest.mark.parametrize("bad", [(5.0,), (1.0, 2.0, 3.0, 4.0), None, (), 5.0])
 def test_peak_dataset_rejects_a_record_of_the_wrong_length_with_value_error(bad):
-    with pytest.raises(ValueError, match=r"^record 1: expected 2 or 3 values$"):
+    with raises_exactly(ValueError, "record 1: expected 2 or 3 values"):
         PeakDataset(records=((5.0, 4.5), bad))
     # the length comes before every per-record check, of this record and of the others
-    with pytest.raises(ValueError, match=r"^record 1: expected 2 or 3 values$"):
+    with raises_exactly(ValueError, "record 1: expected 2 or 3 values"):
         PeakDataset(records=((-1.0, 4.5), bad))
 
 
 def test_a_record_failing_the_finite_and_the_sigma_checks_is_reported_not_finite():
     for record in ((5.0, math.nan, 0.0), (math.inf, 4.5, 1e-12), (5.0, 4.5, -math.inf)):
-        with pytest.raises(ValueError, match=r"^record 1: all values must be finite$"):
+        with raises_exactly(ValueError, "record 1: all values must be finite"):
             PeakDataset(records=((5.0, 4.5), record))
 
 
 def test_the_first_failing_record_is_named_before_a_later_one_that_fails_an_earlier_check():
-    with pytest.raises(ValueError, match=r"^record 0: sigma must be >= 1e-09 GHz$"):
+    with raises_exactly(ValueError, "record 0: sigma must be >= 1e-09 GHz"):
         PeakDataset(records=((5.0, 4.5, 1e-10), (math.nan, 4.5)))
-    with pytest.raises(ValueError, match=r"^record 1: omega_m must be > 0 GHz$"):
+    with raises_exactly(ValueError, "record 1: omega_m must be > 0 GHz"):
         PeakDataset(records=((5.0, 4.5), (-1.0, 4.5, 0.0), (5.0, math.inf)))
 
 
 def test_a_float_error_comes_before_a_later_records_length_error():
-    with pytest.raises(TypeError) as expected:
+    with pytest.raises(TypeError) as expected:  # Python's own message, in its own words
         float(None)
-    with pytest.raises(TypeError) as got:
+    with raises_exactly(TypeError, str(expected.value)):
         PeakDataset(records=((5.0, None), (1.0,)))
-    assert str(got.value) == str(expected.value)
 
 
 @pytest.mark.parametrize("record, message", [
@@ -511,7 +469,7 @@ def test_a_float_error_comes_before_a_later_records_length_error():
     ((5.0, 4.5, math.nextafter(MIN_SIGMA_GHZ, 0.0)), "sigma must be >= 1e-09 GHz"),
 ])
 def test_a_value_one_step_past_its_limit_is_rejected(record, message):
-    with pytest.raises(ValueError, match="^record 1: %s$" % re.escape(message)):
+    with raises_exactly(ValueError, "record 1: " + message):
         PeakDataset(records=((5.0, 4.5), record))
 
 
@@ -609,57 +567,28 @@ def test_dataset_from_csv_defaults_sigma():
     assert DEFAULT_SIGMA_GHZ == 0.0025
 
 
-def test_dataset_from_csv_rejects_malformed_input():
-    with pytest.raises(SchemaError, match="header"):
-        dataset_from_csv("omega_m,omega_peak\n5.1,4.52\n")
-    with pytest.raises(SchemaError, match="line 2"):
-        dataset_from_csv("omega_m_ghz,omega_peak_ghz\n5.1\n")
-    with pytest.raises(SchemaError, match="line 3"):
-        dataset_from_csv("omega_m_ghz,omega_peak_ghz\n5.1,4.5\n5.2,abc\n")
-    with pytest.raises(SchemaError, match="no data"):
-        dataset_from_csv("omega_m_ghz,omega_peak_ghz\n")
-
-
 def test_dataset_from_csv_skips_blank_lines_and_counts_them():
     text = "\n\nomega_m_ghz,omega_peak_ghz\n5.1,4.52\n\n5.3,5.0\n"
     assert dataset_from_csv(text).records == (PeakRecord(5.1, 4.52), PeakRecord(5.3, 5.0))
-    with pytest.raises(SchemaError, match="^line 6: expected 2 columns, got 3$"):
+    with raises_exactly(SchemaError, "line 6: expected 2 columns, got 3"):
         dataset_from_csv(text.replace("5.3,5.0", "5.3,5.0,0.001"))
-    with pytest.raises(SchemaError, match="^line 6: expected finite numbers$"):
+    with raises_exactly(SchemaError, "line 6: expected finite numbers"):
         dataset_from_csv(text.replace("5.3,5.0", "5.3,nan"))
 
 
 # ====== fit spec validation ======
 
 
-def test_fitspec_rejects_unknown_or_non_photon_labels():
-    with pytest.raises(ValueError, match="photon"):
-        two_tone_spec(free_photon_frequencies=("c1", "m1"))
-    with pytest.raises(ValueError, match="photon"):
-        two_tone_spec(free_couplings=("nope",))
-    with pytest.raises(ValueError, match="duplicate"):
-        two_tone_spec(free_couplings=("c1", "c1"))
-
-
-def test_fitspec_rejects_bad_hypotheses():
-    with pytest.raises(ValueError, match="loop"):
-        two_tone_spec(theta_hypotheses=((math.pi, 0.0),))
-    with pytest.raises(ValueError, match="at least one"):
-        two_tone_spec(theta_hypotheses=())
-    with pytest.raises(ValueError, match="finite"):
-        two_tone_spec(theta_hypotheses=((math.nan,),))
-
-
 def test_fitspec_rejects_bad_bounds():
-    with pytest.raises(ValueError, match="finite"):
+    with raises_exactly(ValueError, "bounds for 'omega_c:c1' must be finite"):
         two_tone_spec(bounds={"omega_c:c1": (4.0, math.inf)})
-    with pytest.raises(ValueError, match="below"):
+    with raises_exactly(ValueError, "bounds for 'g:c1': upper end 0.1 is below the lower end 0.2"):
         two_tone_spec(bounds={"g:c1": (0.2, 0.1)})
-    with pytest.raises(ValueError, match="not a parameter"):
+    with raises_exactly(ValueError, "bound 'g:m1' is not a parameter of this fit"):
         two_tone_spec(bounds={"g:m1": (0.0, 0.2)})
-    with pytest.raises(ValueError, match=r"^bounds for 'omega_c:c1' must be <= 1e\+06 GHz$"):
+    with raises_exactly(ValueError, "bounds for 'omega_c:c1' must be <= 1e+06 GHz"):
         two_tone_spec(bounds={"omega_c:c1": (0.1, 1e300)})
-    with pytest.raises(ValueError, match=r"^bounds for 'g:c1' must be within \+-1e\+06 GHz$"):
+    with raises_exactly(ValueError, "bounds for 'g:c1' must be within +-1e+06 GHz"):
         two_tone_spec(bounds={"g:c1": (0, 1e7)})
     spec = two_tone_spec(bounds={"omega_c:c1": (0.1, 1e6), "g:c1": (0, 1e6)})
     assert spec.bounds == {"omega_c:c1": (0.1, 1e6), "g:c1": (0.0, 1e6)}
@@ -667,13 +596,14 @@ def test_fitspec_rejects_bad_bounds():
 
 def test_fitspec_rejects_a_frequency_lower_bound_at_or_below_zero_after_the_other_checks():
     for pair in ((-5.0, 5.0), (0.0, 5.0)):
-        with pytest.raises(ValueError, match=r"^bounds for 'omega_c:c1' must be > 0 GHz$"):
+        with raises_exactly(ValueError, "bounds for 'omega_c:c1' must be > 0 GHz"):
             two_tone_spec(bounds={"omega_c:c1": pair})
-    with pytest.raises(ValueError, match=r"^bounds for 'omega_c:c1' must be finite$"):
+    with raises_exactly(ValueError, "bounds for 'omega_c:c1' must be finite"):
         two_tone_spec(bounds={"omega_c:c1": (-math.inf, 5.0)})
-    with pytest.raises(ValueError, match="^bounds for 'omega_c:c1': upper end -6 is below"):
+    with raises_exactly(ValueError,
+                        "bounds for 'omega_c:c1': upper end -6 is below the lower end -5"):
         two_tone_spec(bounds={"omega_c:c1": (-5.0, -6.0)})
-    with pytest.raises(ValueError, match=r"^bounds for 'omega_c:c1' must be <= 1e\+06 GHz$"):
+    with raises_exactly(ValueError, "bounds for 'omega_c:c1' must be <= 1e+06 GHz"):
         two_tone_spec(bounds={"omega_c:c1": (-5.0, 1e7)})
     assert two_tone_spec(bounds={"omega_c:c1": (1e-9, 5)}).bounds == {"omega_c:c1": (1e-9, 5.0)}
     # the lower-bound floor is for frequencies only: a coupling may still be negative
@@ -691,7 +621,7 @@ def edgeless_photon_template():
 
 
 def test_fitspec_rejects_a_free_coupling_on_a_photon_without_an_edge():
-    with pytest.raises(ValueError, match=r"^free coupling 'c2': the photon has no coupling edge$"):
+    with raises_exactly(ValueError, "free coupling 'c2': the photon has no coupling edge"):
         FitSpec(edgeless_photon_template(), free_couplings=("c1", "c2"))
     # the photon's frequency may still be free: it moves the photon's own bare branch
     system = edgeless_photon_template()
@@ -704,15 +634,6 @@ def test_fitspec_rejects_a_free_coupling_on_a_photon_without_an_edge():
 def test_parameter_names_order_frequencies_then_couplings():
     spec = two_tone_spec()
     assert spec.parameter_names() == ("omega_c:c1", "omega_c:c2", "g:c1", "g:c2")
-
-
-def test_fit_rejects_bad_initial():
-    spec = two_tone_spec()
-    data = branch_records(fit_device(), ANTICROSSING_GRID)
-    with pytest.raises(ValueError, match="4 parameters"):
-        fit(spec, data, (4.5, 6.2, 0.08))
-    with pytest.raises(ValueError, match="bounds"):
-        fit(spec, data, (4.5, 6.2, 0.08, 9.9), )
 
 
 # ====== fitting ======
@@ -819,7 +740,7 @@ def test_an_iteration_cap_of_one_is_accepted():
 @pytest.mark.parametrize("bad", [0, -3, True, 2.5])
 def test_fit_rejects_a_max_iterations_that_is_not_a_positive_int(bad):
     data = branch_records(fit_device(), (5.0,))
-    with pytest.raises(ValueError, match=r"^max_iterations: expected a positive integer$"):
+    with raises_exactly(ValueError, "max_iterations: expected a positive integer"):
         fit(two_tone_spec(), data, FIT_TRUTH, max_iterations=bad)
 
 
@@ -863,13 +784,6 @@ def test_continuous_theta_recovers_pi():
     assert not result.ambiguous
 
 
-def test_continuous_theta_requires_single_seed():
-    with pytest.raises(ValueError, match="exactly one"):
-        two_tone_spec(
-            theta_hypotheses=((2.0,), (0.0,)), continuous_theta=True
-        )
-
-
 def test_a_loop_phase_bound_keeps_the_continuous_fit_inside_its_box():
     data = branch_records(fit_device(), ANTICROSSING_GRID)
     initial = (4.52, 6.195, 0.078, 0.118)
@@ -883,18 +797,20 @@ def test_a_loop_phase_bound_keeps_the_continuous_fit_inside_its_box():
     assert result.residual > free.residual
 
 
-@pytest.mark.parametrize(
-    "seed, bounds, message",
-    [
-        (7.0, {}, r"^initial value 7 for 'theta:0' is outside its bounds \[-6.28319, 6.28319\]$"),
-        (2.0, {"theta:0": (2.5, 3.0)},
-         r"^initial value 2 for 'theta:0' is outside its bounds \[2.5, 3\]$"),
-    ],
-)
+# the ids are those of the table's first form, which held patterns
+@pytest.mark.parametrize("seed, bounds, message", [
+    pytest.param(7.0, {}, "initial value 7 for 'theta:0' is outside its bounds [-6.28319, 6.28319]",
+                 id=r"7.0-bounds0-^initial value 7 for 'theta:0' is outside its bounds "
+                    r"\[-6.28319, 6.28319\]$"),
+    pytest.param(2.0, {"theta:0": (2.5, 3.0)},
+                 "initial value 2 for 'theta:0' is outside its bounds [2.5, 3]",
+                 id=r"2.0-bounds1-^initial value 2 for 'theta:0' is outside its bounds "
+                    r"\[2.5, 3\]$"),
+])
 def test_a_loop_phase_seed_outside_its_bounds_is_rejected(seed, bounds, message):
     spec = two_tone_spec(theta_hypotheses=((seed,),), continuous_theta=True, bounds=bounds)
     data = branch_records(fit_device(), ANTICROSSING_GRID)
-    with pytest.raises(ValueError, match=message):
+    with raises_exactly(ValueError, message):
         fit(spec, data, (4.52, 6.195, 0.078, 0.118))
 
 
@@ -911,14 +827,6 @@ def test_a_start_on_either_end_of_its_bounds_is_accepted(end):
                 "continuous_theta": True, "initial": [bounds["g:c1"][end]],
                 "bounds": {name: list(pair) for name, pair in bounds.items()}}
     assert fit_spec_from_document(document, fit_device())[1] == (bounds["g:c1"][end],)
-
-
-def test_a_loop_phase_bound_is_not_a_parameter_of_a_discrete_fit():
-    with pytest.raises(ValueError, match=r"^bound 'theta:0' is not a parameter of this fit$"):
-        two_tone_spec(bounds={"theta:0": (0.0, 1.0)})
-    with pytest.raises(ValueError, match=r"^bound 'theta:1' is not a parameter of this fit$"):
-        two_tone_spec(theta_hypotheses=((2.0,),), continuous_theta=True,
-                      bounds={"theta:1": (0.0, 1.0)})
 
 
 @pytest.mark.parametrize(
@@ -1096,3 +1004,83 @@ def test_fit_equals_the_fit_on_scipys_simplex(monkeypatch, max_iterations):
             theirs = fit(two_tone_spec(), data, initial, max_iterations)
         assert repr(ours) == repr(theirs)
         assert ours.converged == (max_iterations == 5000)
+
+
+# ====== rejected calls ======
+
+
+def residual_at(params, thetas):
+    """The two-tone spec's residual on the branches of its device at omega_m = 5 GHz."""
+    return residual(two_tone_spec(), params, thetas, branch_records(fit_device(), (5.0,)))
+
+
+def fit_from(initial):
+    """The two-tone fit from initial, on the branches of its device over the anticrossing."""
+    return fit(two_tone_spec(), branch_records(fit_device(), ANTICROSSING_GRID), initial)
+
+
+PEAK_HEADERS = "'omega_m_ghz,omega_peak_ghz' or 'omega_m_ghz,omega_peak_ghz,sigma_ghz'"
+
+REJECTED = [
+    *[pytest.param(lambda bad=bad: residual_at((bad, 6.19, 0.081, 0.120), (math.pi,)), ValueError,
+                   "mode 'c1': frequency must be finite and > 0 GHz", id="residual-c1-at-%g" % bad)
+      for bad in (0.0, -4.5)],
+    pytest.param(lambda: residual_at((4.5, 6.2, 0.08), (math.pi,)), ValueError,
+                 "expected 4 parameters, got 3", id="residual-three-parameters"),
+    pytest.param(lambda: residual_at(FIT_TRUTH, (math.pi, 0.0)), ValueError,
+                 "expected 1 loop phase(s), got 2", id="residual-two-loop-phases"),
+    pytest.param(lambda: residual_at((4.5, math.nan, 0.08, 0.12), (math.pi,)), ValueError,
+                 "parameters must be finite", id="residual-nan-parameter"),
+    *[pytest.param(lambda bad=bad: residual_at(FIT_TRUTH, (bad,)), ValueError,
+                   "loop phases must be finite", id="residual-loop-phase-%r" % bad)
+      for bad in (math.nan, math.inf, -math.inf)],
+    *[pytest.param(lambda record=record: PeakDataset(records=(PeakRecord(*record),)), ValueError,
+                   "record 0: " + message, id="peak-record-%s" % name)
+      for name, record, message in [
+          ("sigma-0", (5.0, 5.0, 0.0), "sigma must be > 0 GHz"),
+          ("omega-m-negative", (-1.0, 5.0, 0.001), "omega_m must be > 0 GHz"),
+          ("peak-infinite", (5.0, math.inf, 0.001), "all values must be finite"),
+          ("omega-m-1e300", (1e300, 5.9), "frequencies must be <= 1e+06 GHz"),
+          ("peak-1e300", (6.0, 1e300), "frequencies must be <= 1e+06 GHz"),
+          ("peak-minus-2e6", (6.0, -2e6), "frequencies must be <= 1e+06 GHz"),
+      ]],
+    pytest.param(lambda: PeakDataset(records=()), ValueError,
+                 "dataset must contain at least one record", id="peak-dataset-empty"),
+    *[pytest.param(lambda text=text: dataset_from_csv(text), SchemaError, message, id=name)
+      for name, text, message in [
+          ("csv-header", "omega_m,omega_peak\n5.1,4.52\n",
+           "line 1: unrecognized header; expected " + PEAK_HEADERS),
+          ("csv-one-column", "omega_m_ghz,omega_peak_ghz\n5.1\n",
+           "line 2: expected 2 columns, got 1"),
+          ("csv-not-a-number", "omega_m_ghz,omega_peak_ghz\n5.1,4.5\n5.2,abc\n",
+           "line 3: could not parse a numeric value"),
+          ("csv-no-rows", "omega_m_ghz,omega_peak_ghz\n", "CSV contains no data rows"),
+      ]],
+    pytest.param(lambda: two_tone_spec(free_photon_frequencies=("c1", "m1")), ValueError,
+                 "free parameter 'm1' is not a photon mode", id="spec-free-magnon-frequency"),
+    pytest.param(lambda: two_tone_spec(free_couplings=("nope",)), ValueError,
+                 "free parameter 'nope' is not a photon mode", id="spec-free-unknown-coupling"),
+    pytest.param(lambda: two_tone_spec(free_couplings=("c1", "c1")), ValueError,
+                 "duplicate free parameter 'c1'", id="spec-free-coupling-twice"),
+    pytest.param(lambda: two_tone_spec(theta_hypotheses=((math.pi, 0.0),)), ValueError,
+                 "hypothesis 0: expected 1 loop phase(s), got 2", id="spec-two-loop-phases"),
+    pytest.param(lambda: two_tone_spec(theta_hypotheses=()), ValueError,
+                 "theta_hypotheses must contain at least one assignment", id="spec-no-hypothesis"),
+    pytest.param(lambda: two_tone_spec(theta_hypotheses=((math.nan,),)), ValueError,
+                 "hypothesis 0: loop phases must be finite", id="spec-nan-loop-phase"),
+    pytest.param(lambda: two_tone_spec(theta_hypotheses=((2.0,), (0.0,)), continuous_theta=True),
+                 ValueError, "continuous loop-phase mode takes exactly one seed assignment",
+                 id="spec-continuous-two-seeds"),
+    pytest.param(lambda: two_tone_spec(bounds={"theta:0": (0.0, 1.0)}), ValueError,
+                 "bound 'theta:0' is not a parameter of this fit", id="spec-discrete-theta-bound"),
+    pytest.param(lambda: two_tone_spec(theta_hypotheses=((2.0,),), continuous_theta=True,
+                                       bounds={"theta:1": (0.0, 1.0)}), ValueError,
+                 "bound 'theta:1' is not a parameter of this fit", id="spec-second-theta-bound"),
+    pytest.param(lambda: fit_from((4.5, 6.2, 0.08)), ValueError, "expected 4 parameters, got 3",
+                 id="fit-three-initial-values"),
+    pytest.param(lambda: fit_from((4.5, 6.2, 0.08, 9.9)), ValueError,
+                 "initial value 9.9 for 'g:c2' is outside its bounds [0, 2]",
+                 id="fit-initial-outside-bounds"),
+]
+
+test_rejected_calls = rejected_calls(REJECTED)

@@ -22,7 +22,7 @@ from loopmag.model import (
     build_hamiltonian,
     fold_phase,
 )
-from devices import component_count, preset, random_system, table1_device
+from devices import component_count, preset, random_system, rejected_calls, table1_device
 
 PI = math.pi
 
@@ -165,23 +165,6 @@ def test_loop_phase_pi0_second_cycle_zero():
     g = build_graph(preset("cavity-pi0-table2"))
     cycles = cycle_basis(g)
     assert abs(loop_phase(cycles[1], g)) < 1e-12
-
-
-def test_loop_phase_rejects_open_cycle():
-    g = build_graph(table1_device())
-    (cycle,) = cycle_basis(g)
-    broken = Cycle(vertices=cycle.vertices[:3], edges=cycle.edges[:3], chord=cycle.chord)
-    with pytest.raises(ValueError):
-        loop_phase(broken, g)
-
-
-def test_loop_phase_rejects_a_walk_of_fewer_than_two_edges():
-    g = build_graph(table1_device())
-    (cycle,) = cycle_basis(g)
-    for n in (0, 1):
-        short = Cycle(vertices=cycle.vertices[:n], edges=cycle.edges[:n], chord=cycle.chord)
-        with pytest.raises(ValueError, match="^cycle is not a closed walk$"):
-            loop_phase(short, g)
 
 
 def test_a_two_edge_walk_there_and_back_along_one_edge_has_zero_loop_phase():
@@ -588,3 +571,22 @@ def test_reduction_matches_the_previous_forest_bit_for_bit_on_large_and_split_de
     assert assert_matches_the_oracle(complete_device(rng, 12)) == 144 - 24 + 1
     assert assert_matches_the_oracle(two_component_device()) == 2
     assert assert_matches_the_oracle(ladder_device(rng, 800)) == 799
+
+
+# ====== rejected calls ======
+
+
+def cut_cycle(n):
+    """The Table-1 device's one cycle cut to its first n edges, with its graph."""
+    g = build_graph(table1_device())
+    (cycle,) = cycle_basis(g)
+    return Cycle(vertices=cycle.vertices[:n], edges=cycle.edges[:n], chord=cycle.chord), g
+
+
+REJECTED = [
+    pytest.param(lambda n=n: loop_phase(*cut_cycle(n)), ValueError, "cycle is not a closed walk",
+                 id="loop-phase-of-%d-edges" % n)
+    for n in (3, 0, 1)  # an open walk, then fewer than two edges
+]
+
+test_rejected_calls = rejected_calls(REJECTED)

@@ -9,9 +9,8 @@ import subprocess
 import sys
 import types
 
-import pytest
-
 import loopmag
+from devices import raises_exactly
 
 SRC_DIR = pathlib.Path(loopmag.__file__).parent
 TESTS_DIR = pathlib.Path(__file__).resolve().parent
@@ -75,7 +74,7 @@ def test_every_exported_name_is_the_object_its_module_defines():
         (module,) = defined[name]
         assert getattr(loopmag, name) is getattr(importlib.import_module("loopmag." + module), name)
     assert set(loopmag.__all__) <= set(dir(loopmag))
-    with pytest.raises(AttributeError, match="no_such_name"):
+    with raises_exactly(AttributeError, "module 'loopmag' has no attribute 'no_such_name'"):
         loopmag.no_such_name
 
 
@@ -141,6 +140,9 @@ def test_the_only_scipy_import_is_the_one_inside_min_gap():
     assert [(module, function) for module, function, _ in found] == [("spectrum", "min_gap")], found
 
 
+SPECIFIER = r"%[-#0 +]*\d*(?:\.\d+)?[a-z%]"
+
+
 def test_every_cli_schema_error_message_is_asserted_by_a_cli_test():
     # in every module, the longest text between %-specifiers of each literal of a
     # SchemaError message or an anchored prefix must appear in the CLI tests
@@ -152,10 +154,43 @@ def test_every_cli_schema_error_message_is_asserted_by_a_cli_test():
                     "SchemaError", "anchored"):
                 for literal in ast.walk(node):
                     if isinstance(literal, ast.Constant) and isinstance(literal.value, str):
-                        parts = re.split(r"%[-#0 +]*\d*(?:\.\d+)?[a-z%]", literal.value)
+                        parts = re.split(SPECIFIER, literal.value)
                         if max((part.strip() for part in parts), key=len) not in tested:
                             untested.append((path.name, literal.lineno, literal.value))
     assert not untested, "SchemaError messages no CLI test asserts: %s" % untested
+
+
+# message formats raised in src/loopmag that no test string needs to pin, each with
+# one line of reason; none today
+UNPINNED = {}
+
+
+def test_every_raised_message_is_pinned_by_a_test_string():
+    # each literal %-format or f-string that src/loopmag raises must fullmatch a string
+    # constant of the tests: specifiers and fields match any text, after an optional
+    # anchored prefix (<path>: or <path>.)
+    strings = {node.value for path in TESTS_DIR.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    strings -= set(UNPINNED) | set(UNPINNED.values())  # an entry pins nothing
+    patterns = {}
+    for path in sorted(SRC_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and node.exc.args):
+                continue
+            message = node.exc.args[0]
+            message = message.left if isinstance(message, ast.BinOp) else message  # "..." % args
+            if isinstance(message, ast.Constant) and isinstance(message.value, str):
+                body = ".*".join(map(re.escape, re.split(SPECIFIER, message.value)))
+                patterns[message.value] = body
+            elif isinstance(message, ast.JoinedStr):
+                patterns[ast.unparse(message)] = "".join(
+                    re.escape(part.value) if isinstance(part, ast.Constant) else ".*"
+                    for part in message.values)
+    unpinned = [text for text, body in patterns.items()
+                if not any(re.fullmatch(r"(?:.+(?:: |\.))?" + body, string) for string in strings)]
+    assert len(patterns) > 140 and sorted(unpinned) == sorted(UNPINNED), unpinned
 
 
 def test_only_model_anchored_reraises_a_value_errors_message_as_a_schema_error():
